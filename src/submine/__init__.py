@@ -19,12 +19,10 @@ from .engine import (
 )
 from .graph import (
     Graph,
-    GraphConfig,
     GraphDataError,
     GraphParseError,
     Subgraph,
     Vertex,
-    load_graph,
     partition_owner,
     read_graph,
     write_graph,
@@ -38,7 +36,6 @@ __all__ = [
     "ComputeError",
     "EngineError",
     "Graph",
-    "GraphConfig",
     "GraphDataError",
     "GraphParseError",
     "JobResult",
@@ -47,7 +44,6 @@ __all__ = [
     "Subgraph",
     "Task",
     "Vertex",
-    "load_graph",
     "partition_owner",
     "read_graph",
     "run_job",

@@ -1,4 +1,4 @@
-"""The bundled mining apps and their brute-force oracles."""
+"""The bundled mining apps."""
 
 from .cliques import max_clique_app, maximal_cliques_app
 from .gmatch import QueryGraph, fig4_query, gmatch_app, parse_query_file

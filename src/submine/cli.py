@@ -121,7 +121,6 @@ def _run_config(args, eff):
         sync_every_rounds=sync_rounds if sync_rounds else None,
         sync_every_ms=eff["sync_ms"],
         workdir=args.workdir,
-        keep_workdir=args.keep_workdir,
         collect_trace=args.trace,
     )
 
@@ -304,7 +303,6 @@ def _add_job_flags(p):
     p.add_argument("--emit-triangles", action="store_true",
                    help="emit one line per triangle (attribution checks)")
     p.add_argument("--workdir", help="queue spill directory (default: temp)")
-    p.add_argument("--keep-workdir", action="store_true")
     p.add_argument("--trace", action="store_true",
                    help="collect per-worker event traces")
 

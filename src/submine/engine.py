@@ -25,8 +25,9 @@ app's respond hook, which may send a pruned copy), so computation never
 blocks remote requesters.  Aggregation is per-worker with an optional
 periodic sync that publishes local values and a merged global snapshot;
 a final merge always runs at job end.  There is no global round barrier;
-a job ends when every worker's queue and buffers are empty, which the
-coordinating thread observes by joining the compute threads.
+a job ends when every worker's queue is empty and it carries no task
+into a next round, which the coordinating thread observes by joining the
+compute threads.
 """
 
 import os
@@ -34,7 +35,7 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .graph import (
@@ -81,9 +82,7 @@ class RunConfig:
     sync_every_rounds: Optional[int] = 1
     sync_every_ms: Optional[float] = None
     workdir: Optional[str] = None
-    keep_workdir: bool = False
     collect_trace: bool = False
-    validate_graph: bool = True
 
     def __post_init__(self):
         if self.workers < 1:
@@ -142,7 +141,6 @@ class AppSpec:
     decode_context: Callable       # (bytes) -> ctx
     respond: Optional[Callable] = None   # (Vertex) -> Vertex | None
     aggregator: Optional[AggregatorSpec] = None
-    needs_undirected: bool = True
 
 
 class Task:
@@ -219,7 +217,7 @@ class _RespStats:
 
 class Worker:
     def __init__(self, wid, cfg, app, table, transport, agg, stop, seeds,
-                 workdir, storage_factory=None):
+                 workdir):
         self.wid = wid
         self.cfg = cfg
         self.app = app
@@ -233,11 +231,10 @@ class Worker:
             cfg.cache_capacity, is_local=table.__contains__, trace=trace_cb
         )
         self.store = VertexStore(table, self.cache)
-        qdir = os.path.join(workdir, f"w{wid}", "queue")
-        storage = storage_factory(qdir) if storage_factory else None
         self.queue = make_queue(
-            cfg.queue_kind, qdir, file_capacity=cfg.file_capacity,
-            buffer_capacity=cfg.buffer_capacity, ell=cfg.ell, storage=storage,
+            cfg.queue_kind, os.path.join(workdir, f"w{wid}", "queue"),
+            file_capacity=cfg.file_capacity,
+            buffer_capacity=cfg.buffer_capacity, ell=cfg.ell,
         )
         self.minhash_seeds = seeds
         self.local_value = app.aggregator.zero() if app.aggregator else None
@@ -246,7 +243,6 @@ class Worker:
         self.round_no = 0
         self.metrics = {k: 0 for k in _METRIC_KEYS}
         self._seq = 0
-        self._out = []
         self._carry = None
         self._last_sync = time.monotonic()
         self.err = None
@@ -271,12 +267,13 @@ class Worker:
         self._seq += 1
         return key
 
-    def _encode(self, task) -> bytes:
+    def _record(self, task) -> TaskRecord:
+        """Key the task by its current pull set and encode it for the queue."""
         wire = TaskWire(
             task.seed_id, task.iteration, task.requested, task.pending,
             self.app.encode_context(task.context), task.subgraph,
         )
-        return encode_task(wire)
+        return TaskRecord(self._key_for(task), encode_task(wire))
 
     def _decode(self, rec: TaskRecord) -> Task:
         w = decode_task(rec.payload)
@@ -285,16 +282,6 @@ class Worker:
         t.pending = w.pending
         t.iteration = w.iteration
         return t
-
-    def _enqueue_out(self, task):
-        self._out.append(task)
-        if len(self._out) >= self.cfg.buffer_capacity:
-            self._flush_out()
-
-    def _flush_out(self):
-        for t in self._out:
-            self.queue.enqueue(TaskRecord(self._key_for(t), self._encode(t)))
-        self._out = []
 
     def _emit(self, seed_id, line):
         self.emitted.append((seed_id, line))
@@ -328,7 +315,7 @@ class Worker:
             for t in tasks:
                 self._normalize(t)
                 self.metrics["tasks_seeded"] += 1
-                records.append(TaskRecord(self._key_for(t), self._encode(t)))
+                records.append(self._record(t))
         self.queue.seed_bulk(records)
         if self.trace is not None:
             self.trace.append(("seeded", len(records)))
@@ -425,7 +412,6 @@ class Worker:
         for task, _need in batch:
             self._run_task(task)
 
-        self._flush_out()
         for _task, need in batch:
             if need:
                 cache.unpin_batch(need)
@@ -457,7 +443,7 @@ class Worker:
             for child in children:
                 self._normalize(child)
                 self.metrics["tasks_spawned"] += 1
-                self._enqueue_out(child)
+                self.queue.enqueue(self._record(child))
             if not cont:
                 self.metrics["tasks_completed"] += 1
                 if self.trace is not None:
@@ -476,7 +462,7 @@ class Worker:
                     self.trace.append(
                         ("requeue", task.seed_id, task.iteration, len(nonlocal_ids))
                     )
-                self._enqueue_out(task)
+                self.queue.enqueue(self._record(task))
                 return
             # Everything already resident: keep iterating within the round.
             for vid in nonlocal_ids:
@@ -504,8 +490,8 @@ class Worker:
     def assert_drained(self):
         if len(self.queue) != 0:
             raise EngineError(f"worker {self.wid} queue not drained")
-        if self._out or self._carry is not None:
-            raise EngineError(f"worker {self.wid} buffers not drained")
+        if self._carry is not None:
+            raise EngineError(f"worker {self.wid} carried task not drained")
         self.cache.assert_quiescent()
 
     def collect_metrics(self):
@@ -571,25 +557,9 @@ class JobResult:
         return h / (h + m) if h + m else 1.0
 
 
-def run_job(cfg: RunConfig, app: AppSpec, graph: Graph = None) -> JobResult:
-    """Run one mining job to completion and return its results.
-
-    `graph` may be passed pre-loaded to skip file reading; otherwise
-    cfg.input_path is read.  Raises the first worker/responder error
-    (with task provenance for app failures) after stopping the job.
-    """
-    t0 = time.perf_counter()
-    if graph is None:
-        if not cfg.input_path:
-            raise ValueError("run_job needs a graph or cfg.input_path")
-        graph = read_graph(cfg.input_path)
-    if cfg.validate_graph and app.needs_undirected:
-        check_undirected(graph)
-    tables = partition_graph(graph, cfg.workers)
-    seeds = derive_seeds(cfg.run_seed, cfg.ell)
-    workdir = cfg.workdir or tempfile.mkdtemp(prefix="submine-run-")
-    own_workdir = cfg.workdir is None
-    agg = SharedAggregator(app.aggregator, cfg.workers) if app.aggregator else None
+def _run_workers(cfg, app, tables, seeds, agg, workdir):
+    """Build the workers, run them and their responders to the end, and
+    return the workers; raises the first error any of them hit."""
     transport = InProcTransport(cfg.workers)
     stop = threading.Event()
     errors = []
@@ -632,12 +602,31 @@ def run_job(cfg: RunConfig, app: AppSpec, graph: Graph = None) -> JobResult:
         for t in responders:
             t.join(timeout=5.0)
 
+    if errors:
+        raise next((e for e in errors if not isinstance(e, JobAborted)), errors[0])
+    return workers
+
+
+def run_job(cfg: RunConfig, app: AppSpec, graph: Graph = None) -> JobResult:
+    """Run one mining job to completion and return its results.
+
+    `graph` may be passed pre-loaded to skip file reading; otherwise
+    cfg.input_path is read.  Raises the first worker/responder error
+    (with task provenance for app failures) after stopping the job.  A
+    temporary workdir is removed however the job ends.
+    """
+    t0 = time.perf_counter()
+    if graph is None:
+        if not cfg.input_path:
+            raise ValueError("run_job needs a graph or cfg.input_path")
+        graph = read_graph(cfg.input_path)
+    check_undirected(graph)
+    tables = partition_graph(graph, cfg.workers)
+    seeds = derive_seeds(cfg.run_seed, cfg.ell)
+    agg = SharedAggregator(app.aggregator, cfg.workers) if app.aggregator else None
+    workdir = cfg.workdir or tempfile.mkdtemp(prefix="submine-run-")
     try:
-        if errors:
-            primary = next(
-                (e for e in errors if not isinstance(e, JobAborted)), errors[0]
-            )
-            raise primary
+        workers = _run_workers(cfg, app, tables, seeds, agg, workdir)
         for w in workers:
             w.assert_drained()
         per_worker = [w.collect_metrics() for w in workers]
@@ -664,5 +653,5 @@ def run_job(cfg: RunConfig, app: AppSpec, graph: Graph = None) -> JobResult:
             config=cfg,
         )
     finally:
-        if own_workdir:
+        if cfg.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)

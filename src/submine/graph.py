@@ -14,8 +14,7 @@ neighbors and self-loops are rejected.
 """
 
 import hashlib
-from bisect import bisect_right, insort
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 MASK64 = (1 << 64) - 1
@@ -101,13 +100,6 @@ def larger_neighbors(v: Vertex) -> list:
     return v.adj[bisect_right(ids, v.id):]
 
 
-def max_neighbor_id(v: Vertex) -> Optional[int]:
-    """Largest neighbor id, or None for an isolated vertex."""
-    if not v.adj:
-        return None
-    return v.adj[-1].nb
-
-
 def partition_owner(vid: int, num_workers: int) -> int:
     """Worker that owns vertex `vid` (deterministic multiplicative hash)."""
     return mix64(vid) % num_workers
@@ -170,12 +162,6 @@ class Graph:
     @property
     def num_vertices(self):
         return len(self.vertices)
-
-    @property
-    def avg_degree(self):
-        if not self.vertices:
-            return 0.0
-        return sum(v.degree for v in self.vertices.values()) / len(self.vertices)
 
     def add(self, v: Vertex):
         if v.id in self.vertices:
@@ -255,37 +241,12 @@ def check_undirected(g: Graph):
                 )
 
 
-@dataclass
-class GraphConfig:
-    """Input/partitioning description filled in by load_graph."""
-
-    num_workers: int
-    input_path: Optional[str] = None
-    num_vertices: int = 0
-    avg_degree: float = 0.0
-
-    def __post_init__(self):
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-
-
 def partition_graph(g: Graph, num_workers: int):
     """Split the vertex table into per-worker local tables by owner hash."""
     tables = [dict() for _ in range(num_workers)]
     for vid, v in g.vertices.items():
         tables[partition_owner(vid, num_workers)][vid] = v
     return tables
-
-
-def load_graph(cfg: GraphConfig):
-    """Read cfg.input_path and return per-worker local vertex tables.
-
-    Populates cfg.num_vertices and cfg.avg_degree as a side effect.
-    """
-    g = read_graph(cfg.input_path)
-    cfg.num_vertices = g.num_vertices
-    cfg.avg_degree = g.avg_degree
-    return partition_graph(g, cfg.num_workers)
 
 
 class Subgraph:

@@ -20,7 +20,6 @@ from . import pure
 _COMPILED_N_LIMIT = 4096
 
 BACKEND = "pure"
-contains_sorted = pure.contains_sorted
 count_closing_pairs = pure.count_closing_pairs
 max_clique = pure.max_clique
 maximal_cliques = pure.maximal_cliques

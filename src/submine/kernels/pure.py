@@ -13,12 +13,6 @@ make this reasonably quick even without the extension.
 from bisect import bisect_left
 
 
-def contains_sorted(lst, x):
-    """Membership test in a sorted list via binary search."""
-    k = bisect_left(lst, x)
-    return k < len(lst) and lst[k] == x
-
-
 def count_closing_pairs(ids, adj_lists):
     """Count pairs i < j with ids[j] present in adj_lists[i].
 

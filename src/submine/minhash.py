@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .graph import MASK64, mix64
 
-DEFAULT_NUM_HASHES = 4
 GOLDEN64 = 0x9E3779B97F4A7C15
 SENTINEL_SIG = MASK64
 
@@ -38,10 +37,6 @@ class TaskKey:
     sigs: tuple
     tiebreak: int
 
-    @property
-    def is_sentinel(self):
-        return all(s == SENTINEL_SIG for s in self.sigs)
-
 
 def minhash_signature(pull_ids, seeds):
     """Signature tuple of a pull set; all-sentinel for the empty set."""
@@ -49,10 +44,3 @@ def minhash_signature(pull_ids, seeds):
         return (SENTINEL_SIG,) * len(seeds)
     ids = list(pull_ids)
     return tuple(min(mix64(v ^ s) for v in ids) for s in seeds)
-
-
-def minhash_key(pull_ids, ell, seeds, tiebreak=0) -> TaskKey:
-    """Build a TaskKey; validates that `seeds` matches `ell`."""
-    if len(seeds) != ell:
-        raise ValueError(f"expected {ell} seeds, got {len(seeds)}")
-    return TaskKey(minhash_signature(pull_ids, seeds), tiebreak)

@@ -245,16 +245,9 @@ class VertexStore:
         self.local = local_table
         self.cache = cache
 
-    def lookup(self, vid, count=True):
-        """Vertex by id or None; cache hits refresh recency."""
-        v = self.local.get(vid)
-        if v is not None:
-            return v
-        return self.cache.get(vid, count=count)
-
     def resolve(self, vid):
-        """Like lookup but a miss is a hard error (used for frontiers,
-        whose ids are guaranteed resident by reservation)."""
+        """Vertex by id, local table first; a miss is a hard error (used
+        for frontiers, whose ids are guaranteed resident by reservation)."""
         v = self.local.get(vid)
         if v is not None:
             return v
@@ -262,6 +255,3 @@ class VertexStore:
         if v is None:
             raise CacheError(f"frontier vertex {vid} not resident")
         return v
-
-    def is_local(self, vid):
-        return vid in self.local

@@ -1,23 +1,29 @@
 """Disk-spilling task queues.
 
-Both queue kinds buffer tasks in memory and spill to files holding on the
-order of `file_capacity` (C) tasks, so disk traffic happens in C-task
-units rather than per task:
+Both queue kinds share one buffering path, owned by the base class:
 
-* StreamTaskQueue -- plain FIFO.  Overflowing tasks spill to files of
-  exactly C tasks, consumed oldest-first (head reads, tail appends only).
+* enqueue appends to an in-memory input buffer of up to `buffer_capacity`
+  (B) tasks; when it fills, `merge_spill` moves it into a chain of spill
+  files of at most `file_capacity` (C) tasks, so disk traffic happens in
+  C-task units rather than per task;
+* fetch serves from an output buffer of at most C tasks, refilled from
+  the first file of the chain if there is one, else with up to C tasks
+  taken from the input buffer; consumed files are deleted.
 
-* LshTaskQueue -- tasks are kept sorted by their minhash TaskKey.  Spill
-  files each hold between ceil(C/2) and C tasks and own disjoint key
-  ranges, tracked by an in-memory range index ordered ascending.  An
-  overflowing input buffer is sorted and bulk-merged into the chain
-  b-tree style: only files whose range absorbs incoming keys are read,
-  merged, and rewritten, splitting into balanced chunks on overflow.
+The kinds differ in two decisions only:
 
-Fetching refills the C-sized output buffer from the first (lowest-range)
-file if one exists, else from the in-memory input buffer; consumed files
-are deleted.  io counters track file-granularity reads and writes for
-both kinds and always match what an external filesystem observer sees.
+* how a full input buffer joins the chain.  StreamTaskQueue (plain FIFO)
+  appends the buffer's oldest tasks as files of exactly C and keeps the
+  remainder.  LshTaskQueue keeps the chain sorted by minhash TaskKey:
+  files hold between ceil(C/2) and C tasks over disjoint, ascending key
+  ranges, and the sorted buffer is bulk-merged into it b-tree style,
+  reading, merging and rewriting only the files whose range absorbs
+  incoming keys, split into balanced chunks on overflow;
+* which buffered task is served first.  Stream takes the oldest; LSH
+  sorts the input buffer first and takes the lowest keys.
+
+io counters track file-granularity reads and writes for both kinds and
+always match what an external filesystem observer sees.
 """
 
 import heapq
@@ -83,6 +89,9 @@ def _rkey(rec):
 
 
 class _TaskQueueBase:
+    """The shared buffering path; subclasses supply `merge_spill` and the
+    per-file checks, and may reorder the input buffer before a take."""
+
     kind = "?"
 
     def __init__(self, dirpath, file_capacity=100, buffer_capacity=1000,
@@ -99,6 +108,47 @@ class _TaskQueueBase:
         self.fetched_total = 0
         self.spill_count = 0
         self._file_seq = 0
+        self._in = []          # input buffer, at most B tasks
+        self._out = deque()    # output buffer, at most C tasks
+        self._files = []       # FileMeta of the spill chain, in fetch order
+
+    def __len__(self):
+        return (
+            len(self._in)
+            + len(self._out)
+            + sum(m.count for m in self._files)
+        )
+
+    @property
+    def index(self):
+        return list(self._files)
+
+    def enqueue(self, rec: TaskRecord):
+        self._in.append(rec)
+        self.enqueued_total += 1
+        if len(self._in) >= self.buffer_capacity:
+            self.merge_spill()
+
+    def seed_bulk(self, records):
+        """Initial seeding: plain appends in the given order."""
+        for rec in records:
+            self.enqueue(rec)
+
+    def fetch(self):
+        if not self._out:
+            if self._files:
+                self._out.extend(self._load(self._files.pop(0)))
+            elif self._in:
+                self._order_input()
+                self._out.extend(self._in[:self.file_capacity])
+                del self._in[:self.file_capacity]
+        if not self._out:
+            return None
+        self.fetched_total += 1
+        return self._out.popleft()
+
+    def _order_input(self):
+        """Put the input buffer in serving order; FIFO keeps enqueue order."""
 
     def io_counters(self):
         return (self.storage.files_read, self.storage.files_written)
@@ -123,6 +173,26 @@ class _TaskQueueBase:
             self.storage.delete(meta.name)
         return [TaskRecord(k, p) for k, p in raw]
 
+    def check_invariants(self, deep=False):
+        """Buffer bounds, each file's shape (and with `deep` its on-disk
+        records, read without counting), and task conservation."""
+        if len(self._in) > self.buffer_capacity:
+            raise QueueInvariantError("input buffer over capacity")
+        if len(self._out) > self.file_capacity:
+            raise QueueInvariantError("output buffer over capacity")
+        for pos, m in enumerate(self._files):
+            self._check_file(pos, m)
+        if deep:
+            for m in self._files:
+                self._check_records(m, self._load(m, count=False, delete=False))
+        if self.enqueued_total != self.fetched_total + len(self):
+            raise QueueInvariantError("conservation violated")
+        return True
+
+    def _check_records(self, meta, records):
+        """Kind-specific checks of one file's records (count is checked
+        by _load)."""
+
     def metrics(self):
         r, w = self.io_counters()
         return {
@@ -139,93 +209,24 @@ class StreamTaskQueue(_TaskQueueBase):
 
     kind = "stream"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._head = deque()
-        self._files = deque()
-        self._tail = deque()
-
-    def __len__(self):
-        return (
-            len(self._head)
-            + sum(m.count for m in self._files)
-            + len(self._tail)
-        )
-
-    def enqueue(self, rec: TaskRecord):
-        self._tail.append(rec)
-        self.enqueued_total += 1
-        if len(self._tail) >= self.buffer_capacity:
-            self._spill_tail()
-
-    def seed_bulk(self, records):
-        """Initial seeding: plain FIFO appends in the given order."""
-        for rec in records:
-            self.enqueue(rec)
-
-    def fetch(self):
-        if not self._head:
-            if self._files:
-                self._head.extend(self._load(self._files.popleft()))
-            elif self._tail:
-                for _ in range(min(self.file_capacity, len(self._tail))):
-                    self._head.append(self._tail.popleft())
-        if not self._head:
-            return None
-        self.fetched_total += 1
-        return self._head.popleft()
-
-    def _spill_tail(self):
-        while len(self._tail) >= self.file_capacity:
-            chunk = [self._tail.popleft() for _ in range(self.file_capacity)]
-            self._files.append(self._write_records(chunk))
+    def merge_spill(self):
+        """Append the input buffer's oldest tasks as full C-task files."""
+        c = self.file_capacity
+        n = len(self._in) - len(self._in) % c
+        for off in range(0, n, c):
+            self._files.append(self._write_records(self._in[off:off + c]))
             self.spill_count += 1
+        del self._in[:n]
 
-    def check_invariants(self, deep=False):
-        if len(self._tail) > self.buffer_capacity:
-            raise QueueInvariantError("tail buffer over capacity")
-        if len(self._head) > max(self.file_capacity, self.buffer_capacity):
-            raise QueueInvariantError("head buffer over capacity")
-        for m in self._files:
-            if m.count != self.file_capacity:
-                raise QueueInvariantError(f"{m.name}: stream file not full")
-        if deep:
-            for m in self._files:
-                recs = self._load(m, count=False, delete=False)
-                if len(recs) != m.count:
-                    raise QueueInvariantError(f"{m.name}: bad count on disk")
-        if self.enqueued_total != self.fetched_total + len(self):
-            raise QueueInvariantError("conservation violated")
-        return True
+    def _check_file(self, pos, meta):
+        if meta.count != self.file_capacity:
+            raise QueueInvariantError(f"{meta.name}: stream file not full")
 
 
 class LshTaskQueue(_TaskQueueBase):
     """Key-sorted task queue with a b-tree-ish file chain."""
 
     kind = "lsh"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._bq_in = []
-        self._bq_out = deque()
-        self._index = []  # FileMeta, ascending disjoint key ranges
-
-    def __len__(self):
-        return (
-            len(self._bq_in)
-            + len(self._bq_out)
-            + sum(m.count for m in self._index)
-        )
-
-    @property
-    def index(self):
-        return list(self._index)
-
-    def enqueue(self, rec: TaskRecord):
-        self._bq_in.append(rec)
-        self.enqueued_total += 1
-        if len(self._bq_in) >= self.buffer_capacity:
-            self.merge_spill()
 
     def seed_bulk(self, records):
         """Bulk-load seed tasks: sort once, then either keep them in the
@@ -234,52 +235,41 @@ class LshTaskQueue(_TaskQueueBase):
         records = sorted(records, key=_rkey)
         self.enqueued_total += len(records)
         if len(records) <= self.buffer_capacity:
-            self._bq_in.extend(records)
+            self._in.extend(records)
         else:
-            self._index = self._write_chain(records)
+            self._files = self._write_chain(records)
             self.spill_count += 1
 
-    def fetch(self):
-        if not self._bq_out:
-            if self._index:
-                self._bq_out.extend(self._load(self._index.pop(0)))
-            elif self._bq_in:
-                self._bq_in.sort(key=_rkey)
-                take = self._bq_in[:self.file_capacity]
-                del self._bq_in[:self.file_capacity]
-                self._bq_out.extend(take)
-        if not self._bq_out:
-            return None
-        self.fetched_total += 1
-        return self._bq_out.popleft()
+    def _order_input(self):
+        self._in.sort(key=_rkey)
 
     def merge_spill(self):
         """Sort the input buffer and bulk-merge it into the file chain."""
-        batch = sorted(self._bq_in, key=_rkey)
-        self._bq_in = []
+        batch = sorted(self._in, key=_rkey)
+        self._in = []
         if not batch:
             return
         self.spill_count += 1
-        if not self._index:
-            self._index = self._write_chain(batch)
+        if not self._files:
+            self._files = self._write_chain(batch)
             return
-        los = [m.key_lo for m in self._index]
+        los = [m.key_lo for m in self._files]
         groups = {}
         for rec in batch:
             i = bisect_right(los, rec.key) - 1
             if i < 0:
                 i = 0
             groups.setdefault(i, []).append(rec)
-        new_index = []
+        new_files = []
         prev = 0
         for i in sorted(groups):
-            new_index.extend(self._index[prev:i])
-            existing = self._load(self._index[i])
+            new_files.extend(self._files[prev:i])
+            existing = self._load(self._files[i])
             merged = list(heapq.merge(existing, groups[i], key=_rkey))
-            new_index.extend(self._write_chain(merged))
+            new_files.extend(self._write_chain(merged))
             prev = i + 1
-        new_index.extend(self._index[prev:])
-        self._index = new_index
+        new_files.extend(self._files[prev:])
+        self._files = new_files
 
     def _write_chain(self, records):
         """Write sorted records as balanced files of at most C tasks.
@@ -300,36 +290,22 @@ class LshTaskQueue(_TaskQueueBase):
             off += size
         return metas
 
-    def check_invariants(self, deep=False):
-        if len(self._bq_in) > self.buffer_capacity:
-            raise QueueInvariantError("input buffer over capacity")
-        if len(self._bq_out) > self.file_capacity:
-            raise QueueInvariantError("output buffer over capacity")
-        half = -(-self.file_capacity // 2)
-        for pos, m in enumerate(self._index):
-            if m.count > self.file_capacity:
-                raise QueueInvariantError(f"{m.name}: overfull ({m.count})")
-            if m.count < half and len(self._index) > 1:
-                raise QueueInvariantError(f"{m.name}: underfull ({m.count})")
-            if m.key_lo > m.key_hi:
-                raise QueueInvariantError(f"{m.name}: inverted key range")
-            if pos > 0 and self._index[pos - 1].key_hi > m.key_lo:
-                raise QueueInvariantError(
-                    f"{m.name}: range overlaps previous file"
-                )
-        if deep:
-            for m in self._index:
-                recs = self._load(m, count=False, delete=False)
-                keys = [r.key for r in recs]
-                if len(recs) != m.count:
-                    raise QueueInvariantError(f"{m.name}: bad count on disk")
-                if keys != sorted(keys):
-                    raise QueueInvariantError(f"{m.name}: records unsorted")
-                if keys[0] != m.key_lo or keys[-1] != m.key_hi:
-                    raise QueueInvariantError(f"{m.name}: stale key range")
-        if self.enqueued_total != self.fetched_total + len(self):
-            raise QueueInvariantError("conservation violated")
-        return True
+    def _check_file(self, pos, meta):
+        if meta.count > self.file_capacity:
+            raise QueueInvariantError(f"{meta.name}: overfull ({meta.count})")
+        if meta.count < -(-self.file_capacity // 2) and len(self._files) > 1:
+            raise QueueInvariantError(f"{meta.name}: underfull ({meta.count})")
+        if meta.key_lo > meta.key_hi:
+            raise QueueInvariantError(f"{meta.name}: inverted key range")
+        if pos > 0 and self._files[pos - 1].key_hi > meta.key_lo:
+            raise QueueInvariantError(f"{meta.name}: range overlaps previous file")
+
+    def _check_records(self, meta, records):
+        keys = [r.key for r in records]
+        if keys != sorted(keys):
+            raise QueueInvariantError(f"{meta.name}: records unsorted")
+        if keys[0] != meta.key_lo or keys[-1] != meta.key_hi:
+            raise QueueInvariantError(f"{meta.name}: stale key range")
 
 
 QUEUE_KINDS = {"stream": StreamTaskQueue, "lsh": LshTaskQueue}

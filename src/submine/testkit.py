@@ -19,7 +19,7 @@ from .gen import (
     path_graph,
     star_graph,
 )
-from .minhash import minhash_key
+from .minhash import TaskKey, minhash_signature
 from .serialize import encode_record
 from .taskqueue import QueueStorage, TaskRecord
 
@@ -193,6 +193,13 @@ def gen_pull_sets(seed, count, universe, lo=1, hi=12):
     return out
 
 
+def minhash_key(pull_ids, ell, seeds, tiebreak=0) -> TaskKey:
+    """Build a TaskKey; validates that `seeds` matches `ell`."""
+    if len(seeds) != ell:
+        raise ValueError(f"expected {ell} seeds, got {len(seeds)}")
+    return TaskKey(minhash_signature(pull_ids, seeds), tiebreak)
+
+
 def make_records(pull_sets, ell, seeds, payload_tag=b"t"):
     """TaskRecords with real MinHash keys and small dummy payloads."""
     records = []
@@ -237,6 +244,7 @@ __all__ = [
     "hub_cluster_graph",
     "labeled_gnp_graph",
     "make_records",
+    "minhash_key",
     "path_graph",
     "replay_residency",
     "star_graph",

@@ -11,7 +11,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from ..graph import Graph
+from submine.graph import Graph
 
 
 def _check_size(graph, limit, what):

@@ -23,13 +23,6 @@ import pytest
 
 from submine.apps import make_app
 from submine.apps.gmatch import fig4_query
-from submine.apps.oracles import (
-    match_bf,
-    max_clique_bf,
-    maximal_cliques_bf,
-    quasi_cliques_bf,
-    tri_count_bf,
-)
 from submine.engine import AggregatorSpec, AppSpec, RunConfig, Task, run_job
 from submine.gen import (
     fig4_data_graph,
@@ -48,6 +41,14 @@ from submine.testkit import (
     gen_pull_sets,
     gen_queue_ops,
     make_records,
+)
+
+from oracles import (
+    match_bf,
+    max_clique_bf,
+    maximal_cliques_bf,
+    quasi_cliques_bf,
+    tri_count_bf,
 )
 
 

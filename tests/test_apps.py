@@ -6,13 +6,6 @@ import pytest
 
 from submine.apps import APP_NAMES, make_app
 from submine.apps.gmatch import QueryGraph, fig4_query, parse_query_file
-from submine.apps.oracles import (
-    match_bf,
-    max_clique_bf,
-    maximal_cliques_bf,
-    quasi_cliques_bf,
-    tri_count_bf,
-)
 from submine.engine import RunConfig, run_job
 from submine.gen import (
     complete_graph,
@@ -23,6 +16,14 @@ from submine.gen import (
     star_graph,
 )
 from submine.graph import AdjItem, Graph, GraphParseError, Vertex
+
+from oracles import (
+    match_bf,
+    max_clique_bf,
+    maximal_cliques_bf,
+    quasi_cliques_bf,
+    tri_count_bf,
+)
 
 
 def _graph_from_edges(edges, extra_ids=(), labels=None):

@@ -3,6 +3,7 @@ aggregation, termination, determinism."""
 
 import os
 import pickle
+import tempfile
 
 import pytest
 
@@ -23,7 +24,6 @@ from submine.testkit import assert_cache_bound, assert_dedup
 
 def _spec(name, seed, compute, **kw):
     """Synthetic app with pickle-coded context."""
-    kw.setdefault("needs_undirected", False)
     return AppSpec(
         name=name,
         seed=seed,
@@ -301,9 +301,8 @@ def test_seed_error_carries_provenance():
 
 
 def test_dangling_pull_is_protocol_error():
-    g = Graph()
-    g.add(Vertex(0, None, [AdjItem(1), AdjItem(99)]))
-    g.add(Vertex(1, None, [AdjItem(0)]))
+    # the graph is valid; the app pulls an id that no worker owns
+    g = complete_graph(4, start_id=0)
 
     def seed(v):
         if v.id == 0:
@@ -311,8 +310,25 @@ def test_dangling_pull_is_protocol_error():
         return []
 
     with pytest.raises(ProtocolError, match="99"):
-        run_job(RunConfig(workers=2, validate_graph=False),
+        run_job(RunConfig(workers=2),
                 _spec("dangle", seed, lambda t, f: False), graph=g)
+
+
+def test_failed_job_leaves_no_temp_workdir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    g = complete_graph(6, start_id=0)
+    for bad in (dict(file_capacity=1), dict(cache_capacity=0)):
+        with pytest.raises(ValueError):
+            run_job(RunConfig(workers=2, **bad), make_app("triangle"), graph=g)
+    assert os.listdir(tmp_path) == []
+
+    def compute(task, frontier):
+        raise ValueError("boom")
+
+    with pytest.raises(ComputeError, match="boom"):
+        run_job(RunConfig(workers=2),
+                _spec("bad", lambda v: [Task(v.id)], compute), graph=g)
+    assert os.listdir(tmp_path) == []
 
 
 def test_validation_catches_asymmetry_first():
@@ -322,9 +338,6 @@ def test_validation_catches_asymmetry_first():
     app = make_app("triangle")
     with pytest.raises(GraphDataError, match="not symmetric"):
         run_job(RunConfig(workers=2), app, graph=g)
-    # opting out skips the check (the job itself is then fine: no seeds)
-    res = run_job(RunConfig(workers=2, validate_graph=False), app, graph=g)
-    assert res.aggregate == 0
 
 
 def test_config_validation():
@@ -385,7 +398,7 @@ def test_emitted_attribution_matches_partition():
 
 def test_workdir_is_kept_when_asked(tmp_path):
     wd = tmp_path / "scratch"
-    res = run_job(RunConfig(workers=2, workdir=str(wd), keep_workdir=True,
+    res = run_job(RunConfig(workers=2, workdir=str(wd),
                             buffer_capacity=4, file_capacity=2),
                   make_app("triangle"), graph=gnp_graph(40, 0.2, seed=4))
     assert res.aggregate is not None

@@ -7,7 +7,6 @@ import pytest
 from submine.graph import (
     AdjItem,
     Graph,
-    GraphConfig,
     GraphDataError,
     GraphParseError,
     Subgraph,
@@ -16,8 +15,6 @@ from submine.graph import (
     format_vertex_line,
     graph_sha256,
     larger_neighbors,
-    load_graph,
-    max_neighbor_id,
     mix64,
     parse_vertex_line,
     partition_graph,
@@ -105,16 +102,6 @@ def test_larger_neighbors_matches_filter_oracle():
         smaller = [nb for nb in nbs if nb < vid]
         # the two parts partition the adjacency
         assert sorted(got + smaller) == nbs
-
-
-def test_max_neighbor_id():
-    assert max_neighbor_id(Vertex(1, None, [AdjItem(2), AdjItem(9)])) == 9
-    assert max_neighbor_id(Vertex(1, None, [])) is None
-    rng = random.Random(3)
-    for _ in range(100):
-        nbs = sorted(rng.sample(range(1, 1000), rng.randint(1, 30)))
-        v = Vertex(0, None, [AdjItem(nb) for nb in nbs])
-        assert max_neighbor_id(v) == max(nbs)
 
 
 # -- partitioning ------------------------------------------------------------
@@ -216,22 +203,8 @@ def test_check_undirected():
 def test_graph_stats_and_duplicates():
     g = complete_graph(4)
     assert g.num_vertices == 4
-    assert g.avg_degree == 3.0
-    assert Graph().avg_degree == 0.0
     with pytest.raises(GraphDataError, match="duplicate"):
         g.add(Vertex(1))
-
-
-def test_load_graph_populates_config(tmp_path):
-    p = tmp_path / "k4.txt"
-    write_graph(complete_graph(4), p)
-    cfg = GraphConfig(num_workers=2, input_path=str(p))
-    tables = load_graph(cfg)
-    assert cfg.num_vertices == 4
-    assert cfg.avg_degree == 3.0
-    assert sum(len(t) for t in tables) == 4
-    with pytest.raises(ValueError):
-        GraphConfig(num_workers=0)
 
 
 # -- subgraph ----------------------------------------------------------------

@@ -60,16 +60,6 @@ def test_env_var_forces_pure_backend():
     assert out.stdout.strip() == "pure"
 
 
-# -- contains_sorted ------------------------------------------------------------
-
-
-def test_contains_sorted():
-    lst = [2, 5, 9, 40]
-    assert kernels.contains_sorted(lst, 9)
-    assert not kernels.contains_sorted(lst, 10)
-    assert not kernels.contains_sorted([], 1)
-
-
 # -- count_closing_pairs --------------------------------------------------------
 
 

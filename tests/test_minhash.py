@@ -4,13 +4,8 @@ import random
 
 import pytest
 
-from submine.minhash import (
-    SENTINEL_SIG,
-    TaskKey,
-    derive_seeds,
-    minhash_key,
-    minhash_signature,
-)
+from submine.minhash import SENTINEL_SIG, TaskKey, derive_seeds, minhash_signature
+from submine.testkit import minhash_key
 
 
 def test_derive_seeds_shape_and_determinism():
@@ -29,11 +24,10 @@ def test_empty_pull_set_gets_sentinel():
     seeds = derive_seeds(7, 4)
     key = minhash_key((), 4, seeds)
     assert key.sigs == (SENTINEL_SIG,) * 4
-    assert key.is_sentinel
     # sentinel sorts after any real key
     real = minhash_key((1, 2, 3), 4, seeds, tiebreak=10**9)
     assert real < key
-    assert not real.is_sentinel
+    assert SENTINEL_SIG not in real.sigs
 
 
 def test_signature_determinism_and_set_semantics():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from submine.minhash import derive_seeds, minhash_key
+from submine.minhash import derive_seeds
 from submine.taskqueue import (
     LshTaskQueue,
     QueueInvariantError,
@@ -20,6 +20,7 @@ from submine.testkit import (
     gen_pull_sets,
     gen_queue_ops,
     make_records,
+    minhash_key,
 )
 
 SEEDS = derive_seeds(1, 4)
@@ -212,8 +213,8 @@ def test_lsh_range_disjointness_violation_detected(tmp_path):
     q = make_queue("lsh", tmp_path / "l", file_capacity=4, buffer_capacity=10)
     q.seed_bulk(_records(4, 40))
     # sabotage the in-memory index: swap two files out of order
-    assert len(q._index) >= 2
-    q._index[0], q._index[1] = q._index[1], q._index[0]
+    assert len(q._files) >= 2
+    q._files[0], q._files[1] = q._files[1], q._files[0]
     with pytest.raises(QueueInvariantError, match="overlaps|inverted"):
         q.check_invariants()
 

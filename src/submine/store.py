@@ -11,6 +11,17 @@ touches nothing.
 A single oversized task (pull set larger than the whole cache) is handled
 by an overflow episode: capacity is raised just for that task and the
 cache is shrunk back by LRU eviction immediately after.
+
+Cost: in the engine's rounds, a reserve of `ids` that evicts `k` entries
+visits O(|ids| + k) entries, whatever the capacity.  The cache keeps a
+running count of its evictable entries (filled and unpinned), so the
+feasibility check only looks at `ids`.  Eviction walks the recency order
+from the head, past pinned and unfilled entries, and the engine keeps
+that walk short: a round starts with every entry filled and unpinned,
+each reserve of the round's reservation step moves the ids it pins to
+the tail, and nothing else reorders the map until the pulls come back.
+So the pinned entries form the tail, and the walk from the head meets
+the victims and at most |ids| protected entries before it stops.
 """
 
 import threading
@@ -51,6 +62,7 @@ class VertexCache:
         self._entries = OrderedDict()
         self._lock = threading.Lock()
         self._overflow = False
+        self._n_evictable = 0  # entries that are filled and unpinned
         self.trace = trace
         self.hits = 0
         self.misses = 0
@@ -111,17 +123,19 @@ class VertexCache:
             if len(new) > free:
                 # Resident members of `ids` must not be counted as victims:
                 # evicting one would force a second slot for it right below.
-                evictable = sum(
-                    1
-                    for vid, e in self._entries.items()
-                    if e.pins == 0 and e.filled and vid not in ids
-                )
+                evictable = self._n_evictable
+                for vid in ids:
+                    e = self._entries.get(vid)
+                    if e is not None and e.pins == 0 and e.filled:
+                        evictable -= 1
                 if len(new) > free + evictable:
                     return set()
                 self._evict_locked(len(new) - free, protect=ids)
             for vid in ids:
                 e = self._entries.get(vid)
                 if e is not None:
+                    if e.pins == 0 and e.filled:
+                        self._n_evictable -= 1
                     e.pins += 1
                     self._entries.move_to_end(vid)
                     self.hits += 1
@@ -149,6 +163,8 @@ class VertexCache:
             if e.filled:
                 return
             e.vertex = v
+            if e.pins == 0:
+                self._n_evictable += 1
             self._entries.move_to_end(v.id)
             if self.trace:
                 self.trace(("cache_fill", v.id))
@@ -160,6 +176,8 @@ class VertexCache:
                 if e is None or e.pins <= 0:
                     raise CacheError(f"unpin of unpinned vertex {vid}")
                 e.pins -= 1
+                if e.pins == 0 and e.filled:
+                    self._n_evictable += 1
 
     # -- overflow episodes ---------------------------------------------------
 
@@ -208,6 +226,7 @@ class VertexCache:
             raise CacheError("not enough evictable entries")
         for vid in victims:
             del self._entries[vid]
+            self._n_evictable -= 1
             self.evictions += 1
             if self.trace:
                 self.trace(("cache_evict", vid))
@@ -217,13 +236,19 @@ class VertexCache:
             self.peak_residency = len(self._entries)
 
     def assert_quiescent(self):
-        """End-of-job check: no pins, no unfilled slots, within capacity."""
+        """End-of-job check: no pins, no unfilled slots, within capacity,
+        and the evictable count agrees with the entries."""
         with self._lock:
             for vid, e in self._entries.items():
                 if e.pins:
                     raise CacheError(f"leftover pin on vertex {vid}")
                 if not e.filled:
                     raise CacheError(f"leftover unfilled slot for vertex {vid}")
+            if self._n_evictable != len(self._entries):
+                raise CacheError(
+                    f"evictable count {self._n_evictable} != "
+                    f"{len(self._entries)} unpinned filled entries"
+                )
             if self._overflow:
                 raise CacheError("job ended inside an overflow episode")
             if len(self._entries) > self.capacity:

@@ -271,6 +271,20 @@ def test_tiny_cache_still_exact():
         assert_dedup(tr)
 
 
+def test_eviction_sequence_is_unchanged():
+    # Which entries the cache evicts decides its hits, misses and
+    # evictions; these are the counts of the reference LRU order.  A change
+    # that picks other victims fails here.
+    g = gnp_graph(120, 0.1, seed=1)
+    cfg = RunConfig(workers=2, cache_capacity=20, buffer_capacity=4,
+                    file_capacity=4, queue_kind="lsh")
+    res = run_job(cfg, make_app("triangle"), graph=g)
+    assert res.aggregate == 289
+    m = res.metrics
+    assert (m["cache_hits"], m["cache_misses"], m["cache_evictions"]) == (
+        136, 158, 118)
+
+
 # -- errors -------------------------------------------------------------------------
 
 

@@ -1,11 +1,13 @@
 """VertexCache: reservation, pinning, LRU eviction, overflow episodes.
 
-The randomized section replays every operation against a simple
-dict-based model and checks the residency bound after each step, which
-is the property the whole engine leans on.
+The randomized section replays every operation against a reference LRU
+model and checks, after each step, the residency bound (the property the
+whole engine leans on), the recency order, each eviction victim and the
+cache's running count of evictable entries.
 """
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -74,6 +76,61 @@ def test_reserve_feasibility_excludes_own_ids():
     assert c.reserve({1, 2, 3}) == set()
     assert c.resident == 2
     assert c.pins_of(1) == 0 and c.pins_of(2) == 0
+
+
+class _CountingDict(OrderedDict):
+    """OrderedDict that counts the entries its iterators hand out."""
+
+    visited = 0
+
+    def _count(self, it):
+        for x in it:
+            self.visited += 1
+            yield x
+
+    def __iter__(self):
+        return self._count(super().__iter__())
+
+    def keys(self):
+        return self._count(super().keys())
+
+    def values(self):
+        return self._count(super().values())
+
+    def items(self):
+        return self._count(super().items())
+
+
+def test_full_cache_reserve_visits_only_ids_and_victims():
+    # regression: a reserve that had to evict used to count the evictable
+    # entries over the whole cache, visiting all `capacity` entries
+    cap, k = 10_000, 6
+    c = VertexCache(cap)
+    _fill(c, range(cap))
+    c._entries = entries = _CountingDict(c._entries)
+    rng = random.Random(7)
+    next_id = cap
+    for _round in range(10):
+        batch = []
+        for _task in range(8):
+            # engine-shaped pull set: new ids plus one id from each end of
+            # the recency order (the LRU-end one is walked past, not evicted)
+            ids = set(range(next_id, next_id + k))
+            ids |= {next(iter(entries)), next(reversed(entries))}
+            next_id += k
+            entries.visited = 0
+            evicted = c.evictions
+            assert c.reserve(ids) == ids
+            assert entries.visited <= (c.evictions - evicted) + len(ids)
+            batch.append(ids)
+        for ids in batch:
+            for vid in ids:
+                c.insert_pulled(_v(vid))
+        for ids in batch:
+            c.get(rng.choice(sorted(ids)))
+            c.unpin_batch(ids)
+    assert c.resident == cap
+    c.assert_quiescent()
 
 
 def test_reserve_local_id_is_protocol_error():
@@ -211,6 +268,15 @@ def test_assert_quiescent_failures():
     c.assert_quiescent()
 
 
+def test_assert_quiescent_checks_evictable_count():
+    c = VertexCache(4)
+    _fill(c, [1, 2])
+    c.assert_quiescent()
+    c._n_evictable += 1
+    with pytest.raises(CacheError, match="evictable count"):
+        c.assert_quiescent()
+
+
 def test_metrics_shape():
     c = VertexCache(4)
     _fill(c, [1, 2])
@@ -230,41 +296,103 @@ def test_capacity_validation():
 # -- randomized model check ----------------------------------------------------
 
 
+def _model_evict(model, count, protect=()):
+    """Reference LRU eviction: the first `count` filled, unpinned,
+    unprotected entries in recency order."""
+    victims = [vid for vid, (pins, filled) in model.items()
+               if pins == 0 and filled and vid not in protect][:count]
+    for vid in victims:
+        del model[vid]
+    return victims
+
+
+def _model_reserve(model, ids, limit):
+    """Reference reserve: the victims, or None on rejection."""
+    new = [vid for vid in ids if vid not in model]
+    free = limit - len(model)
+    victims = []
+    if len(new) > free:
+        evictable = sum(1 for vid, (pins, filled) in model.items()
+                        if pins == 0 and filled and vid not in ids)
+        if len(new) > free + evictable:
+            return None
+        victims = _model_evict(model, len(new) - free, protect=ids)
+    for vid in ids:
+        if vid in model:
+            model[vid][0] += 1
+            model.move_to_end(vid)
+        else:
+            model[vid] = [1, False]
+    return victims
+
+
 def test_randomized_against_model():
-    """Random reserve/fill/unpin/overflow traffic, checked step by step."""
+    """Random reserve/fill/get/unpin/overflow traffic, checked step by step
+    against a reference LRU model."""
     rng = random.Random(1234)
     for trial in range(30):
         cap = rng.randint(1, 8)
-        c = VertexCache(cap, trace=None)
+        events = []
+        c = VertexCache(cap, trace=events.append)
+        model = OrderedDict()  # vid -> [pins, filled], LRU first
         pinned_sets = []  # reserved batches not yet released
+        unfilled = set()  # reserved ids whose vertex has not arrived
         in_overflow = False
         limit = cap
         for _ in range(300):
+            events.clear()
+            want_victims = []
             op = rng.random()
-            if op < 0.45:
+            if op < 0.4:
                 size = rng.randint(1, min(6, max(1, limit)))
                 ids = set(rng.sample(range(40), size))
                 if in_overflow or not pinned_sets or rng.random() < 0.8:
+                    # the cache iterates its own set(ids); so does the model
+                    want = _model_reserve(model, set(ids), limit)
                     got = c.reserve(ids)
-                    assert got in (set(), ids)
-                    if got:
-                        for vid in got:
-                            c.insert_pulled(_v(vid))
+                    if want is None:
+                        assert got == set()
+                    else:
+                        assert got == ids
+                        want_victims = want
                         pinned_sets.append(got)
+                        unfilled |= {vid for vid in got if not model[vid][1]}
+            elif op < 0.5 and unfilled:
+                for vid in rng.sample(sorted(unfilled), rng.randint(1, len(unfilled))):
+                    c.insert_pulled(_v(vid))
+                    model[vid][1] = True
+                    model.move_to_end(vid)
+                    unfilled.discard(vid)
+            elif op < 0.6:
+                vid = rng.randrange(40)
+                c.get(vid)
+                if vid in model and model[vid][1]:
+                    model.move_to_end(vid)
             elif op < 0.8 and pinned_sets:
                 batch = pinned_sets.pop(rng.randrange(len(pinned_sets)))
                 c.unpin_batch(batch)
+                for vid in batch:
+                    model[vid][0] -= 1
             elif op < 0.9 and not in_overflow and not pinned_sets:
                 extra = rng.randint(1, 12)
                 c.enter_overflow(extra)
                 in_overflow = True
                 limit = cap + extra
-            elif in_overflow and not pinned_sets:
+            elif in_overflow and not pinned_sets and not unfilled:
                 c.exit_overflow()
+                want_victims = _model_evict(model, max(0, len(model) - cap))
                 in_overflow = False
                 limit = cap
+            victims = [e[1] for e in events if e[0] == "cache_evict"]
+            assert victims == want_victims, trial
+            assert list(c._entries) == list(model), trial
+            assert c._n_evictable == sum(
+                1 for e in c._entries.values() if e.pins == 0 and e.filled
+            ), trial
             assert c.resident <= limit, (trial, c.resident, limit)
             assert c.total_pins() == sum(len(s) for s in pinned_sets)
+        for vid in unfilled:
+            c.insert_pulled(_v(vid))
         for batch in pinned_sets:
             c.unpin_batch(batch)
         if in_overflow:

@@ -12,6 +12,7 @@ import argparse
 import random
 import sys
 import time
+from bisect import bisect_right
 
 from submine.gen import gnp_graph
 from submine.graph import larger_neighbors
@@ -36,6 +37,36 @@ def _triangle_workload(seed, graphs=20, n=150, p=0.08):
             adj = [[w for w in g[u].neighbor_ids() if w > u] for u in ids]
             calls.append((ids, adj))
     return calls
+
+
+def _hub_workload(seed, n=20_000, m=100_000, exponent=0.8, calls=300):
+    """The widest triangle calls on a hub-skewed graph.
+
+    Chung-Lu-style: edge ends are drawn with weight (rank + 1) ** -exponent
+    and ranks get shuffled ids.  As in the triangle app, each call pairs a
+    seed's larger neighbors with their full sorted adjacency lists (which
+    hold ids below their own too); here n reaches ~2k and lists ~3.6k.
+    The tiny calls that make up most of a real job are left out: the
+    widest few hundred are where the kernel's time goes.
+    """
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    weights = [(r + 1) ** -exponent for r in range(n)]
+    ends = rng.choices(ids, weights=weights, k=2 * m)
+    nbrs = [set() for _ in range(n)]
+    for a, b in zip(ends[::2], ends[1::2]):
+        if a != b:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    adj = [sorted(s) for s in nbrs]
+    out = []
+    for v in range(n):
+        gt = adj[v][bisect_right(adj[v], v):]
+        if len(gt) >= 2:
+            out.append((gt, [adj[u] for u in gt[:-1]] + [()]))
+    out.sort(key=lambda c: len(c[0]), reverse=True)
+    return out[:calls]
 
 
 def _rows_workload(seed, count, n, p):
@@ -72,6 +103,15 @@ def bench_count_closing_pairs(args):
     return len(calls), run
 
 
+def bench_count_closing_pairs_hub(args):
+    calls = _hub_workload(args.seed)
+
+    def run(mod):
+        return sum(mod.count_closing_pairs(ids, adj) for ids, adj in calls)
+
+    return len(calls), run
+
+
 def bench_max_clique(args):
     n = 60
     workload = _rows_workload(args.seed, 30, n, 0.5)
@@ -96,6 +136,7 @@ def bench_maximal_cliques(args):
 
 BENCHES = [
     ("count_closing_pairs", bench_count_closing_pairs),
+    ("count_closing_pairs_hub", bench_count_closing_pairs_hub),
     ("max_clique", bench_max_clique),
     ("maximal_cliques", bench_maximal_cliques),
 ]

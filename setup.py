@@ -1,23 +1,21 @@
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
+# The compiled kernels build from the committed Cython output, so a C
+# compiler is all they need.  optional=True lets a machine without one
+# still install: the kernels package falls back to the pure backend at
+# import time.  After editing _fastpath.pyx, regenerate the .c with
+# `cython src/submine/kernels/_fastpath.pyx` (its header sets the
+# compiler directives); tests/test_kernels.py fails while they disagree.
 ext_modules = []
 if os.environ.get("SUBMINE_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/submine/kernels/_fastpath.pyx"],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-            },
+    ext_modules = [
+        Extension(
+            "submine.kernels._fastpath",
+            ["src/submine/kernels/_fastpath.c"],
+            optional=True,
         )
-    except ImportError:
-        # No Cython available: install pure-python only, the kernels
-        # package falls back at import time.
-        ext_modules = []
+    ]
 
 setup(ext_modules=ext_modules)

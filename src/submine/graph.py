@@ -109,7 +109,8 @@ def parse_vertex_line(line: str, lineno=None) -> Vertex:
     """Parse one canonical text line into a Vertex.
 
     Raises GraphParseError naming the line number (when given) for any
-    malformed field, duplicate neighbor, or self-loop.
+    malformed field, id outside 0..2**64-1, duplicate neighbor, or
+    self-loop.
     """
 
     def fail(msg):
@@ -125,6 +126,8 @@ def parse_vertex_line(line: str, lineno=None) -> Vertex:
         fail(f"bad vertex id {parts[0]!r}")
     if vid < 0:
         fail(f"negative vertex id {vid}")
+    if vid > MASK64:
+        fail(f"vertex id {vid} does not fit in 64 bits")
     label = parts[1] or None
     adj = []
     seen = set()
@@ -143,6 +146,8 @@ def parse_vertex_line(line: str, lineno=None) -> Vertex:
         seen.add(nb)
         adj.append(AdjItem(nb, attr or None))
     adj.sort()
+    if adj and adj[-1].nb > MASK64:
+        fail(f"neighbor id {adj[-1].nb} does not fit in 64 bits")
     return Vertex(vid, label, adj)
 
 
@@ -227,8 +232,13 @@ def graph_sha256(path) -> str:
 
 
 def check_undirected(g: Graph):
-    """Verify adjacency symmetry (self-loops/parallels already rejected)."""
+    """Verify adjacency symmetry (self-loops/parallels already rejected)
+    and that every id fits the codec's unsigned 64-bit fields.  Every
+    neighbor must be a vertex, so checking vertex ids covers neighbors.
+    """
     for v in g:
+        if not 0 <= v.id <= MASK64:
+            raise GraphDataError(f"vertex id {v.id} does not fit in 64 bits")
         for a in v.adj:
             w = g.vertices.get(a.nb)
             if w is None:

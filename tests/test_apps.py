@@ -81,6 +81,17 @@ def test_triangle_pruned_and_unpruned_agree():
     assert a == b == tri_count_bf(g)
 
 
+@pytest.mark.parametrize("base", [2**63 - 1, 2**63, 2**64 - 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_triangle_ids_beyond_int64(base, workers):
+    # ids at and past 2**63 overflow the compiled kernel's int64 arrays;
+    # the answer must not depend on which backend is loaded
+    g = complete_graph(3, start_id=base)
+    assert _run(make_app("triangle"), g, workers=workers).aggregate == 1
+    res = _run(make_app("triangle", emit_triangles=True), g, workers=workers)
+    assert res.result_lines() == [f"{base} {base + 1} {base + 2}"]
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_triangle_oracle_loop(workers):
     for s in range(10):

@@ -354,6 +354,16 @@ def test_validation_catches_asymmetry_first():
         run_job(RunConfig(workers=2), app, graph=g)
 
 
+def test_ids_beyond_64_bits_rejected_before_run(tmp_path):
+    # the codec's id fields are unsigned 64-bit; a wider id must fail the
+    # load check by name, not surface later as a struct error mid-job
+    g = complete_graph(3, start_id=2**64 - 2)
+    with pytest.raises(GraphDataError, match=f"vertex id {2**64} does not fit"):
+        run_job(RunConfig(workers=2, workdir=str(tmp_path)),
+                make_app("triangle"), graph=g)
+    assert os.listdir(tmp_path) == []
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(workers=0)

@@ -58,6 +58,8 @@ def test_parse_sorts_adjacency():
         ("1\t\t2 2", "duplicate neighbor"),
         ("1\t\t2 x7", "bad neighbor token"),
         ("1\t\t-3", "negative neighbor id"),
+        (f"{2**64}\t\t1", f"vertex id {2**64} does not fit in 64 bits"),
+        (f"1\t\t{2**64 + 5}", f"neighbor id {2**64 + 5} does not fit"),
     ],
 )
 def test_parse_errors(line, frag):
@@ -66,6 +68,19 @@ def test_parse_errors(line, frag):
     # the line number makes it into the message
     with pytest.raises(GraphParseError, match="line 12"):
         parse_vertex_line(line, lineno=12)
+
+
+def test_parse_accepts_largest_64_bit_ids():
+    top = 2**64 - 1
+    v = parse_vertex_line(f"{top}\t\t{top - 1}")
+    assert (v.id, v.neighbor_ids()) == (top, [top - 1])
+
+
+def test_read_graph_names_line_of_too_wide_id(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text(f"1\t\t2\n2\t\t1 {2**64}\n{2**64}\t\t2\n")
+    with pytest.raises(GraphParseError, match="line 2: neighbor id"):
+        read_graph(p)
 
 
 def test_format_parse_round_trip():
@@ -198,6 +213,21 @@ def test_check_undirected():
     bad.add(Vertex(2, None, []))
     with pytest.raises(GraphDataError, match="not symmetric"):
         check_undirected(bad)
+
+
+@pytest.mark.parametrize("start,ok", [
+    (2**64 - 3, True),
+    (2**64 - 2, False),   # the last vertex is 2**64
+    (-1, False),
+])
+def test_check_undirected_id_range(start, ok):
+    # built in code, so the parser's range check never ran
+    g = complete_graph(3, start_id=start)
+    if ok:
+        check_undirected(g)
+    else:
+        with pytest.raises(GraphDataError, match="does not fit in 64 bits"):
+            check_undirected(g)
 
 
 def test_graph_stats_and_duplicates():

@@ -1,16 +1,64 @@
-"""Search kernels: pure vs compiled parity, oracle checks, backend wiring."""
+"""Search kernels: pure vs compiled parity, oracle checks, backend wiring.
 
+The parity tests run against the compiled module whether or not it is
+built in place: the `fastpath` fixture compiles the committed
+_fastpath.c into a temp dir when it is not importable, and skips only
+when no C compiler is found.
+"""
+
+import importlib
+import importlib.util
 import os
 import random
+import re
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from submine import kernels
 from submine.kernels import pure
 
-HAVE_COMPILED = kernels.BACKEND == "compiled"
+ROOT = Path(__file__).resolve().parents[1]
+KERNELS_DIR = Path(kernels.__file__).parent
+
+
+def _c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(cc)[0])
+
+
+@pytest.fixture(scope="module")
+def fastpath(tmp_path_factory):
+    """The compiled kernels module, built from _fastpath.c if need be."""
+    try:
+        return importlib.import_module("submine.kernels._fastpath")
+    except ImportError:
+        pass
+    if _c_compiler() is None:
+        pytest.skip("no C compiler found to build the compiled kernels")
+    out = tmp_path_factory.mktemp("fastpath")
+    env = {k: v for k, v in os.environ.items() if k != "SUBMINE_NO_EXT"}
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+         "--build-temp", str(out / "temp")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    built = list((out / "submine" / "kernels").glob("_fastpath*" + suffix))
+    if build.returncode != 0 or not built:
+        # setup.py marks the extension optional, so a failed compile
+        # still exits 0: the missing module is the signal
+        pytest.fail("building _fastpath failed:\n" + build.stdout + build.stderr)
+    spec = importlib.util.spec_from_file_location(
+        "submine.kernels._fastpath", built[0])
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _random_rows(rng, n, p):
@@ -45,7 +93,7 @@ def test_backend_matches_built_extension():
     here = os.path.dirname(kernels.__file__)
     built = any(f.startswith("_fastpath") and f.endswith(".so")
                 for f in os.listdir(here))
-    if built:
+    if built and os.environ.get("SUBMINE_PURE_KERNELS") != "1":
         assert kernels.BACKEND == "compiled"
     else:
         assert kernels.BACKEND == "pure"
@@ -58,6 +106,57 @@ def test_env_var_forces_pure_backend():
          "from submine import kernels; print(kernels.BACKEND)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "pure"
+
+
+# -- generated C is current ----------------------------------------------------
+
+# Cython quotes the .pyx around every line it compiles: a comment block
+# naming the line, with up to two lines of context either side and the
+# line itself marked.
+_QUOTE = re.compile(
+    r'/\* "submine/kernels/_fastpath\.pyx":(\d+)\n(.*?)\n\*/', re.S)
+_MARK = re.compile(r"\s*# <{14}$")
+
+
+def _stale_quotes(pyx_lines, c_text):
+    """(line, quoted, actual) for every quoted line the .pyx no longer has,
+    and the number of quote blocks read."""
+    stale = []
+    blocks = _QUOTE.findall(c_text)
+    for num, body in blocks:
+        quoted = [ln[3:] if ln.startswith(" * ") else ln[2:]
+                  for ln in body.split("\n")]
+        at = next(i for i, q in enumerate(quoted) if _MARK.search(q))
+        quoted[at] = _MARK.sub("", quoted[at])
+        first = int(num) - 1 - at
+        for k, q in enumerate(quoted):
+            i = first + k
+            actual = pyx_lines[i].rstrip() if 0 <= i < len(pyx_lines) else None
+            if q != actual:
+                stale.append((i + 1, q, actual))
+    return stale, len(blocks)
+
+
+def _fastpath_sources():
+    return ((KERNELS_DIR / "_fastpath.pyx").read_text().splitlines(),
+            (KERNELS_DIR / "_fastpath.c").read_text())
+
+
+def test_generated_c_matches_pyx():
+    pyx, c_text = _fastpath_sources()
+    stale, blocks = _stale_quotes(pyx, c_text)
+    assert blocks > 100
+    assert stale == [], (
+        "_fastpath.c was generated from a different _fastpath.pyx; "
+        "regenerate it with cython (first mismatches: %r)" % stale[:3])
+
+
+def test_stale_check_catches_an_edited_pyx_line():
+    pyx, c_text = _fastpath_sources()
+    i = next(i for i, ln in enumerate(pyx) if "cdef int64_t x" in ln)
+    edited = pyx[:i] + [pyx[i].replace("int64_t", "uint64_t")] + pyx[i + 1:]
+    stale, _ = _stale_quotes(edited, c_text)
+    assert stale and {line for line, _, _ in stale} == {i + 1}
 
 
 # -- count_closing_pairs --------------------------------------------------------
@@ -83,6 +182,57 @@ def test_count_closing_pairs_brute_force():
 def test_count_closing_pairs_empty():
     assert kernels.count_closing_pairs([], []) == 0
     assert kernels.count_closing_pairs([1, 2], [[], []]) == 0
+
+
+def _hub_calls(rng, calls, universe=50_000):
+    """Calls shaped like triangle on a hub-heavy graph: each id comes with
+    its full sorted adjacency, which holds ids below its own too; most
+    lists are 2-7k wide, a few short or empty (the app's closing entry)."""
+    wide = [sorted(rng.sample(range(universe), rng.randint(2000, 7000)))
+            for _ in range(12)]
+    out = []
+    for _ in range(calls):
+        ids = sorted(rng.sample(range(universe), rng.randint(200, 600)))
+        adj = [rng.choice(wide) if rng.random() < 0.8
+               else sorted(rng.sample(range(universe), rng.randint(0, 40)))
+               for _ in ids[:-1]]
+        out.append((ids, adj + [()]))
+    return out
+
+
+def test_count_closing_pairs_backend_parity(fastpath):
+    rng = random.Random(13)
+    calls = []
+    for _ in range(300):
+        top = rng.choice([100, 10**6, 2**63 - 1])
+        ids = sorted(rng.sample(range(top - 5000, top + 1), rng.randint(0, 30)))
+        calls.append((ids, [sorted(rng.sample(range(top - 5000, top + 1),
+                                               rng.randint(0, 60)))
+                            for _ in ids]))
+    calls += _hub_calls(rng, 5)
+    hits = 0
+    for ids, adj in calls:
+        want = pure.count_closing_pairs(ids, adj)
+        assert fastpath.count_closing_pairs(ids, adj) == want
+        hits += want
+    assert hits > 10_000  # the hub calls close plenty of pairs
+
+
+def test_count_closing_pairs_ids_past_int64(fastpath, monkeypatch):
+    # the compiled wrapper, tested whichever backend this process loaded
+    wrapper = kernels._compiled_count_closing_pairs
+    big = 2**63
+    monkeypatch.setattr(kernels, "_fastpath", fastpath)
+    # a neighbor id past int64: the extension raises, the wrapper retries
+    assert wrapper([1, 2, 3], [[2, 3, big], [3, big], []]) == 3
+    # an id past int64 goes to pure before the extension is entered (an
+    # overflow while it converts ids would leak its id array)
+    def refuse(*args):
+        raise AssertionError("extension called with ids past int64")
+
+    monkeypatch.setattr(kernels, "_fastpath",
+                        SimpleNamespace(count_closing_pairs=refuse))
+    assert wrapper([5, big, big + 1], [[big, big + 1], [big + 1], []]) == 3
 
 
 # -- max_clique ------------------------------------------------------------------
@@ -142,14 +292,13 @@ def test_max_clique_witness_invariant_under_lower_bound():
             assert kernels.max_clique(n, rows, lower_bound=lb) == (size, mask)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled backend unavailable")
-def test_max_clique_backend_parity():
+def test_max_clique_backend_parity(fastpath):
     rng = random.Random(10)
     for _ in range(150):
         n = rng.randint(0, 18)
         rows = _random_rows(rng, n, rng.choice([0.3, 0.5, 0.8]))
         lb = rng.randint(0, 3)
-        assert kernels._fastpath.max_clique(n, rows, lb) == \
+        assert fastpath.max_clique(n, rows, lb) == \
             pure.max_clique(n, rows, lb)
 
 
@@ -203,15 +352,14 @@ def test_maximal_cliques_x_mask_suppresses():
     assert got == []  # {1,2} extends by 0, so nothing maximal without 0
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled backend unavailable")
-def test_maximal_cliques_backend_parity():
+def test_maximal_cliques_backend_parity(fastpath):
     rng = random.Random(12)
     for _ in range(150):
         n = rng.randint(0, 16)
         rows = _random_rows(rng, n, rng.choice([0.3, 0.6]))
         pm = rng.getrandbits(n) if n else 0
         xm = rng.getrandbits(n) & ~pm if n else 0
-        assert kernels._fastpath.maximal_cliques(n, rows, pm, xm) == \
+        assert fastpath.maximal_cliques(n, rows, pm, xm) == \
             pure.maximal_cliques(n, rows, pm, xm)
 
 

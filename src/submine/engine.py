@@ -231,12 +231,15 @@ class Worker:
             cfg.cache_capacity, is_local=table.__contains__, trace=trace_cb
         )
         self.store = VertexStore(table, self.cache)
+        # The FIFO queue never reads keys, so its keys carry no signatures
+        # and its spill files say so (ell 0).
+        keyed = cfg.queue_kind == "lsh"
         self.queue = make_queue(
             cfg.queue_kind, os.path.join(workdir, f"w{wid}", "queue"),
             file_capacity=cfg.file_capacity,
-            buffer_capacity=cfg.buffer_capacity, ell=cfg.ell,
+            buffer_capacity=cfg.buffer_capacity, ell=cfg.ell if keyed else 0,
         )
-        self.minhash_seeds = seeds
+        self.minhash_seeds = seeds if keyed else None
         self.local_value = app.aggregator.zero() if app.aggregator else None
         self.emitted = []
         self.resp_stats = _RespStats()
@@ -260,10 +263,11 @@ class Worker:
         task.pending = frozenset(v for v in reqs if v not in self.table)
 
     def _key_for(self, task) -> TaskKey:
-        key = TaskKey(
-            minhash_signature(sorted(task.pending), self.minhash_seeds),
-            self._seq,
-        )
+        if self.minhash_seeds is None:
+            sigs = ()
+        else:
+            sigs = minhash_signature(sorted(task.pending), self.minhash_seeds)
+        key = TaskKey(sigs, self._seq)
         self._seq += 1
         return key
 

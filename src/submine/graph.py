@@ -57,18 +57,36 @@ class Vertex:
     pulled vertex must not assume its list is the full neighborhood.
     """
 
-    __slots__ = ("id", "label", "adj", "_nb_ids")
+    __slots__ = ("id", "label", "_adj", "_nb_ids")
 
     def __init__(self, vid, label=None, adj=None):
         self.id = vid
         self.label = label
-        self.adj = list(adj) if adj else []
+        self._adj = list(adj) if adj else []
         self._nb_ids = None
+
+    @classmethod
+    def from_ids(cls, vid, label, nb_ids):
+        """A vertex whose neighbors carry no attributes, from its neighbor
+        id list, the way the codec decodes it.  `adj` is built on first
+        use; apps that read only neighbor_ids() never pay for it."""
+        v = cls.__new__(cls)
+        v.id = vid
+        v.label = label
+        v._adj = None
+        v._nb_ids = nb_ids
+        return v
+
+    @property
+    def adj(self):
+        if self._adj is None:
+            self._adj = list(map(AdjItem, self._nb_ids))
+        return self._adj
 
     def neighbor_ids(self):
         """Neighbor ids in ascending order (cached list)."""
         if self._nb_ids is None:
-            self._nb_ids = [a.nb for a in self.adj]
+            self._nb_ids = [a.nb for a in self._adj]
         return self._nb_ids
 
     @property
@@ -235,7 +253,44 @@ def check_undirected(g: Graph):
     """Verify adjacency symmetry (self-loops/parallels already rejected)
     and that every id fits the codec's unsigned 64-bit fields.  Every
     neighbor must be a vertex, so checking vertex ids covers neighbors.
+
+    A fast pass looks up only the up-edges (v -> w with v < w) in w's
+    list; when anything is wrong the full per-edge scan runs and names
+    the first offending edge.
     """
+    if not _up_edges_symmetric(g):
+        _check_every_edge(g)
+
+
+def _up_edges_symmetric(g: Graph) -> bool:
+    """True when every id fits and every edge has its reverse.
+
+    Each up-edge found reversed is a distinct down-edge (w -> v), so
+    once up-edges and down-edges are equal in number every down-edge is
+    some up-edge reversed.
+    """
+    vertices = g.vertices
+    up = down = 0
+    for v in g:
+        vid = v.id
+        if not 0 <= vid <= MASK64:
+            return False
+        nbs = v.neighbor_ids()
+        k = bisect_right(nbs, vid)
+        down += k
+        up += len(nbs) - k
+        for nb in nbs[k:]:
+            w = vertices.get(nb)
+            if w is None:
+                return False
+            ids = w.neighbor_ids()
+            j = bisect_right(ids, vid) - 1
+            if j < 0 or ids[j] != vid:
+                return False
+    return up == down
+
+
+def _check_every_edge(g: Graph):
     for v in g:
         if not 0 <= v.id <= MASK64:
             raise GraphDataError(f"vertex id {v.id} does not fit in 64 bits")

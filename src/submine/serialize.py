@@ -1,59 +1,93 @@
 """Flat little-endian binary encodings for vertices, subgraphs, task
-payloads, and queue spill files.
+payloads, and queue spill files (format version 2).
 
-Encodings are canonical: collections are written in sorted order, so
-encode(decode(b)) == b byte-for-byte.  Every file begins with a magic and
-a format version; strings are utf-8 with a u32 length prefix (0xFFFFFFFF
-encodes None).
+Every run of ids is packed or unpacked with one `struct` call, and the
+string blocks (labels, edge attributes) are written only when some
+string in them is present, behind a presence byte.  Encodings are
+canonical: collections are written in sorted order and a block that
+would hold only None is left out, so encode(decode(b)) == b
+byte-for-byte; decoders reject a block whose presence bit is set but
+which holds only None.  Every count is bounds-checked before it is
+used, so a truncated or extended buffer raises CorruptData, never a
+bare struct or index error.
+
+Layouts (u8/u16/u32/u64 little-endian; ids are u64):
+
+string block of k optional strings
+    k x u32 byte lengths (0xFFFFFFFF for None), then the utf-8 bytes of
+    the present strings back to back.
+
+vertex
+    u64 id, u32 degree d, d x u64 neighbor ids (adjacency order),
+    u8 presence (bit 0: label is not None; bit 1: some attribute is
+    not None), then the label as a one-string block if bit 0 and the
+    string block of the d attributes if bit 1.
+
+subgraph
+    u32 vertex count n; the empty subgraph is this count alone.
+    Otherwise n x u64 sorted vertex ids, n x u32 degrees, the sorted
+    neighbor ids of every vertex as one run of sum(degrees) x u64,
+    u8 presence (bit 0: some label; bit 1: some edge attribute), then
+    the string block of the n labels if bit 0 and the string block of
+    the edge attributes (in neighbor-run order) if bit 1.
+
+task payload
+    u64 seed id, u32 iteration, u32 r, u32 p, r x u64 requested ids
+    (pull order), p x u64 sorted pending ids, u32 context length,
+    the context bytes, then the subgraph.
+
+record
+    u16 ell, ell x u64 minhash signatures, u64 tie-break, u32 payload
+    length, then the payload.
+
+spill file
+    magic "SMQ1", u16 format version, u32 file capacity, u16 ell,
+    u32 record count, u32 CRC32 (zlib) of every other byte of the file,
+    then the records in key order.  Every record carries the header's
+    ell.
 """
 
 import struct
+import zlib
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import AdjItem, Subgraph, Vertex
 from .minhash import TaskKey
 
 MAGIC = b"SMQ1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+_VERTEX_HEAD = struct.Struct("<QI")
+_TASK_HEAD = struct.Struct("<QIII")
+_FILE_HEAD = struct.Struct("<4sHIHI")
+_FILE_HEAD_SIZE = _FILE_HEAD.size + 4  # the CRC follows the fixed header
 _NONE_LEN = 0xFFFFFFFF
+_LABEL = 1
+_ATTRS = 2
+_attr_of = itemgetter(1)
 
 
 class CorruptData(ValueError):
     pass
 
 
-def put_u16(buf, x):
-    buf += _U16.pack(x)
+def _need(data, end):
+    if end > len(data):
+        raise CorruptData("truncated record")
 
 
-def put_u32(buf, x):
-    buf += _U32.pack(x)
-
-
-def put_u64(buf, x):
-    buf += _U64.pack(x)
-
-
-def put_opt_str(buf, s):
-    if s is None:
-        buf += _U32.pack(_NONE_LEN)
-    else:
-        raw = s.encode("utf-8")
-        buf += _U32.pack(len(raw))
-        buf += raw
-
-
-def put_bytes(buf, b):
-    buf += _U32.pack(len(b))
-    buf += b
+def _check_presence(flags):
+    if flags & ~(_LABEL | _ATTRS):
+        raise CorruptData(f"unknown presence bits {flags:#04x}")
 
 
 class Reader:
-    """Sequential reader over a bytes buffer with bounds checks."""
+    """A position in a bytes buffer, for decoding one value after
+    another with the standalone decoders below."""
 
     __slots__ = ("data", "off")
 
@@ -62,10 +96,10 @@ class Reader:
         self.off = off
 
     def _take(self, n):
-        if self.off + n > len(self.data):
-            raise CorruptData("truncated record")
-        out = self.data[self.off:self.off + n]
-        self.off += n
+        end = self.off + n
+        _need(self.data, end)
+        out = self.data[self.off:end]
+        self.off = end
         return out
 
     def u16(self):
@@ -74,77 +108,165 @@ class Reader:
     def u32(self):
         return _U32.unpack(self._take(4))[0]
 
-    def u64(self):
-        return _U64.unpack(self._take(8))[0]
-
-    def opt_str(self):
-        n = self.u32()
-        if n == _NONE_LEN:
-            return None
-        return self._take(n).decode("utf-8")
-
-    def bytes(self):
-        return bytes(self._take(self.u32()))
-
     def done(self):
         return self.off >= len(self.data)
 
 
+# -- string blocks ---------------------------------------------------------
+
+
+def _pack_strings(strs):
+    lens = []
+    raws = []
+    for s in strs:
+        if s is None:
+            lens.append(_NONE_LEN)
+        else:
+            raw = s.encode("utf-8")
+            lens.append(len(raw))
+            raws.append(raw)
+    return struct.pack(f"<{len(lens)}I", *lens) + b"".join(raws)
+
+
+def _strings_at(data, off, k):
+    """The k optional strings of the block at `off`, and the offset past it."""
+    end = off + 4 * k
+    _need(data, end)
+    lens = struct.unpack_from(f"<{k}I", data, off)
+    if lens.count(_NONE_LEN) == k:
+        raise CorruptData("string block holds only None")
+    out = []
+    off = end
+    try:
+        for n in lens:
+            if n == _NONE_LEN:
+                out.append(None)
+            else:
+                end = off + n
+                _need(data, end)
+                out.append(str(data[off:end], "utf-8"))
+                off = end
+    except UnicodeDecodeError as e:
+        raise CorruptData(f"bad utf-8 in string block: {e}") from None
+    return out, off
+
+
+# -- vertices --------------------------------------------------------------
+
+
 def encode_vertex(v: Vertex) -> bytes:
-    buf = bytearray()
-    put_u64(buf, v.id)
-    put_opt_str(buf, v.label)
-    put_u32(buf, len(v.adj))
-    for a in v.adj:
-        put_u64(buf, a.nb)
-        put_opt_str(buf, a.attr)
-    return bytes(buf)
+    d = len(v.adj)
+    attrs = list(map(_attr_of, v.adj))
+    flags = (_LABEL if v.label is not None else 0) | (
+        _ATTRS if attrs.count(None) != d else 0)
+    out = struct.pack(f"<QI{d}QB", v.id, d, *v.neighbor_ids(), flags)
+    if flags & _LABEL:
+        out += _pack_strings([v.label])
+    if flags & _ATTRS:
+        out += _pack_strings(attrs)
+    return out
 
 
-def decode_vertex(r: Reader) -> Vertex:
-    vid = r.u64()
-    label = r.opt_str()
-    n = r.u32()
-    adj = []
-    for _ in range(n):
-        nb = r.u64()
-        attr = r.opt_str()
-        adj.append(AdjItem(nb, attr))
-    return Vertex(vid, label, adj)
+def _vertex_at(data, off):
+    _need(data, off + 12)
+    vid, d = _VERTEX_HEAD.unpack_from(data, off)
+    off += 12
+    end = off + 8 * d + 1
+    _need(data, end)
+    run = struct.unpack_from(f"<{d}QB", data, off)
+    flags = run[d]
+    nbs = run[:d]
+    _check_presence(flags)
+    off = end
+    label = None
+    if flags & _LABEL:
+        (label,), off = _strings_at(data, off, 1)
+    if flags & _ATTRS:
+        attrs, off = _strings_at(data, off, d)
+        return Vertex(vid, label, map(AdjItem, nbs, attrs)), off
+    return Vertex.from_ids(vid, label, list(nbs)), off
 
 
 def vertex_from_bytes(data: bytes) -> Vertex:
-    return decode_vertex(Reader(data))
+    v, off = _vertex_at(data, 0)
+    if off != len(data):
+        raise CorruptData("trailing bytes after vertex")
+    return v
+
+
+# -- subgraphs -------------------------------------------------------------
 
 
 def encode_subgraph(sg: Subgraph) -> bytes:
-    buf = bytearray()
-    put_u32(buf, len(sg.labels))
-    for vid in sorted(sg.labels):
-        put_u64(buf, vid)
-        put_opt_str(buf, sg.labels[vid])
-        nbrs = sg.adj[vid]
-        put_u32(buf, len(nbrs))
-        for nb in sorted(nbrs):
-            put_u64(buf, nb)
-            put_opt_str(buf, nbrs[nb])
-    return bytes(buf)
+    labels = sg.labels
+    n = len(labels)
+    if not n:
+        return _U32.pack(0)
+    ids = sorted(labels)
+    adj = sg.adj
+    degs = []
+    nbs = []
+    attrs = []
+    for vid in ids:
+        row = adj[vid]
+        degs.append(len(row))
+        nbs += sorted(row)
+        attrs += row.values()
+    labs = [labels[vid] for vid in ids]
+    flags = (_LABEL if labs.count(None) != n else 0) | (
+        _ATTRS if attrs.count(None) != len(attrs) else 0)
+    out = struct.pack(f"<I{n}Q{n}I{len(nbs)}QB", n, *ids, *degs, *nbs, flags)
+    if flags & _LABEL:
+        out += _pack_strings(labs)
+    if flags & _ATTRS:
+        out += _pack_strings(
+            [adj[vid][nb] for vid in ids for nb in sorted(adj[vid])])
+    return out
+
+
+def _subgraph_at(data, off):
+    sg = Subgraph()
+    _need(data, off + 4)
+    n = _U32.unpack_from(data, off)[0]
+    off += 4
+    if not n:
+        return sg, off
+    end = off + 12 * n
+    _need(data, end)
+    head = struct.unpack_from(f"<{n}Q{n}I", data, off)
+    ids = head[:n]
+    degs = head[n:]
+    total = sum(degs)
+    off = end
+    end = off + 8 * total + 1
+    _need(data, end)
+    run = struct.unpack_from(f"<{total}QB", data, off)
+    flags = run[total]
+    _check_presence(flags)
+    off = end
+    if flags & _LABEL:
+        labs, off = _strings_at(data, off, n)
+        sg.labels = dict(zip(ids, labs))
+    else:
+        sg.labels = dict.fromkeys(ids)
+    nbs = iter(run)
+    if flags & _ATTRS:
+        attrs, off = _strings_at(data, off, total)
+        attrs = iter(attrs)
+        rows = [dict(zip(islice(nbs, d), islice(attrs, d))) for d in degs]
+    else:
+        # each islice takes the next `d` ids off the one shared iterator
+        rows = map(dict.fromkeys, map(islice, repeat(nbs), degs))
+    sg.adj = dict(zip(ids, rows))
+    return sg, off
 
 
 def decode_subgraph(r: Reader) -> Subgraph:
-    sg = Subgraph()
-    n = r.u32()
-    for _ in range(n):
-        vid = r.u64()
-        label = r.opt_str()
-        sg.labels[vid] = label
-        deg = r.u32()
-        nbrs = {}
-        for _ in range(deg):
-            nb = r.u64()
-            nbrs[nb] = r.opt_str()
-        sg.adj[vid] = nbrs
+    sg, r.off = _subgraph_at(r.data, r.off)
     return sg
+
+
+# -- task payloads ---------------------------------------------------------
 
 
 class TaskWire(NamedTuple):
@@ -159,74 +281,108 @@ class TaskWire(NamedTuple):
 
 
 def encode_task(w: TaskWire) -> bytes:
-    buf = bytearray()
-    put_u64(buf, w.seed_id)
-    put_u32(buf, w.iteration)
-    put_u32(buf, len(w.requested))
-    for i in w.requested:
-        put_u64(buf, i)
-    put_u32(buf, len(w.pending))
-    for i in sorted(w.pending):
-        put_u64(buf, i)
-    put_bytes(buf, w.context)
-    buf += encode_subgraph(w.subgraph)
-    return bytes(buf)
+    req = w.requested
+    pend = sorted(w.pending)
+    ctx = w.context
+    r = len(req)
+    p = len(pend)
+    return (
+        struct.pack(f"<QIII{r + p}QI", w.seed_id, w.iteration, r, p,
+                    *req, *pend, len(ctx))
+        + ctx
+        + encode_subgraph(w.subgraph)
+    )
 
 
 def decode_task(data: bytes) -> TaskWire:
-    r = Reader(data)
-    seed_id = r.u64()
-    iteration = r.u32()
-    requested = tuple(r.u64() for _ in range(r.u32()))
-    pending = frozenset(r.u64() for _ in range(r.u32()))
-    context = r.bytes()
-    subgraph = decode_subgraph(r)
-    return TaskWire(seed_id, iteration, requested, pending, context, subgraph)
+    _need(data, _TASK_HEAD.size)
+    seed_id, iteration, r, p = _TASK_HEAD.unpack_from(data, 0)
+    off = _TASK_HEAD.size
+    end = off + 8 * (r + p) + 4
+    _need(data, end)
+    run = struct.unpack_from(f"<{r + p}QI", data, off)
+    off = end
+    end = off + run[r + p]
+    _need(data, end)
+    context = data[off:end]
+    subgraph, off = _subgraph_at(data, end)
+    if off != len(data):
+        raise CorruptData("trailing bytes after task")
+    return TaskWire(seed_id, iteration, run[:r], frozenset(run[r:r + p]),
+                    context, subgraph)
+
+
+# -- records and spill files -----------------------------------------------
+
+
+def _record_struct(ell):
+    return struct.Struct(f"<H{ell + 1}QI")
+
+
+def _pack_records(ell, records):
+    rec = _record_struct(ell)
+    parts = []
+    for key, payload in records:
+        try:
+            parts.append(rec.pack(ell, *key.sigs, key.tiebreak, len(payload)))
+        except struct.error:
+            raise ValueError(
+                f"record key carries {len(key.sigs)} signatures, expected {ell}"
+            ) from None
+        parts.append(payload)
+    return b"".join(parts)
 
 
 def encode_record(key: TaskKey, payload: bytes) -> bytes:
-    buf = bytearray()
-    put_u16(buf, len(key.sigs))
-    for s in key.sigs:
-        put_u64(buf, s)
-    put_u64(buf, key.tiebreak)
-    put_bytes(buf, payload)
-    return bytes(buf)
+    return _pack_records(len(key.sigs), [(key, payload)])
+
+
+def _records_at(data, off, ell, count):
+    """`count` records that each carry `ell` signatures, and the offset
+    past them."""
+    rec = _record_struct(ell)
+    size = rec.size
+    out = []
+    for _ in range(count):
+        end = off + size
+        _need(data, end)
+        f = rec.unpack_from(data, off)
+        if f[0] != ell:
+            raise CorruptData(f"record carries {f[0]} signatures, expected {ell}")
+        off = end + f[-1]
+        _need(data, off)
+        out.append((TaskKey(f[1:-2], f[-2]), data[end:off]))
+    return out, off
 
 
 def decode_record(r: Reader):
-    ell = r.u16()
-    sigs = tuple(r.u64() for _ in range(ell))
-    tiebreak = r.u64()
-    payload = r.bytes()
-    return TaskKey(sigs, tiebreak), payload
+    _need(r.data, r.off + 2)
+    ell = _U16.unpack_from(r.data, r.off)[0]
+    (rec,), r.off = _records_at(r.data, r.off, ell, 1)
+    return rec
 
 
 def encode_file(file_capacity, ell, records) -> bytes:
-    """A spill file: header (magic, version, capacity, ell, count) then
-    the records in key order."""
-    buf = bytearray()
-    buf += MAGIC
-    put_u16(buf, FORMAT_VERSION)
-    put_u32(buf, file_capacity)
-    put_u16(buf, ell)
-    put_u32(buf, len(records))
-    for key, payload in records:
-        buf += encode_record(key, payload)
-    return bytes(buf)
+    """A spill file: header (magic, version, capacity, ell, count, CRC)
+    then the records in key order."""
+    head = _FILE_HEAD.pack(MAGIC, FORMAT_VERSION, file_capacity, ell, len(records))
+    body = _pack_records(ell, records)
+    crc = zlib.crc32(body, zlib.crc32(head))
+    return head + _U32.pack(crc) + body
 
 
 def decode_file(data: bytes):
-    r = Reader(data)
-    if r._take(4) != MAGIC:
+    if data[:4] != MAGIC:
         raise CorruptData("bad magic")
-    version = r.u16()
+    _need(data, _FILE_HEAD_SIZE)
+    _, version, file_capacity, ell, count = _FILE_HEAD.unpack_from(data, 0)
     if version != FORMAT_VERSION:
         raise CorruptData(f"unsupported format version {version}")
-    file_capacity = r.u32()
-    ell = r.u16()
-    count = r.u32()
-    records = [decode_record(r) for _ in range(count)]
-    if not r.done():
+    records, off = _records_at(data, _FILE_HEAD_SIZE, ell, count)
+    if off != len(data):
         raise CorruptData("trailing bytes after records")
+    crc = _U32.unpack_from(data, _FILE_HEAD.size)[0]
+    body = memoryview(data)[_FILE_HEAD_SIZE:]
+    if zlib.crc32(body, zlib.crc32(data[:_FILE_HEAD.size])) != crc:
+        raise CorruptData("CRC mismatch")
     return file_capacity, ell, records

@@ -33,7 +33,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .minhash import TaskKey
-from .serialize import decode_file, encode_file
+from .serialize import CorruptData, decode_file, encode_file
 
 
 class QueueInvariantError(RuntimeError):
@@ -164,7 +164,11 @@ class _TaskQueueBase:
 
     def _load(self, meta, count=True, delete=True):
         data = self.storage.read(meta.name, count=count)
-        _, _, raw = decode_file(data)
+        try:
+            _, _, raw = decode_file(data)
+        except CorruptData as e:
+            path = os.path.join(self.storage.dir, meta.name)
+            raise CorruptData(f"spill file {path}: {e}") from e
         if len(raw) != meta.count:
             raise QueueInvariantError(
                 f"{meta.name}: holds {len(raw)} records, index says {meta.count}"

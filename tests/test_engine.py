@@ -7,6 +7,8 @@ import tempfile
 
 import pytest
 
+import submine.engine as E
+import submine.taskqueue as Q
 from submine.engine import (
     AggregatorSpec,
     AppSpec,
@@ -283,6 +285,38 @@ def test_eviction_sequence_is_unchanged():
     m = res.metrics
     assert (m["cache_hits"], m["cache_misses"], m["cache_evictions"]) == (
         136, 158, 118)
+
+
+@pytest.mark.parametrize("queue_kind,ell", [("stream", 0), ("lsh", 4)])
+def test_only_the_lsh_queue_computes_signatures(monkeypatch, queue_kind, ell):
+    # FIFO order never reads keys, so stream keys skip the minhash and
+    # their spill files say they carry no signatures
+    sig_calls = 0
+    real_sig = E.minhash_signature
+
+    def counting_sig(*args):
+        nonlocal sig_calls
+        sig_calls += 1
+        return real_sig(*args)
+
+    headers = []
+    real_encode_file = Q.encode_file
+
+    def recording_encode_file(cap, file_ell, records):
+        headers.append((file_ell, {len(k.sigs) for k, _ in records}))
+        return real_encode_file(cap, file_ell, records)
+
+    monkeypatch.setattr(E, "minhash_signature", counting_sig)
+    monkeypatch.setattr(Q, "encode_file", recording_encode_file)
+    cfg = RunConfig(workers=2, buffer_capacity=4, file_capacity=2,
+                    queue_kind=queue_kind, ell=4)
+    res = run_job(cfg, make_app("quasiclique", gamma="0.6", min_size=4),
+                  graph=gnp_graph(30, 0.2, seed=4))
+    assert res.metrics["queue_file_writes"] > 0
+    assert headers and all(h == (ell, {ell}) for h in headers)
+    created = res.metrics["tasks_seeded"] + res.metrics["tasks_spawned"]
+    assert sig_calls == (0 if queue_kind == "stream"
+                         else created + res.metrics["tasks_requeued"])
 
 
 # -- errors -------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from submine.graph import (
     GraphParseError,
     Subgraph,
     Vertex,
+    _check_every_edge,
     check_undirected,
     format_vertex_line,
     graph_sha256,
@@ -103,6 +104,17 @@ def test_larger_neighbors_basic():
     assert [a.nb for a in larger_neighbors(v)] == [7, 9]
     w = Vertex(9, None, [AdjItem(2), AdjItem(7)])
     assert larger_neighbors(w) == []
+
+
+def test_vertex_from_ids_builds_adjacency_on_first_use():
+    plain = Vertex.from_ids(5, "a", [2, 7, 9])
+    assert plain.neighbor_ids() == [2, 7, 9]
+    assert plain._adj is None  # reading ids alone never builds AdjItems
+    assert plain == Vertex(5, "a", [AdjItem(2), AdjItem(7), AdjItem(9)])
+    assert all(type(a) is AdjItem for a in plain.adj)
+    assert plain.adj is plain.adj
+    assert [a.nb for a in larger_neighbors(plain)] == [7, 9]
+    assert plain.degree == 3
 
 
 def test_larger_neighbors_matches_filter_oracle():
@@ -213,6 +225,49 @@ def test_check_undirected():
     bad.add(Vertex(2, None, []))
     with pytest.raises(GraphDataError, match="not symmetric"):
         check_undirected(bad)
+
+
+def test_check_undirected_down_edge_without_reverse():
+    # 2 -> 1 is a down-edge; the fast pass only looks up up-edges, so it
+    # is the up/down count that catches the missing 1 -> 2
+    bad = Graph()
+    bad.add(Vertex(1, None, [AdjItem(3)]))
+    bad.add(Vertex(2, None, [AdjItem(1)]))
+    bad.add(Vertex(3, None, [AdjItem(1)]))
+    with pytest.raises(GraphDataError, match=r"edge \(2,1\) is not symmetric"):
+        check_undirected(bad)
+    bad.vertices[1] = Vertex(1, None, [AdjItem(2), AdjItem(3)])
+    check_undirected(bad)
+    bad.add(Vertex(9, None, [AdjItem(4)]))  # a down-edge to a missing vertex
+    with pytest.raises(GraphDataError, match="vertex 9 references missing 4"):
+        check_undirected(bad)
+
+
+def test_check_undirected_names_the_same_edge_as_a_full_scan():
+    rng = random.Random(5)
+    for trial in range(60):
+        g = gnp_graph(25, 0.2, seed=trial)
+        for _ in range(rng.randint(1, 3)):
+            v = g[rng.choice(g.ids())]
+            adj = list(v.adj)
+            if adj and rng.random() < 0.5:
+                adj.pop(rng.randrange(len(adj)))
+            else:
+                w = rng.randrange(26)  # 25 is not a vertex
+                if w != v.id and w not in v.neighbor_ids():
+                    adj = sorted(adj + [AdjItem(w)])
+            g.vertices[v.id] = Vertex(v.id, v.label, adj)
+        try:
+            _check_every_edge(g)
+            expected = None
+        except GraphDataError as e:
+            expected = str(e)
+        try:
+            check_undirected(g)
+            got = None
+        except GraphDataError as e:
+            got = str(e)
+        assert got == expected
 
 
 @pytest.mark.parametrize("start,ok", [

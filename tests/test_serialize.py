@@ -127,3 +127,137 @@ def test_reader_bounds():
     assert r.done()
     with pytest.raises(CorruptData):
         r.u32()
+
+
+# -- format version 2: layout, canonical form, strict decoding -----------------
+
+
+def _vertex_shapes():
+    adj = [AdjItem(3), AdjItem(9), AdjItem(40)]
+    return {
+        "neither": Vertex(7, None, adj),
+        "label": Vertex(7, "lbl", adj),
+        "attrs": Vertex(7, None, [AdjItem(3, "x"), AdjItem(9), AdjItem(40, "é")]),
+        "both": Vertex(7, "", [AdjItem(3), AdjItem(9, "b9"), AdjItem(40)]),
+        "isolated": Vertex(2**64 - 1, None, []),
+    }
+
+
+def _subgraph(labels, attrs):
+    sg = Subgraph()
+    for vid in (5, 1, 9, 3):
+        sg.add_vertex(vid, f"L{vid}" if labels and vid != 9 else None)
+    for a, b in ((1, 5), (5, 9), (3, 1)):
+        sg.add_edge(a, b, attr_a="p" if attrs and a == 1 else None)
+    return sg
+
+
+def _task_shapes():
+    shapes = {}
+    for name, sg in (("empty", Subgraph()),
+                     ("neither", _subgraph(False, False)),
+                     ("labels", _subgraph(True, False)),
+                     ("attrs", _subgraph(False, True)),
+                     ("both", _subgraph(True, True))):
+        shapes[name] = TaskWire(11, 2, (30, 4, 17), frozenset({17, 30}),
+                                b"ctx", sg)
+    return shapes
+
+
+def _spill_blob():
+    recs = [(TaskKey((i, 2**64 - 1 - i), i), encode_task(w))
+            for i, w in enumerate(_task_shapes().values())]
+    return encode_file(8, 2, recs)
+
+
+def _blobs():
+    out = {f"vertex-{k}": (encode_vertex(v), vertex_from_bytes)
+           for k, v in _vertex_shapes().items()}
+    out.update({f"task-{k}": (encode_task(w), decode_task)
+                for k, w in _task_shapes().items()})
+    out["spill-file"] = (_spill_blob(), decode_file)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_blobs()))
+def test_every_prefix_and_extension_is_corrupt(name):
+    blob, decode = _blobs()[name]
+    decode(blob)
+    for n in range(len(blob)):
+        with pytest.raises(CorruptData):
+            decode(blob[:n])
+    for extra in (b"\x00", b"\x01", b"\xff"):
+        with pytest.raises(CorruptData, match="trailing"):
+            decode(blob + extra)
+
+
+@pytest.mark.parametrize("name", sorted(_vertex_shapes()))
+def test_vertex_shapes_round_trip_canonically(name):
+    v = _vertex_shapes()[name]
+    blob = encode_vertex(v)
+    back = vertex_from_bytes(blob)
+    assert back == v
+    assert back.neighbor_ids() == [a.nb for a in v.adj]
+    assert encode_vertex(back) == blob
+
+
+@pytest.mark.parametrize("name", sorted(_task_shapes()))
+def test_task_shapes_round_trip_canonically(name):
+    w = _task_shapes()[name]
+    blob = encode_task(w)
+    back = decode_task(blob)
+    assert back.requested == w.requested and back.pending == w.pending
+    assert back.subgraph.labels == w.subgraph.labels
+    assert back.subgraph.adj == w.subgraph.adj
+    assert encode_task(back) == blob
+
+
+def test_id_runs_have_no_per_field_overhead():
+    # u64 id, u32 degree, the id run, one presence byte
+    assert len(encode_vertex(Vertex(1, None, [AdjItem(i) for i in range(2, 22)]))) \
+        == 8 + 4 + 20 * 8 + 1
+    # the empty subgraph is a bare count
+    assert encode_subgraph(Subgraph()) == b"\x00\x00\x00\x00"
+    # count, ids, degrees, neighbor run, presence byte
+    assert len(encode_subgraph(_subgraph(False, False))) == \
+        4 + 4 * 8 + 4 * 4 + 6 * 8 + 1
+
+
+def test_presence_byte_must_be_canonical():
+    plain = encode_vertex(Vertex(1, None, [AdjItem(2)]))
+    flag_at = 8 + 4 + 8
+    assert plain[flag_at] == 0
+    # an attribute block that holds only None would not be written
+    all_none = plain[:flag_at] + b"\x02" + plain[flag_at + 1:] + b"\xff" * 4
+    with pytest.raises(CorruptData, match="only None"):
+        vertex_from_bytes(all_none)
+    with pytest.raises(CorruptData, match="presence"):
+        vertex_from_bytes(plain[:flag_at] + b"\x04")
+    sg_blob = encode_subgraph(_subgraph(False, False))
+    with pytest.raises(CorruptData, match="presence"):
+        decode_subgraph(Reader(sg_blob[:-1] + b"\x80"))
+
+
+def test_bad_utf8_is_corrupt():
+    blob = encode_vertex(Vertex(1, "a", []))
+    with pytest.raises(CorruptData, match="utf-8"):
+        vertex_from_bytes(blob[:-1] + b"\xff")
+
+
+def test_every_flipped_byte_of_a_spill_file_is_caught():
+    blob = _spill_blob()
+    for i in range(len(blob)):
+        bad = bytearray(blob)
+        bad[i] ^= 0x01
+        with pytest.raises(CorruptData):
+            decode_file(bytes(bad))
+
+
+def test_spill_file_header_ell_must_match_records():
+    recs = [(TaskKey((1, 2), 0), b"p")]
+    with pytest.raises(ValueError, match="2 signatures, expected 4"):
+        encode_file(8, 4, recs)
+    assert decode_file(encode_file(8, 2, recs))[1:] == (2, recs)
+    # FIFO spill files carry no signatures at all
+    bare = [(TaskKey((), 0), b"p"), (TaskKey((), 1), b"")]
+    assert decode_file(encode_file(8, 0, bare)) == (8, 0, bare)

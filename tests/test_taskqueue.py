@@ -2,6 +2,7 @@
 accounting.  Random workloads come from the testkit generators so the
 acceptance suite and these tests speak the same language."""
 
+import os
 import random
 from collections import Counter
 
@@ -15,6 +16,7 @@ from submine.taskqueue import (
     TaskRecord,
     make_queue,
 )
+from submine.serialize import CorruptData
 from submine.testkit import (
     CountingStorage,
     gen_pull_sets,
@@ -269,3 +271,19 @@ def test_deep_scan_reads_not_counted(tmp_path):
     before = q.io_counters()
     q.check_invariants(deep=True)
     assert q.io_counters() == before
+
+
+@pytest.mark.parametrize("kind", ["stream", "lsh"])
+def test_flipped_payload_byte_names_the_spill_file(tmp_path, kind):
+    q = make_queue(kind, tmp_path / kind, file_capacity=4, buffer_capacity=4)
+    for r in _records(8, 4):
+        q.enqueue(r)
+    (meta,) = q.index
+    path = os.path.join(q.storage.dir, meta.name)
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    data[-2] ^= 0x10  # inside the last record's payload: lengths still agree
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(CorruptData, match=f"{meta.name}.*CRC"):
+        q.fetch()

@@ -10,7 +10,7 @@ Tasks with an empty pull set get an all-max sentinel key, which sorts
 last; ordering among them falls to the tie-break.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import MASK64, mix64
 
@@ -30,9 +30,10 @@ def derive_seeds(run_seed: int, ell: int):
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class TaskKey:
-    """Total order: signatures lexicographically, then tie-break."""
+class TaskKey(NamedTuple):
+    """Total order: signatures lexicographically, then tie-break.
+
+    A tuple, so keys compare and sort in C; the queue sorts thousands."""
 
     sigs: tuple
     tiebreak: int

@@ -97,6 +97,69 @@ def quasi_cliques_bf(graph: Graph, gamma, min_size) -> set:
     return out
 
 
+def quasi_cliques_unpruned(graph: Graph, gamma, min_size) -> set:
+    """The same answer as quasi_cliques_bf, by the quasi-clique app's
+    search before it pruned: for each vertex v with a larger neighbor,
+    enumerate the subsets containing v of v's 2-hop neighborhood above v,
+    filtering by degree only.  It visits ego nets, not all 2^n subsets,
+    so it has no size cap; sparse graphs of a few dozen vertices are
+    cheap, dense ones are not."""
+    if isinstance(gamma, float):
+        gamma = str(gamma)
+    gamma = Fraction(gamma)
+    num, den = gamma.numerator, gamma.denominator
+    min_size = int(min_size)
+
+    def threshold(k):
+        return (num * (k - 1) + den - 1) // den
+
+    adj = _adj_sets(graph)
+    out = set()
+    for v in graph.ids():
+        gt = {w for w in adj[v] if w > v}
+        if not gt and min_size > 1:
+            continue
+        ego = {v} | gt
+        for f in gt:
+            ego |= {w for w in adj[f] if w > v}
+        universe = sorted(ego)  # v first: everything else is larger
+        idx = {u: i for i, u in enumerate(universe)}
+        rows = [0] * len(universe)
+        for u in universe:
+            for w in adj[u]:
+                if w in idx:
+                    rows[idx[u]] |= 1 << idx[w]
+
+        def dfs(s_idxs, s_mask, cand):
+            c_mask = 0
+            for c in cand:
+                c_mask |= 1 << c
+            k = len(s_idxs)
+            need_c = threshold(max(min_size, k + 1))
+            while True:
+                keep = [c for c in cand
+                        if (rows[c] & (s_mask | c_mask)).bit_count() >= need_c]
+                if len(keep) == len(cand):
+                    break
+                cand = keep
+                c_mask = 0
+                for c in cand:
+                    c_mask |= 1 << c
+            need_s = threshold(max(min_size, k))
+            if any((rows[s] & (s_mask | c_mask)).bit_count() < need_s
+                   for s in s_idxs):
+                return
+            if k >= min_size:
+                t = threshold(k)
+                if all((rows[s] & s_mask).bit_count() >= t for s in s_idxs):
+                    out.add(frozenset(universe[i] for i in s_idxs))
+            for pos, c in enumerate(cand):
+                dfs(s_idxs + [c], s_mask | (1 << c), cand[pos + 1:])
+
+        dfs([0], 1, list(range(1, len(universe))))
+    return out
+
+
 def match_bf(graph: Graph, query) -> set:
     """All injective, label- and edge-preserving assignments of the query
     into the data graph, as tuples in ascending query-id order."""

@@ -1,5 +1,6 @@
 """The five mining apps against brute-force oracles and known answers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,14 @@ from submine.gen import (
     path_graph,
     star_graph,
 )
-from submine.graph import AdjItem, Graph, GraphParseError, Vertex
+from submine.graph import AdjItem, Graph, GraphParseError, Vertex, partition_owner
 
 from oracles import (
     match_bf,
     max_clique_bf,
     maximal_cliques_bf,
     quasi_cliques_bf,
+    quasi_cliques_unpruned,
     tri_count_bf,
 )
 
@@ -207,6 +209,100 @@ def test_quasi_oracle_loop(gamma, min_size):
         assert res.aggregate == len(want)
 
 
+QUASI_GAMMAS = (Fraction(1, 2), Fraction(51, 100), Fraction(3, 5),
+                Fraction(2, 3), Fraction(3, 4), Fraction(9, 10), Fraction(1))
+
+
+def test_quasi_matches_unpruned_search():
+    """The pruned search against the old ego-net search on graphs past
+    the brute-force oracle's 24-vertex cap, for gamma from 1/2 to 1,
+    min_size 1-6, 1-3 workers, tiny and unbounded caches.  Sparser as
+    they grow, so the unpruned side stays cheap."""
+    rng = random.Random(2024)
+    seeds_before = seeds_after = hop2_before = hop2_after = results = 0
+    for i in range(120):
+        gamma = QUASI_GAMMAS[i % len(QUASI_GAMMAS)]
+        min_size = 1 + i % 6
+        n = rng.randint(8, 30)
+        g = gnp_graph(n, rng.uniform(0.05, min(0.45, 6 / n)),
+                      seed=rng.randrange(10**6))
+        cfg = RunConfig(workers=1 + i % 3, buffer_capacity=4,
+                        cache_capacity=6 if i % 2 else 1_000_000)
+        res = run_job(cfg, make_app("quasiclique", gamma=gamma,
+                                    min_size=min_size), graph=g)
+        want = quasi_cliques_unpruned(g, gamma, min_size)
+        assert _result_sets(res) == want, (i, gamma, min_size)
+        assert res.aggregate == len(res.result_lines()) == len(want)
+        results += len(want)
+        # what the unpruned search would have seeded and pulled
+        for v in g.ids():
+            gt = [w for w in g[v].neighbor_ids() if w > v]
+            if gt or min_size == 1:
+                seeds_before += 1
+                if any(x > v and x not in gt
+                       for f in gt for x in g[f].neighbor_ids()):
+                    hop2_before += 1
+        seeds_after += res.metrics["tasks_seeded"]
+        hop2_after += res.metrics["compute_calls"] - res.metrics["tasks_seeded"]
+    # the rules fire on these graphs, and the answers still agree
+    assert seeds_after < seeds_before
+    assert hop2_after < hop2_before
+    assert results > 1000
+
+
+def _requested_ids(res):
+    return {vid for trace in res.traces for ev in trace if ev[0] == "request"
+            for vid in ev[4]}
+
+
+def test_quasi_seed_bound():
+    # gamma=0.6, min_size=4: a seed needs ceil(0.6 * 3) = 2 larger neighbors
+    app = make_app("quasiclique", gamma="0.6", min_size=4)
+    assert _run(app, path_graph(6)).metrics["tasks_seeded"] == 0
+    res = _run(app, complete_graph(4))
+    assert res.metrics["tasks_seeded"] == 2   # vertices 1 and 2
+    assert res.aggregate == 1
+
+
+def test_quasi_pendant_hop2_vertex_is_pulled_only_at_one_half():
+    # K4 plus vertex 5 hanging off 4: for the seeds 1 and 2, vertex 5 is a
+    # 2-hop candidate with a single link into their neighborhood
+    k4 = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    with_pendant = _graph_from_edges(k4 + [(4, 5)])
+    assert partition_owner(1, 2) != partition_owner(5, 2)  # a remote pull
+
+    def run(gamma, g):
+        return _run(make_app("quasiclique", gamma=gamma, min_size=4), g,
+                    workers=2, collect_trace=True)
+
+    for gamma, pulled in (("0.6", False), ("0.5", True)):
+        res = run(gamma, with_pendant)
+        base = run(gamma, _graph_from_edges(k4))
+        assert (5 in _requested_ids(res)) is pulled
+        more = res.metrics["vertices_requested"] - base.metrics["vertices_requested"]
+        assert (more > 0) is pulled
+        assert _result_sets(res) == _result_sets(base)
+
+
+def test_quasi_peel_ends_task_without_a_pull():
+    # seed 0's neighbors 1 and 2 each reach one 2-hop vertex (3, 4) with a
+    # single link: both 2-hop vertices go, then 1 and 2 fall below 2
+    g = _graph_from_edges([(0, 1), (0, 2), (1, 3), (2, 4)])
+    res = _run(make_app("quasiclique", gamma="0.6", min_size=4), g, workers=1)
+    assert res.metrics["tasks_seeded"] == 1
+    assert res.metrics["compute_calls"] == 1
+    assert res.aggregate == 0
+
+
+def test_quasi_far_corner_of_a_four_cycle_is_kept():
+    # 1-2-3-4-1: vertex 3 is 2 hops from seed 1 with two links into {2, 4}
+    g = _graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 1)])
+    for workers in (1, 2):
+        res = _run(make_app("quasiclique", gamma="0.6", min_size=4), g,
+                   workers=workers)
+        assert _result_sets(res) == {frozenset({1, 2, 3, 4})}
+
+
 def test_quasi_gamma_forms():
     g = gnp_graph(14, 0.45, seed=55)
     outs = {
@@ -334,6 +430,8 @@ def test_oracle_spot_checks():
     assert maximal_cliques_bf(complete_graph(3)) == {frozenset({1, 2, 3})}
     assert quasi_cliques_bf(complete_graph(3), Fraction(1), 3) \
         == {frozenset({1, 2, 3})}
+    g = gnp_graph(14, 0.45, seed=55)
+    assert quasi_cliques_unpruned(g, "0.6", 3) == quasi_cliques_bf(g, "0.6", 3)
     assert match_bf(fig4_data_graph(), fig4_query()) == {(2, 5, 4, 7, 8)}
 
 

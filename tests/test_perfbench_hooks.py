@@ -67,6 +67,8 @@ def test_install_spans_resolves_records_and_restores(job, queue_kind):
                     submine.apps.make_app("quasiclique", gamma="0.6", min_size=4)):
             res = run_job(cfg, tracer.wrap_app(app), graph=gnp_graph(30, 0.2, seed=4))
             assert res.metrics["queue_file_writes"] > 0
+        # requeued tasks carry a subgraph payload through the queue
+        assert res.metrics["tasks_requeued"] > 0
     finally:
         tracer.unpatch_all()
 

@@ -9,13 +9,13 @@ APP_NAMES = ("triangle", "maxclique", "maximalcliques", "quasiclique", "gmatch")
 
 
 def make_app(name, *, gamma=None, min_size=None, query=None,
-             pruned=True, emit_triangles=False):
+             emit_triangles=False):
     """Build an AppSpec by name, validating that the needed params came
     along.  `query` is a QueryGraph (parse_query_file reads one)."""
     if name == "triangle":
-        return triangle_app(pruned=pruned, emit_triangles=emit_triangles)
+        return triangle_app(emit_triangles=emit_triangles)
     if name == "maxclique":
-        return max_clique_app(pruned=pruned)
+        return max_clique_app()
     if name == "maximalcliques":
         return maximal_cliques_app()
     if name == "quasiclique":

@@ -15,8 +15,14 @@ neighbors that can be extended by some smaller vertex is not maximal
 smaller neighbors and updated through the pulled full adjacency lists.
 """
 
-from ..engine import AggregatorSpec, AppSpec, Task
-from ..graph import Vertex, larger_neighbors
+from ..engine import (
+    AggregatorSpec,
+    AppSpec,
+    Task,
+    decode_no_context,
+    encode_no_context,
+)
+from ..graph import larger_neighbors, respond_larger
 from .. import kernels
 
 
@@ -41,19 +47,7 @@ def _qmax_merge(a, b):
     return a
 
 
-def _no_ctx_encode(_ctx):
-    return b""
-
-
-def _no_ctx_decode(_data):
-    return None
-
-
-def _respond_gt(v):
-    return Vertex(v.id, v.label, larger_neighbors(v))
-
-
-def max_clique_app(pruned=True) -> AppSpec:
+def max_clique_app() -> AppSpec:
     """Exact maximum clique via seeded branch and bound.
 
     Aggregate value is (size, members ascending); the witness is a real
@@ -91,9 +85,9 @@ def max_clique_app(pruned=True) -> AppSpec:
         name="maxclique",
         seed=seed,
         compute=compute,
-        encode_context=_no_ctx_encode,
-        decode_context=_no_ctx_decode,
-        respond=_respond_gt if pruned else None,
+        encode_context=encode_no_context,
+        decode_context=decode_no_context,
+        respond=respond_larger,
         aggregator=AggregatorSpec(zero=lambda: (0, ()), merge=_qmax_merge),
     )
 
@@ -147,8 +141,8 @@ def maximal_cliques_app() -> AppSpec:
         name="maximalcliques",
         seed=seed,
         compute=compute,
-        encode_context=_no_ctx_encode,
-        decode_context=_no_ctx_decode,
+        encode_context=encode_no_context,
+        decode_context=decode_no_context,
         respond=None,
         aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),
     )

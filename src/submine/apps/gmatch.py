@@ -28,7 +28,13 @@ Two pipelines share the enumeration code:
 
 from collections import deque
 
-from ..engine import AggregatorSpec, AppSpec, Task
+from ..engine import (
+    AggregatorSpec,
+    AppSpec,
+    Task,
+    decode_no_context,
+    encode_no_context,
+)
 from ..graph import GraphParseError, Vertex, parse_vertex_line
 
 
@@ -197,14 +203,6 @@ def _enumerate_matchings(query: QueryGraph, g, anchor_data_id):
     return results
 
 
-def _no_ctx_encode(_ctx):
-    return b""
-
-
-def _no_ctx_decode(_data):
-    return None
-
-
 def gmatch_app(query: QueryGraph) -> AppSpec:
     qlabels = query.label_set()
     roles = _bowtie_roles(query)
@@ -319,8 +317,8 @@ def gmatch_app(query: QueryGraph) -> AppSpec:
         name="gmatch",
         seed=seed,
         compute=compute,
-        encode_context=_no_ctx_encode,
-        decode_context=_no_ctx_decode,
+        encode_context=encode_no_context,
+        decode_context=decode_no_context,
         respond=respond,
         aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),
     )

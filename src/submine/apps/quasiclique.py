@@ -65,7 +65,13 @@ only integers.
 from bisect import bisect_right
 from fractions import Fraction
 
-from ..engine import AggregatorSpec, AppSpec, Task
+from ..engine import (
+    AggregatorSpec,
+    AppSpec,
+    Task,
+    decode_no_context,
+    encode_no_context,
+)
 from ..graph import larger_neighbors
 
 
@@ -74,14 +80,6 @@ def _as_fraction(gamma):
         # treat the literal the way the user wrote it, not its binary blur
         gamma = str(gamma)
     return Fraction(gamma)
-
-
-def _no_ctx_encode(_ctx):
-    return b""
-
-
-def _no_ctx_decode(_data):
-    return None
 
 
 def quasi_clique_app(gamma, min_size) -> AppSpec:
@@ -263,8 +261,8 @@ def quasi_clique_app(gamma, min_size) -> AppSpec:
         name="quasiclique",
         seed=seed,
         compute=compute,
-        encode_context=_no_ctx_encode,
-        decode_context=_no_ctx_decode,
+        encode_context=encode_no_context,
+        decode_context=decode_no_context,
         respond=None,
         aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),
     )

@@ -4,15 +4,15 @@ Every triangle {v1, v2, v3} with v1 < v2 < v3 is counted exactly once,
 by the task seeded at v1: the seed pulls its larger neighbors except the
 largest, and the single compute iteration checks, for each pulled v2 and
 each candidate v3 > v2 among v1's larger neighbors, whether v3 appears
-in v2's adjacency.  Responders send only larger-neighbor suffixes by
-default, which is all the membership test ever looks at.
+in v2's adjacency.  Responders send only larger-neighbor suffixes,
+which is all the membership test ever looks at.
 """
 
 import struct
 from bisect import bisect_left
 
 from ..engine import AggregatorSpec, AppSpec, Task
-from ..graph import Vertex, larger_neighbors
+from ..graph import larger_neighbors, respond_larger
 from ..kernels import count_closing_pairs
 
 _CTX = struct.Struct("<QQ")  # (largest candidate id, running count)
@@ -26,15 +26,9 @@ def _decode_ctx(data):
     return _CTX.unpack(data)
 
 
-def _respond_gt(v):
-    return Vertex(v.id, v.label, larger_neighbors(v))
-
-
-def triangle_app(pruned=True, emit_triangles=False) -> AppSpec:
+def triangle_app(emit_triangles=False) -> AppSpec:
     """Build the triangle-counting app.
 
-    pruned: responders send just the larger-neighbor suffix (sound here,
-    and the default; the full-response mode exists to cross-check that).
     emit_triangles: also emit one "v1 v2 v3" line per triangle, for
     attribution tests; counting alone never materializes triangles.
     """
@@ -69,6 +63,6 @@ def triangle_app(pruned=True, emit_triangles=False) -> AppSpec:
         compute=compute,
         encode_context=_encode_ctx,
         decode_context=_decode_ctx,
-        respond=_respond_gt if pruned else None,
+        respond=respond_larger,
         aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),
     )

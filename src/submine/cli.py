@@ -30,8 +30,15 @@ from .gen import (
     path_graph,
     star_graph,
 )
-from .graph import AdjItem, Graph, Vertex, graph_sha256, read_graph, write_graph
-from .testkit import TraceLog
+from .graph import (
+    MASK64,
+    AdjItem,
+    Graph,
+    Vertex,
+    graph_sha256,
+    read_graph,
+    write_graph,
+)
 
 DEFAULTS = {
     "workers": 8,
@@ -50,8 +57,17 @@ DEFAULTS = {
 _CONFIG_KEYS = set(DEFAULTS)
 
 
+def _coerce(key, value):
+    if key in ("queue", "gamma"):
+        return value
+    if key == "sync_ms":
+        return float(value)
+    return int(value)
+
+
 def _read_config_file(path):
-    """key = value lines; # comments; keys match the run flags."""
+    """key = value lines; # comments; keys match the run flags.  Values
+    are typed as they are read, so a bad one names its line."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -65,29 +81,25 @@ def _read_config_file(path):
             value = value.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path} line {lineno}: unknown key {key!r}")
-            out[key] = value
+            try:
+                out[key] = _coerce(key, value)
+            except ValueError:
+                raise ValueError(
+                    f"{path} line {lineno}: bad value {value!r} for {key}"
+                ) from None
     return out
 
 
-def _coerce(key, value):
-    if value is None:
-        return None
-    if key in ("queue", "gamma"):
-        return str(value)
-    if key == "sync_ms":
-        return float(value)
-    return int(value)
-
-
 def _effective_config(args):
+    """Defaults, then the --config file, then the flags (which argparse
+    has already typed)."""
     eff = dict(DEFAULTS)
     if args.config:
-        for k, v in _read_config_file(args.config).items():
-            eff[k] = _coerce(k, v)
+        eff.update(_read_config_file(args.config))
     for k in _CONFIG_KEYS:
         v = getattr(args, k, None)
         if v is not None:
-            eff[k] = _coerce(k, v)
+            eff[k] = v
     return eff
 
 
@@ -102,7 +114,6 @@ def _build_app(args, eff):
         gamma=eff["gamma"],
         min_size=eff["min_size"],
         query=query,
-        pruned=not args.unpruned,
         emit_triangles=args.emit_triangles,
     )
 
@@ -110,7 +121,6 @@ def _build_app(args, eff):
 def _run_config(args, eff):
     sync_rounds = eff["sync_rounds"]
     return RunConfig(
-        input_path=args.input,
         workers=eff["workers"],
         buffer_capacity=eff["buffer_capacity"],
         file_capacity=eff["file_capacity"],
@@ -144,7 +154,6 @@ def _write_manifest(path, args, eff, input_sha):
         lines.append(f"{key} = {eff[key]}")
     if args.app == "gmatch":
         lines.append(f"query = {os.path.abspath(args.query)}")
-    lines.append(f"unpruned = {args.unpruned}")
     lines.append(f"emit_triangles = {args.emit_triangles}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -171,12 +180,21 @@ def _write_results(outdir, result, workers):
                 fh.write(line + "\n")
 
 
+def format_trace_event(ev):
+    """One trace event as a line of its trace file: space-separated
+    fields, each tuple field written comma-terminated (5,9,12,)."""
+    return " ".join(
+        ",".join(map(str, f)) + "," if isinstance(f, tuple) else str(f)
+        for f in ev
+    )
+
+
 def cmd_run(args):
     eff = _effective_config(args)
     app = _build_app(args, eff)
     graph = read_graph(args.input)
     cfg = _run_config(args, eff)
-    result = run_job(cfg, app, graph=graph)
+    result = run_job(cfg, app, graph)
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
     _write_manifest(os.path.join(outdir, "manifest.txt"), args, eff,
@@ -187,19 +205,20 @@ def cmd_run(args):
         for wid, tr in enumerate(result.traces):
             with open(os.path.join(outdir, f"trace-w{wid}.txt"), "w",
                       encoding="utf-8") as fh:
-                fh.write(TraceLog(tr).to_lines() + "\n")
+                fh.writelines(format_trace_event(ev) + "\n" for ev in tr)
     print(_fmt_aggregate(args.app, result.aggregate))
     return 0
 
 
 def cmd_bench_queues(args):
     eff = _effective_config(args)
+    app = _build_app(args, eff)
+    graph = read_graph(args.input)
     rows = []
     for kind in ("lsh", "stream"):
-        app = _build_app(args, eff)
         cfg = _run_config(args, eff)
         cfg.queue_kind = kind
-        result = run_job(cfg, app)
+        result = run_job(cfg, app, graph)
         m = result.metrics
         rows.append({
             "queue": kind,
@@ -255,20 +274,30 @@ def _parse_labels(spec):
     return spec
 
 
+def _edge_end(tok, lineno):
+    try:
+        vid = int(tok)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad vertex id {tok!r}") from None
+    if not 0 <= vid <= MASK64:
+        raise ValueError(f"line {lineno}: vertex id {vid} is outside 0..2^64-1")
+    return vid
+
+
 def cmd_convert_edgelist(args):
     edges = set()
-    max_id = 0
     with open(args.input, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             body = line.strip()
             if not body or body.startswith("#"):
                 continue
             parts = body.split()
-            a, b = int(parts[0]), int(parts[1])
+            if len(parts) < 2:
+                raise ValueError(f"line {lineno}: expected two vertex ids")
+            a, b = _edge_end(parts[0], lineno), _edge_end(parts[1], lineno)
             if a == b:
                 continue
             edges.add((min(a, b), max(a, b)))
-            max_id = max(max_id, a, b)
     adj = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
@@ -298,8 +327,6 @@ def _add_job_flags(p):
     p.add_argument("--gamma", help="quasi-clique density, e.g. 0.6")
     p.add_argument("--min-size", type=int, dest="min_size")
     p.add_argument("--query", help="query graph file (gmatch)")
-    p.add_argument("--unpruned", action="store_true",
-                   help="disable response pruning (triangle/maxclique)")
     p.add_argument("--emit-triangles", action="store_true",
                    help="emit one line per triangle (attribution checks)")
     p.add_argument("--workdir", help="queue spill directory (default: temp)")

@@ -44,7 +44,6 @@ from .graph import (
     check_undirected,
     partition_graph,
     partition_owner,
-    read_graph,
 )
 from .minhash import TaskKey, derive_seeds, minhash_signature
 from .serialize import TaskWire, decode_task, encode_task, encode_vertex, vertex_from_bytes
@@ -71,7 +70,6 @@ class JobAborted(EngineError):
 
 @dataclass
 class RunConfig:
-    input_path: Optional[str] = None
     workers: int = 8
     buffer_capacity: int = 1000
     file_capacity: int = 100
@@ -141,6 +139,15 @@ class AppSpec:
     decode_context: Callable       # (bytes) -> ctx
     respond: Optional[Callable] = None   # (Vertex) -> Vertex | None
     aggregator: Optional[AggregatorSpec] = None
+
+
+def encode_no_context(_ctx):
+    """encode_context for apps whose tasks carry no context."""
+    return b""
+
+
+def decode_no_context(_data):
+    return None
 
 
 class Task:
@@ -611,19 +618,14 @@ def _run_workers(cfg, app, tables, seeds, agg, workdir):
     return workers
 
 
-def run_job(cfg: RunConfig, app: AppSpec, graph: Graph = None) -> JobResult:
-    """Run one mining job to completion and return its results.
+def run_job(cfg: RunConfig, app: AppSpec, graph: Graph) -> JobResult:
+    """Run one mining job on `graph` to completion and return its results.
 
-    `graph` may be passed pre-loaded to skip file reading; otherwise
-    cfg.input_path is read.  Raises the first worker/responder error
-    (with task provenance for app failures) after stopping the job.  A
-    temporary workdir is removed however the job ends.
+    Raises the first worker/responder error (with task provenance for
+    app failures) after stopping the job.  A temporary workdir is
+    removed however the job ends.
     """
     t0 = time.perf_counter()
-    if graph is None:
-        if not cfg.input_path:
-            raise ValueError("run_job needs a graph or cfg.input_path")
-        graph = read_graph(cfg.input_path)
     check_undirected(graph)
     tables = partition_graph(graph, cfg.workers)
     seeds = derive_seeds(cfg.run_seed, cfg.ell)

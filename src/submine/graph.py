@@ -118,6 +118,12 @@ def larger_neighbors(v: Vertex) -> list:
     return v.adj[bisect_right(ids, v.id):]
 
 
+def respond_larger(v: Vertex) -> Vertex:
+    """A respond hook: a copy of v holding only its larger neighbors,
+    for apps that never look below a pulled vertex's own id."""
+    return Vertex(v.id, v.label, larger_neighbors(v))
+
+
 def partition_owner(vid: int, num_workers: int) -> int:
     """Worker that owns vertex `vid` (deterministic multiplicative hash)."""
     return mix64(vid) % num_workers
@@ -207,13 +213,12 @@ class Graph:
         return len(self.vertices)
 
 
-def read_graph(path, validate_refs=True) -> Graph:
+def read_graph(path) -> Graph:
     """Load a graph from canonical text.
 
-    Duplicate vertex ids across lines are an error.  With validate_refs,
-    every neighbor id must itself appear as a vertex line (dangling
-    references would otherwise surface later as protocol errors between
-    workers).
+    Duplicate vertex ids across lines are an error, and every neighbor
+    id must itself appear as a vertex line (dangling references would
+    otherwise surface later as protocol errors between workers).
     """
     g = Graph()
     with open(path, "r", encoding="utf-8") as fh:
@@ -224,13 +229,12 @@ def read_graph(path, validate_refs=True) -> Graph:
             if v.id in g.vertices:
                 raise GraphParseError(f"line {lineno}: duplicate vertex id {v.id}")
             g.vertices[v.id] = v
-    if validate_refs:
-        for v in g:
-            for a in v.adj:
-                if a.nb not in g.vertices:
-                    raise GraphDataError(
-                        f"vertex {v.id} references missing vertex {a.nb}"
-                    )
+    for v in g:
+        for a in v.adj:
+            if a.nb not in g.vertices:
+                raise GraphDataError(
+                    f"vertex {v.id} references missing vertex {a.nb}"
+                )
     return g
 
 

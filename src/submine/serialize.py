@@ -59,7 +59,6 @@ from .minhash import TaskKey
 MAGIC = b"SMQ1"
 FORMAT_VERSION = 2
 
-_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _VERTEX_HEAD = struct.Struct("<QI")
 _TASK_HEAD = struct.Struct("<QIII")
@@ -83,33 +82,6 @@ def _need(data, end):
 def _check_presence(flags):
     if flags & ~(_LABEL | _ATTRS):
         raise CorruptData(f"unknown presence bits {flags:#04x}")
-
-
-class Reader:
-    """A position in a bytes buffer, for decoding one value after
-    another with the standalone decoders below."""
-
-    __slots__ = ("data", "off")
-
-    def __init__(self, data, off=0):
-        self.data = data
-        self.off = off
-
-    def _take(self, n):
-        end = self.off + n
-        _need(self.data, end)
-        out = self.data[self.off:end]
-        self.off = end
-        return out
-
-    def u16(self):
-        return _U16.unpack(self._take(2))[0]
-
-    def u32(self):
-        return _U32.unpack(self._take(4))[0]
-
-    def done(self):
-        return self.off >= len(self.data)
 
 
 # -- string blocks ---------------------------------------------------------
@@ -261,11 +233,6 @@ def _subgraph_at(data, off):
     return sg, off
 
 
-def decode_subgraph(r: Reader) -> Subgraph:
-    sg, r.off = _subgraph_at(r.data, r.off)
-    return sg
-
-
 # -- task payloads ---------------------------------------------------------
 
 
@@ -333,10 +300,6 @@ def _pack_records(ell, records):
     return b"".join(parts)
 
 
-def encode_record(key: TaskKey, payload: bytes) -> bytes:
-    return _pack_records(len(key.sigs), [(key, payload)])
-
-
 def _records_at(data, off, ell, count):
     """`count` records that each carry `ell` signatures, and the offset
     past them."""
@@ -353,13 +316,6 @@ def _records_at(data, off, ell, count):
         _need(data, off)
         out.append((TaskKey(f[1:-2], f[-2]), data[end:off]))
     return out, off
-
-
-def decode_record(r: Reader):
-    _need(r.data, r.off + 2)
-    ell = _U16.unpack_from(r.data, r.off)[0]
-    (rec,), r.off = _records_at(r.data, r.off, ell, 1)
-    return rec
 
 
 def encode_file(file_capacity, ell, records) -> bytes:

@@ -35,7 +35,8 @@ from submine.graph import AdjItem, Graph, Vertex, read_graph
 from submine.minhash import derive_seeds, minhash_signature
 from submine.serialize import decode_file
 from submine.taskqueue import make_queue
-from submine.testkit import (
+
+from testkit import (
     assert_cache_bound,
     assert_dedup,
     gen_pull_sets,

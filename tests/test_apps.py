@@ -1,5 +1,6 @@
 """The five mining apps against brute-force oracles and known answers."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -79,7 +80,7 @@ def test_triangle_emit_mode_lists_each_once():
 def test_triangle_pruned_and_unpruned_agree():
     g = gnp_graph(60, 0.15, seed=21)
     a = _run(make_app("triangle"), g).aggregate
-    b = _run(make_app("triangle", pruned=False), g).aggregate
+    b = _run(dataclasses.replace(make_app("triangle"), respond=None), g).aggregate
     assert a == b == tri_count_bf(g)
 
 
@@ -142,7 +143,8 @@ def test_maxclique_oracle_loop():
 def test_maxclique_unpruned_agrees():
     g = gnp_graph(30, 0.3, seed=17)
     assert _run(make_app("maxclique"), g).aggregate \
-        == _run(make_app("maxclique", pruned=False), g).aggregate
+        == _run(dataclasses.replace(make_app("maxclique"), respond=None),
+                g).aggregate
 
 
 # -- maximal cliques ----------------------------------------------------------------

@@ -8,7 +8,8 @@ from submine import __version__
 from submine.cli import main
 from submine.gen import complete_graph, fig4_data_graph
 from submine.graph import check_undirected, graph_sha256, read_graph, write_graph
-from submine.testkit import TraceLog
+
+from testkit import parse_trace
 
 FIG4_QUERY = "# start: 1\n1\ta\t2 3\n2\tc\t1 3 4\n3\tb\t1 2\n4\tb\t2 5\n5\td\t4\n"
 
@@ -81,8 +82,7 @@ def test_run_trace_files_parse(tmp_path, capsys):
     capsys.readouterr()
     total = 0
     for w in range(2):
-        log = TraceLog.from_lines(_read(out / f"trace-w{w}.txt"))
-        total += len(log.events)
+        total += len(parse_trace(_read(out / f"trace-w{w}.txt")))
     assert total > 0
 
 
@@ -156,10 +156,16 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 def test_config_file_rejects_bad_line(tmp_path, capsys):
     g = _k4(tmp_path)
     cfg = tmp_path / "job.cfg"
-    cfg.write_text("workers: 5\n", encoding="utf-8")
-    rc = main(["run", "--app", "triangle", "--input", g, "--config", str(cfg)])
-    assert rc == 1
-    assert "key = value" in capsys.readouterr().err
+    for text, want in (
+        ("workers: 5\n", "line 1: expected key = value"),
+        ("seed = 2\nworkers = abc\n", "line 2: bad value 'abc' for workers"),
+    ):
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(["run", "--app", "triangle", "--input", g,
+                   "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{cfg} {want}" in err
 
 
 def test_bench_queues_agrees(tmp_path, capsys):
@@ -241,6 +247,22 @@ def test_convert_edgelist(tmp_path, capsys):
     check_undirected(g)
     assert sorted(g[1].neighbor_ids()) == [2, 3]
     assert sorted(g[2].neighbor_ids()) == [1, 3]  # self-loop 2-2 dropped
+
+
+@pytest.mark.parametrize("text,want", [
+    ("1 2\n3\n", "line 2: expected two vertex ids"),
+    ("1 2\n\n3 x\n", "line 3: bad vertex id 'x'"),
+    ("-3 4\n", "line 1: vertex id -3 is outside 0..2^64-1"),
+    (f"1 {2**64}\n", f"line 1: vertex id {2**64} is outside 0..2^64-1"),
+])
+def test_convert_edgelist_rejects_bad_line(tmp_path, capsys, text, want):
+    src = tmp_path / "edges.txt"
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "g.graph"
+    rc = main(["convert-edgelist", "--input", str(src), "--out", str(out)])
+    assert rc == 1
+    assert want in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

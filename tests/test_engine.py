@@ -21,7 +21,8 @@ from submine.engine import (
 from submine.gen import complete_graph, gnp_graph, hub_cluster_graph, star_graph
 from submine.graph import AdjItem, Graph, GraphDataError, Vertex, partition_owner
 from submine.apps import make_app
-from submine.testkit import assert_cache_bound, assert_dedup
+
+from testkit import assert_cache_bound, assert_dedup
 
 
 def _spec(name, seed, compute, **kw):

@@ -212,9 +212,6 @@ def test_read_graph_dangling_reference(tmp_path):
     p.write_text("1\t\t2 9\n2\t\t1\n")
     with pytest.raises(GraphDataError, match="missing vertex 9"):
         read_graph(p)
-    # allowed when validation is off
-    g = read_graph(p, validate_refs=False)
-    assert g[1].neighbor_ids() == [2, 9]
 
 
 def test_check_undirected():

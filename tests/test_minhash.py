@@ -5,7 +5,8 @@ import random
 import pytest
 
 from submine.minhash import SENTINEL_SIG, TaskKey, derive_seeds, minhash_signature
-from submine.testkit import minhash_key
+
+from testkit import minhash_key
 
 
 def test_derive_seeds_shape_and_determinism():

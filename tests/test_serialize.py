@@ -8,14 +8,10 @@ from submine.graph import AdjItem, Subgraph, Vertex
 from submine.minhash import TaskKey
 from submine.serialize import (
     CorruptData,
-    Reader,
     TaskWire,
     decode_file,
-    decode_record,
-    decode_subgraph,
     decode_task,
     encode_file,
-    encode_record,
     encode_subgraph,
     encode_task,
     encode_vertex,
@@ -62,11 +58,11 @@ def test_subgraph_round_trip():
             if a != b:
                 sg.add_edge(a, b, attr_a=rng.choice([None, "x"]),
                             attr_b=rng.choice([None, "y"]))
-        blob = encode_subgraph(sg)
-        back = decode_subgraph(Reader(blob))
-        assert back.labels == sg.labels
-        assert back.adj == sg.adj
-        assert encode_subgraph(back) == blob
+        blob = encode_task(TaskWire(1, 0, (), frozenset(), b"", sg))
+        back = decode_task(blob)
+        assert back.subgraph.labels == sg.labels
+        assert back.subgraph.adj == sg.adj
+        assert encode_task(back) == blob
 
 
 def test_task_round_trip():
@@ -104,9 +100,6 @@ def test_record_and_file_round_trip():
     cap, ell, back = decode_file(blob)
     assert cap == 16 and ell == 4
     assert back == records
-    # single record decodes standalone too
-    k, p = decode_record(Reader(encode_record(records[5][0], records[5][1])))
-    assert (k, p) == records[5]
 
 
 def test_decode_file_rejects_garbage():
@@ -119,14 +112,6 @@ def test_decode_file_rejects_garbage():
         decode_file(good[:-3])
     with pytest.raises(CorruptData, match="trailing"):
         decode_file(good + b"\x00")
-
-
-def test_reader_bounds():
-    r = Reader(b"\x01\x00")
-    assert r.u16() == 1
-    assert r.done()
-    with pytest.raises(CorruptData):
-        r.u32()
 
 
 # -- format version 2: layout, canonical form, strict decoding -----------------
@@ -233,9 +218,10 @@ def test_presence_byte_must_be_canonical():
         vertex_from_bytes(all_none)
     with pytest.raises(CorruptData, match="presence"):
         vertex_from_bytes(plain[:flag_at] + b"\x04")
-    sg_blob = encode_subgraph(_subgraph(False, False))
+    # a task ends with its subgraph, whose last byte here is the presence byte
+    task_blob = encode_task(_task_shapes()["neither"])
     with pytest.raises(CorruptData, match="presence"):
-        decode_subgraph(Reader(sg_blob[:-1] + b"\x80"))
+        decode_task(task_blob[:-1] + b"\x80")
 
 
 def test_bad_utf8_is_corrupt():

@@ -1,5 +1,5 @@
 """Disk-spilling queues: conservation, ordering, file-size invariants, IO
-accounting.  Random workloads come from the testkit generators so the
+accounting.  Random workloads come from the tests/testkit.py generators so the
 acceptance suite and these tests speak the same language."""
 
 import os
@@ -17,7 +17,8 @@ from submine.taskqueue import (
     make_queue,
 )
 from submine.serialize import CorruptData
-from submine.testkit import (
+
+from testkit import (
     CountingStorage,
     gen_pull_sets,
     gen_queue_ops,

@@ -7,6 +7,7 @@ import pytest
 
 from submine.engine import RunConfig, run_job
 from submine.apps import make_app
+from submine.cli import format_trace_event
 from submine.gen import (
     complete_graph,
     fig4_data_graph,
@@ -19,15 +20,16 @@ from submine.gen import (
 from submine.graph import check_undirected, write_graph
 from submine.minhash import derive_seeds
 from submine.taskqueue import make_queue
-from submine.testkit import (
+
+from testkit import (
     CountingStorage,
-    TraceLog,
     TraceViolation,
     assert_cache_bound,
     assert_dedup,
     gen_pull_sets,
     gen_queue_ops,
     make_records,
+    parse_trace,
     replay_residency,
 )
 
@@ -42,23 +44,29 @@ def _traced_run(graph, cache=None, workers=2):
 # -- trace log round trip ----------------------------------------------------
 
 
+def _trace_text(events):
+    return "".join(format_trace_event(ev) + "\n" for ev in events)
+
+
 def test_tracelog_round_trip_with_tuples():
-    log = TraceLog()
-    log.append(("request", 0, 3, 1, (5, 9, 12)))
-    log.append(("cache_slot", 5))
-    log.append(("overflow_exit",))
-    log.append(("complete", -1, 2))
-    back = TraceLog.from_lines(log.to_lines())
-    assert back.events == log.events
+    events = [
+        ("request", 0, 3, 1, (5, 9, 12)),
+        ("cache_slot", 5),
+        ("overflow_exit",),
+        ("complete", -1, 2),
+    ]
+    text = _trace_text(events)
+    assert text.splitlines()[0] == "request 0 3 1 5,9,12,"
+    back = parse_trace(text)
+    assert back == events
     # a second round trip is a fixed point
-    assert TraceLog.from_lines(back.to_lines()).events == log.events
+    assert _trace_text(back) == text
 
 
 def test_tracelog_real_run_round_trip():
     res = _traced_run(gnp_graph(30, 0.2, seed=5))
     for tr in res.traces:
-        log = TraceLog(tr)
-        assert TraceLog.from_lines(log.to_lines()).events == log.events
+        assert parse_trace(_trace_text(tr)) == tr
 
 
 # -- request dedup replay ----------------------------------------------------

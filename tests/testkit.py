@@ -10,87 +10,38 @@ random-IO tallies the queues report.
 
 import random
 
-from .gen import (
-    complete_graph,
-    fig4_data_graph,
-    gnp_graph,
-    hub_cluster_graph,
-    labeled_gnp_graph,
-    path_graph,
-    star_graph,
-)
-from .minhash import TaskKey, minhash_signature
-from .serialize import encode_record
-from .taskqueue import QueueStorage, TaskRecord
+from submine.minhash import TaskKey, minhash_signature
+from submine.taskqueue import QueueStorage, TaskRecord
 
 
 class TraceViolation(AssertionError):
     pass
 
 
-class TraceLog:
-    """An append-only, per-worker-ordered event list.
+def _parse_field(tok):
+    if tok.endswith(","):
+        return tuple(int(x) for x in tok[:-1].split(",") if x)
+    if tok.lstrip("-").isdigit():
+        return int(tok)
+    return tok
 
-    Events are plain tuples (name, fields...).  to_lines/from_lines give
-    the newline-delimited form for postmortems; in tests traces stay in
-    memory.
-    """
 
-    def __init__(self, events=()):
-        self.events = list(events)
-
-    def append(self, ev):
-        self.events.append(tuple(ev))
-
-    def extend(self, evs):
-        for ev in evs:
-            self.append(ev)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self):
-        return len(self.events)
-
-    @staticmethod
-    def _fmt_field(f):
-        if isinstance(f, (tuple, list)):
-            return ",".join(str(x) for x in f) + ","
-        return str(f)
-
-    @staticmethod
-    def _parse_field(tok):
-        if tok.endswith(","):
-            return tuple(int(x) for x in tok[:-1].split(",") if x)
-        if tok.lstrip("-").isdigit():
-            return int(tok)
-        return tok
-
-    def to_lines(self):
-        return "\n".join(
-            " ".join(self._fmt_field(f) for f in ev) for ev in self.events
-        )
-
-    @classmethod
-    def from_lines(cls, text):
-        out = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
+def parse_trace(text):
+    """The events of a trace file (the form `submine run --trace` writes):
+    one event per line, space-separated fields, tuples comma-terminated."""
+    events = []
+    for line in text.splitlines():
+        if line.strip():
             name, *fields = line.split()
-            out.append((name, *(cls._parse_field(f) for f in fields)))
-        return out
-
-
-def _events(trace):
-    return trace.events if isinstance(trace, TraceLog) else trace
+            events.append((name, *map(_parse_field, fields)))
+    return events
 
 
 def assert_dedup(trace):
     """No vertex id may appear in two pull-request events of the same
     worker round.  Raises TraceViolation naming worker, round, and id."""
     seen = {}
-    for ev in _events(trace):
+    for ev in trace:
         if ev[0] != "request":
             continue
         _, wid, rnd, _dst, ids = ev
@@ -112,7 +63,7 @@ def assert_cache_bound(trace, capacity):
     resident = 0
     limit = capacity
     in_overflow = False
-    for i, ev in enumerate(_events(trace)):
+    for i, ev in enumerate(trace):
         name = ev[0]
         if name == "cache_slot":
             resident += 1
@@ -138,7 +89,7 @@ def replay_residency(trace):
     cache's own counters."""
     resident = 0
     peak = 0
-    for ev in _events(trace):
+    for ev in trace:
         if ev[0] == "cache_slot":
             resident += 1
             peak = max(peak, resident)
@@ -227,25 +178,3 @@ def gen_queue_ops(seed, n_ops, enqueue_bias=0.6):
             pending -= 1
     ops.extend([("fetch",)] * pending)
     return ops
-
-
-__all__ = [
-    "CountingStorage",
-    "TraceLog",
-    "TraceViolation",
-    "assert_cache_bound",
-    "assert_dedup",
-    "complete_graph",
-    "encode_record",
-    "fig4_data_graph",
-    "gen_pull_sets",
-    "gen_queue_ops",
-    "gnp_graph",
-    "hub_cluster_graph",
-    "labeled_gnp_graph",
-    "make_records",
-    "minhash_key",
-    "path_graph",
-    "replay_residency",
-    "star_graph",
-]

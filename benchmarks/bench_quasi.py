@@ -4,9 +4,11 @@
 Runs the quasi-clique job (gamma = 0.6, min_size = 4) on 1 worker over
 `gnp_graph(n, 0.04, seed=1)` for n = 200, 250 and 300, checks each
 result count against the known answer, and prints one JSON line:
-seconds and result count per n (best of N).  The ego nets here reach
-about 100 vertices, so the time is the search's pruning, not the
-engine's pull path.
+seconds and result count per n (best of N), and how many tasks ran at
+once (`tasks_local`) and how many queue entries the job made
+(`queue_enqueued`; 0 when no task ever lacked a vertex).  The ego nets
+here reach about 100 vertices, so the time is the search's pruning, not
+the engine's pull path.
 
     python3 benchmarks/bench_quasi.py --repeat 3
 """
@@ -31,7 +33,7 @@ def _run(n):
     app = make_app("quasiclique", gamma=GAMMA, min_size=MIN_SIZE)
     t0 = time.perf_counter()
     res = run_job(RunConfig(workers=1), app, graph=graph)
-    return time.perf_counter() - t0, res.aggregate, len(res.result_lines())
+    return time.perf_counter() - t0, res
 
 
 def main(argv=None):
@@ -44,13 +46,16 @@ def main(argv=None):
     for n, want in EXPECTED.items():
         best = None
         for _ in range(args.repeat):
-            s, aggregate, lines = _run(n)
-            if aggregate != want or lines != want:
-                raise SystemExit(f"n={n}: {aggregate} results ({lines} lines), "
-                                 f"expected {want}")
+            s, res = _run(n)
+            lines = len(res.result_lines())
+            if res.aggregate != want or lines != want:
+                raise SystemExit(f"n={n}: {res.aggregate} results ({lines} "
+                                 f"lines), expected {want}")
             best = s if best is None else min(best, s)
         out[f"n{n}_s"] = round(best, 3)
         out[f"n{n}_results"] = want
+        for key in ("tasks_local", "queue_enqueued"):
+            out[f"n{n}_{key}"] = res.metrics[key]
     print(json.dumps(out))
     return 0
 

@@ -35,8 +35,8 @@ from .graph import (
     AdjItem,
     Graph,
     Vertex,
-    graph_sha256,
     read_graph,
+    read_graph_sha256,
     write_graph,
 )
 
@@ -192,13 +192,12 @@ def format_trace_event(ev):
 def cmd_run(args):
     eff = _effective_config(args)
     app = _build_app(args, eff)
-    graph = read_graph(args.input)
+    graph, input_sha = read_graph_sha256(args.input)
     cfg = _run_config(args, eff)
     result = run_job(cfg, app, graph)
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
-    _write_manifest(os.path.join(outdir, "manifest.txt"), args, eff,
-                    graph_sha256(args.input))
+    _write_manifest(os.path.join(outdir, "manifest.txt"), args, eff, input_sha)
     _write_metrics(os.path.join(outdir, "metrics.txt"), result)
     _write_results(outdir, result, cfg.workers)
     if args.trace and result.traces is not None:

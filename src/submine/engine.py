@@ -1,8 +1,18 @@
 """The worker runtime.
 
 Each worker owns a partition of the vertex table, a disk-spilling task
-queue, and a bounded cache of remote vertices, and repeats three-step
-rounds until its queue drains:
+queue, and a bounded cache of remote vertices.  A task that lacks no
+vertex -- every id it pulls is local, or already filled in the cache --
+runs at once and never enters the queue; only a task that still needs a
+remote vertex is keyed, encoded and queued.  One test (`_ready`) decides
+this for a seed, for a child spawned by add_task, and for a task's next
+iteration.
+
+Seeding walks the local vertices in id order and computes each ready
+seed task on the spot, together with its ready children (a worklist, not
+recursion); everything else, including what those tasks spawn or
+requeue, is handed to the queue in one bulk load.  Then the worker
+repeats three-step rounds until its queue drains:
 
 1. task fetching -- pop tasks from the queue into the round batch until
    the batch buffer is full or the cache cannot reserve a task's pull
@@ -17,17 +27,23 @@ rounds until its queue drains:
    the vertices it pulled in the previous iteration, in pull-call order)
    until it either finishes or pulls a vertex that is neither local nor
    cached; in that case it is re-keyed by its new pull set and requeued.
-   New tasks spawned by compute stay on this worker.
+   New tasks spawned by compute stay on this worker: ready ones run in
+   the same round, the rest are queued.
+
+A worker whose tasks are all ready (every single-worker job whose apps
+pull only graph vertices) finishes inside seeding and runs no round.
 
 Workers exchange vertices only: a per-worker responder thread answers
 pull requests from the worker's local table (optionally through the
 app's respond hook, which may send a pruned copy), so computation never
 blocks remote requesters.  Aggregation is per-worker with an optional
 periodic sync that publishes local values and a merged global snapshot;
-a final merge always runs at job end.  There is no global round barrier;
-a job ends when every worker's queue is empty and it carries no task
-into a next round, which the coordinating thread observes by joining the
-compute threads.
+each worker also publishes once when its seeding ends, and a final merge
+always runs at job end.  There is no global round barrier; a job ends
+when every worker's queue is empty and it carries no task into a next
+round, which the coordinating thread observes by joining the compute
+threads.  A worker checks the job's stop flag between tasks, so a peer's
+failure ends even a long seed phase within a task.
 """
 
 import os
@@ -207,10 +223,13 @@ class Task:
         self._worker = None
 
 
+# tasks_local counts the seeded and spawned tasks that ran at once,
+# without a queue entry; every other created task, and every requeue, is
+# one queue entry.
 _METRIC_KEYS = (
     "rounds", "tasks_seeded", "tasks_spawned", "tasks_completed",
-    "tasks_requeued", "compute_calls", "requests_sent", "responses_served",
-    "vertices_requested", "vertices_served", "overflow_episodes",
+    "tasks_local", "tasks_requeued", "compute_calls", "requests_sent",
+    "responses_served", "vertices_requested", "vertices_served", "overflow_episodes",
 )
 
 
@@ -269,6 +288,23 @@ class Worker:
         task.requested = tuple(reqs)
         task.pending = frozenset(v for v in reqs if v not in self.table)
 
+    def _ready(self, task):
+        """True when the task lacks no vertex: every id it pulls is local
+        or filled in the cache, so it can compute now, without the queue.
+        A ready task's cached pulls count as hits and refresh recency,
+        and its pending set empties."""
+        pending = task.pending
+        if not pending:
+            return True
+        cache = self.cache
+        for vid in pending:
+            if not cache.has_data(vid):
+                return False
+        for vid in pending:
+            cache.get(vid)  # recency + hit accounting
+        task.pending = frozenset()
+        return True
+
     def _key_for(self, task) -> TaskKey:
         if self.minhash_seeds is None:
             sigs = ()
@@ -313,7 +349,11 @@ class Worker:
     # -- the round loop ----------------------------------------------------
 
     def seed_all(self):
+        """Seed a task set from every local vertex, in id order.  Ready
+        tasks compute at once; the rest, with whatever those tasks spawn
+        or requeue, go to the queue in one bulk load."""
         records = []
+        enqueue = records.append
         for vid in sorted(self.table):
             v = self.table[vid]
             try:
@@ -326,10 +366,16 @@ class Worker:
             for t in tasks:
                 self._normalize(t)
                 self.metrics["tasks_seeded"] += 1
-                records.append(self._record(t))
+                if self._ready(t):
+                    self.metrics["tasks_local"] += 1
+                    self._run_tasks([t], enqueue)
+                else:
+                    enqueue(self._record(t))
         self.queue.seed_bulk(records)
+        if self.app.aggregator and self.agg is not None:
+            self.agg.publish(self.wid, self.local_value)
         if self.trace is not None:
-            self.trace.append(("seeded", len(records)))
+            self.trace.append(("seeded", self.metrics["tasks_seeded"]))
 
     def run(self):
         try:
@@ -420,8 +466,8 @@ class Worker:
                 self.trace.append(("response", self.wid, resp.src, len(resp.blobs)))
 
         # Step 3: compute every batched task to completion or requeue.
-        for task, _need in batch:
-            self._run_task(task)
+        self._run_tasks([task for task, _need in reversed(batch)],
+                        self.queue.enqueue)
 
         for _task, need in batch:
             if need:
@@ -431,7 +477,19 @@ class Worker:
         self._maybe_sync()
         return True
 
-    def _run_task(self, task):
+    def _run_tasks(self, work, enqueue):
+        """Run the tasks on the worklist `work`, last first.  Ready
+        children join the list as their parents spawn them; what lacks a
+        vertex is keyed, encoded and passed to `enqueue`."""
+        while work:
+            if self.stop.is_set():
+                raise JobAborted(f"worker {self.wid} stopped by another failure")
+            self._run_task(work.pop(), work, enqueue)
+
+    def _run_task(self, task, work, enqueue):
+        """Iterate one task to completion or until its next iteration
+        lacks a vertex.  Its ready children go on top of `work`, to run
+        next in spawn order once it stops."""
         while True:
             frontier = [self.store.resolve(vid) for vid in task.requested]
             task._begin(self)
@@ -451,34 +509,35 @@ class Worker:
             task._end()
             task.iteration += 1
             self.metrics["compute_calls"] += 1
+            ready = []
             for child in children:
                 self._normalize(child)
                 self.metrics["tasks_spawned"] += 1
-                self.queue.enqueue(self._record(child))
+                if self._ready(child):
+                    self.metrics["tasks_local"] += 1
+                    ready.append(child)
+                else:
+                    enqueue(self._record(child))
+            work.extend(reversed(ready))
             if not cont:
                 self.metrics["tasks_completed"] += 1
                 if self.trace is not None:
                     self.trace.append(("complete", task.seed_id, task.iteration))
                 return
             task.requested = tuple(task._pull_order)
-            nonlocal_ids = frozenset(
+            task.pending = frozenset(
                 v for v in task.requested if v not in self.table
             )
-            missing = [v for v in nonlocal_ids if not self.cache.has_data(v)]
-            if missing:
+            if not self._ready(task):
                 # Re-key by the new pull set and hand back to the queue.
-                task.pending = nonlocal_ids
                 self.metrics["tasks_requeued"] += 1
                 if self.trace is not None:
                     self.trace.append(
-                        ("requeue", task.seed_id, task.iteration, len(nonlocal_ids))
+                        ("requeue", task.seed_id, task.iteration, len(task.pending))
                     )
-                self.queue.enqueue(self._record(task))
+                enqueue(self._record(task))
                 return
-            # Everything already resident: keep iterating within the round.
-            for vid in nonlocal_ids:
-                self.cache.get(vid)  # recency + hit accounting
-            task.pending = frozenset()
+            # Every pull is resident: iterate again at once.
 
     def _maybe_sync(self):
         if self.app.aggregator is None or self.agg is None:

@@ -14,6 +14,7 @@ neighbors and self-loops are rejected.
 """
 
 import hashlib
+import io
 from bisect import bisect_right
 from typing import NamedTuple, Optional
 
@@ -214,28 +215,74 @@ class Graph:
 
 
 def read_graph(path) -> Graph:
-    """Load a graph from canonical text.
+    """Load a graph from canonical text; see read_graph_sha256."""
+    return read_graph_sha256(path)[0]
+
+
+class _Sha256Reader(io.RawIOBase):
+    """A raw binary reader that hashes every byte read through it."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self._raw.readinto(buf)
+        if n:
+            self.sha256.update(memoryview(buf)[:n])
+        return n
+
+
+def read_graph_sha256(path):
+    """Load a graph from canonical text, and the SHA-256 hex digest of the
+    bytes it parsed.  The file is opened once: it is hashed as it is read.
 
     Duplicate vertex ids across lines are an error, and every neighbor
     id must itself appear as a vertex line (dangling references would
-    otherwise surface later as protocol errors between workers).
+    otherwise surface later as protocol errors between workers).  Every
+    error names the file and the line.
     """
     g = Graph()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            v = parse_vertex_line(line, lineno=lineno)
-            if v.id in g.vertices:
-                raise GraphParseError(f"line {lineno}: duplicate vertex id {v.id}")
-            g.vertices[v.id] = v
+    vertices = g.vertices
+    with open(path, "rb", buffering=0) as raw:
+        hashing = _Sha256Reader(raw)
+        text = io.TextIOWrapper(io.BufferedReader(hashing, 1 << 16),
+                                encoding="utf-8")
+        try:
+            for lineno, line in enumerate(text, 1):
+                if not line.strip() or line.startswith("#"):
+                    continue
+                v = parse_vertex_line(line, lineno=lineno)
+                if v.id in vertices:
+                    raise GraphParseError(
+                        f"line {lineno}: duplicate vertex id {v.id}")
+                vertices[v.id] = v
+        except GraphParseError as e:
+            raise GraphParseError(f"{path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise GraphParseError(f"{path}: not UTF-8 text: {e.reason}") from None
     for v in g:
         for a in v.adj:
-            if a.nb not in g.vertices:
+            if a.nb not in vertices:
                 raise GraphDataError(
-                    f"vertex {v.id} references missing vertex {a.nb}"
+                    f"{path}: line {_line_of_vertex(path, v.id)}: vertex "
+                    f"{v.id} references missing vertex {a.nb}"
                 )
-    return g
+    return g, hashing.sha256.hexdigest()
+
+
+def _line_of_vertex(path, vid):
+    """The number of the line that defines `vid`; a second read of the
+    file, made only to word an error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip() and not line.startswith("#"):
+                if int(line.split("\t", 1)[0]) == vid:
+                    return lineno
+    return "?"
 
 
 def write_graph(g: Graph, path):
@@ -243,14 +290,6 @@ def write_graph(g: Graph, path):
         for vid in g.ids():
             fh.write(format_vertex_line(g[vid]))
             fh.write("\n")
-
-
-def graph_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def check_undirected(g: Graph):

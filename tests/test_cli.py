@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line driver (in-process)."""
 
+import builtins
+import hashlib
 import os
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from submine import __version__
 from submine.cli import main
 from submine.gen import complete_graph, fig4_data_graph
-from submine.graph import check_undirected, graph_sha256, read_graph, write_graph
+from submine.graph import check_undirected, read_graph, write_graph
 
 from testkit import parse_trace
 
@@ -45,7 +47,8 @@ def test_run_triangle_counts_k4(tmp_path, capsys):
     man = _manifest_dict(out)
     assert man["app"] == "triangle"
     assert man["workers"] == "2"
-    assert man["input_sha256"] == graph_sha256(g)
+    with open(g, "rb") as fh:
+        assert man["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
     assert man["queue"] == "lsh"  # default recorded even when not given
 
 
@@ -125,6 +128,42 @@ def test_run_missing_input_names_path(tmp_path, capsys):
                "--input", str(tmp_path / "absent.graph")])
     assert rc == 1
     assert "absent.graph" in capsys.readouterr().err
+
+
+def test_run_reads_input_once_and_hashes_the_parsed_bytes(
+        tmp_path, capsys, monkeypatch):
+    g = _k4(tmp_path)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if file == g:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    rc = main(["run", "--app", "triangle", "--input", g, "--workers", "2",
+               "--outdir", str(tmp_path / "out")])
+    monkeypatch.undo()
+    assert rc == 0
+    assert opened == [g]
+    with open(g, "rb") as fh:
+        want = hashlib.sha256(fh.read()).hexdigest()
+    assert _manifest_dict(tmp_path / "out")["input_sha256"] == want
+
+
+@pytest.mark.parametrize("text,want", [
+    ("1\t\t2\nx\t\t1\n", "line 2: bad vertex id 'x'"),
+    ("1\t\t2\n2\t\t1\n1\t\t2\n", "line 3: duplicate vertex id 1"),
+    ("# two vertices\n1\t\t2\n2\t\t1 3\n",
+     "line 3: vertex 2 references missing vertex 3"),
+])
+def test_run_load_error_names_file_and_line(tmp_path, capsys, text, want):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    rc = main(["run", "--app", "triangle", "--input", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {path}: {want}"
 
 
 def test_config_file_precedence(tmp_path, capsys):

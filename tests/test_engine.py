@@ -4,6 +4,8 @@ aggregation, termination, determinism."""
 import os
 import pickle
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -18,8 +20,21 @@ from submine.engine import (
     Task,
     run_job,
 )
-from submine.gen import complete_graph, gnp_graph, hub_cluster_graph, star_graph
-from submine.graph import AdjItem, Graph, GraphDataError, Vertex, partition_owner
+from submine.gen import (
+    complete_graph,
+    gnp_graph,
+    hub_cluster_graph,
+    path_graph,
+    star_graph,
+)
+from submine.graph import (
+    AdjItem,
+    Graph,
+    GraphDataError,
+    Vertex,
+    larger_neighbors,
+    partition_owner,
+)
 from submine.apps import make_app
 
 from testkit import assert_cache_bound, assert_dedup
@@ -315,9 +330,195 @@ def test_only_the_lsh_queue_computes_signatures(monkeypatch, queue_kind, ell):
                   graph=gnp_graph(30, 0.2, seed=4))
     assert res.metrics["queue_file_writes"] > 0
     assert headers and all(h == (ell, {ell}) for h in headers)
-    created = res.metrics["tasks_seeded"] + res.metrics["tasks_spawned"]
+    # one signature per queue entry on lsh, none on stream
     assert sig_calls == (0 if queue_kind == "stream"
-                         else created + res.metrics["tasks_requeued"])
+                         else res.metrics["queue_enqueued"])
+
+
+# -- tasks that lack no vertex skip the queue ----------------------------------------
+
+
+def test_single_worker_triangle_job_never_queues_a_task():
+    res = run_job(RunConfig(workers=1), make_app("triangle"),
+                  graph=gnp_graph(50, 0.2, seed=1))
+    m = res.metrics
+    assert m["tasks_seeded"] > 0
+    assert m["tasks_local"] == m["tasks_seeded"] == m["tasks_completed"]
+    assert m["queue_enqueued"] == 0
+    assert m["queue_file_writes"] == 0
+    assert m["rounds"] == 0
+
+
+def test_only_seeds_with_a_remote_pull_are_queued(monkeypatch):
+    # the triangle seed rule, counted from the graph: a seed pulls its
+    # larger neighbors but the largest
+    g = gnp_graph(80, 0.12, seed=2)
+    remote = local = 0
+    for v in g:
+        pulls = [a.nb for a in larger_neighbors(v)][:-1]
+        if len(pulls) < 1:
+            continue
+        if any(partition_owner(p, 2) != partition_owner(v.id, 2) for p in pulls):
+            remote += 1
+        else:
+            local += 1
+    assert remote and local
+    sig_calls = 0
+    real_sig = E.minhash_signature
+
+    def counting_sig(*args):
+        nonlocal sig_calls
+        sig_calls += 1
+        return real_sig(*args)
+
+    monkeypatch.setattr(E, "minhash_signature", counting_sig)
+    res = run_job(RunConfig(workers=2, buffer_capacity=4, file_capacity=2),
+                  make_app("triangle"), graph=g)
+    m = res.metrics
+    assert m["tasks_seeded"] == remote + local
+    assert m["queue_enqueued"] == remote
+    assert m["tasks_local"] == local
+    assert sum(w["tasks_local"] for w in res.per_worker) == local
+    assert sig_calls == remote
+    assert res.aggregate == run_job(RunConfig(workers=1), make_app("triangle"),
+                                    graph=g).aggregate
+
+
+def test_children_that_pull_only_local_vertices_skip_the_queue():
+    # the root spawns one child per vertex; a child that pulls a vertex of
+    # the root's worker runs at once and its own grandchild too, in spawn
+    # order, and only the children that pull a remote vertex are queued
+    g = complete_graph(12, start_id=0)
+    home = partition_owner(0, 2)
+    local = [vid for vid in range(1, 12) if partition_owner(vid, 2) == home]
+    remote = [vid for vid in range(1, 12) if partition_owner(vid, 2) != home]
+    assert local and remote
+
+    def seed(v):
+        return [Task(0, context="root")] if v.id == 0 else []
+
+    def compute(task, frontier):
+        if task.context == "root":
+            for vid in range(1, 12):
+                task.add_task(Task(0, context="leaf", pulls=(vid,)))
+            return False
+        if task.context == "leaf" and frontier[0].id in local:
+            task.add_task(Task(0, context="grandchild", pulls=(0,)))
+        task.emit(f"{task.context} {frontier[0].id}")
+        task.aggregate(1)
+        return False
+
+    res = run_job(RunConfig(workers=2), _spec("kids", seed, compute,
+                                              aggregator=_SUM), graph=g)
+    m = res.metrics
+    assert res.aggregate == 11 + len(local)
+    assert m["tasks_spawned"] == 11 + len(local)
+    assert m["tasks_local"] == 1 + 2 * len(local)
+    assert m["queue_enqueued"] == len(remote)
+    # every created task that did not run at once is one queue entry
+    assert m["queue_enqueued"] == (m["tasks_seeded"] + m["tasks_spawned"]
+                                   - m["tasks_local"] + m["tasks_requeued"])
+    ran_at_once = [line for _w, _s, line in res.emitted][:2 * len(local)]
+    assert ran_at_once == [x for vid in local
+                           for x in (f"leaf {vid}", "grandchild 0")]
+
+
+def test_children_whose_remote_pulls_are_cached_skip_the_queue():
+    # the root pulls every remote vertex once; once they are cached, the
+    # children it spawns that pull them run without a queue entry
+    g = complete_graph(10, start_id=0)
+    home = partition_owner(0, 2)
+    remote = [vid for vid in range(1, 10) if partition_owner(vid, 2) != home]
+    assert len(remote) >= 2
+
+    def seed(v):
+        return [Task(0, context="root", pulls=remote)] if v.id == 0 else []
+
+    def compute(task, frontier):
+        if task.context == "root":
+            for vid in remote:
+                task.add_task(Task(0, context="leaf", pulls=(vid,)))
+            return False
+        task.aggregate(frontier[0].degree)
+        return False
+
+    res = run_job(RunConfig(workers=2), _spec("cached", seed, compute,
+                                              aggregator=_SUM), graph=g)
+    m = res.metrics
+    assert res.aggregate == 9 * len(remote)
+    assert m["queue_enqueued"] == 1          # the root, for its pulls
+    assert m["tasks_local"] == len(remote)
+    assert m["vertices_requested"] == len(remote)
+    assert m["cache_hits"] == len(remote)    # each child's one cached pull
+
+
+def test_failing_peer_stops_a_long_seed_phase():
+    # every task is ready, so each worker computes them all while seeding;
+    # the healthy worker must notice the failure within a task or two
+    n = 400
+    g = path_graph(n)
+    bad = min(vid for vid in range(n) if partition_owner(vid, 2) == 0)
+    healthy = sum(1 for vid in range(n) if partition_owner(vid, 2) == 1)
+    raised = threading.Event()
+    calls = []
+
+    def compute(task, frontier):
+        if task.seed_id == bad:
+            raised.set()
+            raise ValueError("boom")
+        if partition_owner(task.seed_id, 2) == 1:
+            calls.append(task.seed_id)
+            if len(calls) == 1:
+                raised.wait(5.0)
+                time.sleep(0.05)  # the failing worker sets stop meanwhile
+        return False
+
+    with pytest.raises(ComputeError, match="boom"):
+        run_job(RunConfig(workers=2),
+                _spec("stop", lambda v: [Task(v.id)], compute), graph=g)
+    assert healthy > 100
+    assert len(calls) < 5
+
+
+def test_seed_phase_publishes_the_aggregate_before_the_first_round():
+    # worker 0 aggregates 7 in a task that runs while seeding; worker 1's
+    # first round must already see it, while worker 0's own first round
+    # is held until worker 1 has looked
+    g = complete_graph(8, start_id=0)
+    w0 = [vid for vid in range(8) if partition_owner(vid, 2) == 0]
+    w1 = [vid for vid in range(8) if partition_owner(vid, 2) == 1]
+    assert len(w0) >= 2 and w1
+    looked = threading.Event()
+    seen = []
+
+    def seed(v):
+        if v.id == w0[0]:
+            return [Task(v.id, context="local")]
+        if v.id == w0[1]:
+            return [Task(v.id, context="hold", pulls=(w1[0],))]
+        if v.id == w1[0]:
+            return [Task(v.id, context="watch", pulls=(w0[0],))]
+        return []
+
+    def compute(task, frontier):
+        if task.context == "local":
+            task.aggregate(7)
+        elif task.context == "hold":
+            looked.wait(5.0)
+        else:
+            deadline = time.monotonic() + 2.0
+            while task.best() != 7 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            seen.append(task.best())
+            looked.set()
+        return False
+
+    res = run_job(RunConfig(workers=2),
+                  _spec("bound", seed, compute,
+                        aggregator=AggregatorSpec(zero=int, merge=max)),
+                  graph=g)
+    assert res.aggregate == 7
+    assert seen == [7]
 
 
 # -- errors -------------------------------------------------------------------------

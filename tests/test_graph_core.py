@@ -1,5 +1,6 @@
 """Graph model, text format, ordering helpers, and partitioning."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,13 +15,13 @@ from submine.graph import (
     _check_every_edge,
     check_undirected,
     format_vertex_line,
-    graph_sha256,
     larger_neighbors,
     mix64,
     parse_vertex_line,
     partition_graph,
     partition_owner,
     read_graph,
+    read_graph_sha256,
     write_graph,
 )
 from submine.gen import complete_graph, gnp_graph
@@ -187,7 +188,9 @@ def test_read_write_round_trip(tmp_path):
     g2 = read_graph(p1)
     write_graph(g2, p2)
     assert p1.read_text() == p2.read_text()
-    assert graph_sha256(p1) == graph_sha256(p2)
+    g3, digest = read_graph_sha256(p2)
+    assert digest == hashlib.sha256(p2.read_bytes()).hexdigest()
+    assert len(g3) == len(g)
     assert len(g2) == len(g)
     for vid in g.ids():
         assert g2[vid] == g[vid]

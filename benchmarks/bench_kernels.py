@@ -15,7 +15,7 @@ import time
 from bisect import bisect_right
 
 from submine.gen import gnp_graph
-from submine.graph import larger_neighbors
+from submine.graph import larger_neighbor_ids
 from submine.kernels import pure
 
 try:
@@ -30,7 +30,7 @@ def _triangle_workload(seed, graphs=20, n=150, p=0.08):
     for s in range(graphs):
         g = gnp_graph(n, p, seed=seed + s)
         for v in g:
-            gt = [a.nb for a in larger_neighbors(v)]
+            gt = larger_neighbor_ids(v)
             if len(gt) < 2:
                 continue
             ids = gt[:-1]

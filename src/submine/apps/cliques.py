@@ -22,7 +22,7 @@ from ..engine import (
     decode_no_context,
     encode_no_context,
 )
-from ..graph import larger_neighbors, respond_larger
+from ..graph import larger_neighbor_ids, respond_larger
 from .. import kernels
 
 
@@ -55,7 +55,7 @@ def max_clique_app() -> AppSpec:
     """
 
     def seed(v):
-        return [Task(v.id, pulls=[a.nb for a in larger_neighbors(v)])]
+        return [Task(v.id, pulls=larger_neighbor_ids(v))]
 
     def compute(task, frontier):
         v = task.seed_id
@@ -103,7 +103,7 @@ def maximal_cliques_app() -> AppSpec:
     def seed(v):
         # The seed pulls itself so compute sees its own full adjacency;
         # local ids resolve from the worker table without messaging.
-        return [Task(v.id, pulls=[v.id] + [a.nb for a in larger_neighbors(v)])]
+        return [Task(v.id, pulls=[v.id] + larger_neighbor_ids(v))]
 
     def compute(task, frontier):
         v = frontier[0]

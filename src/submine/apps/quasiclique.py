@@ -72,7 +72,7 @@ from ..engine import (
     decode_no_context,
     encode_no_context,
 )
-from ..graph import larger_neighbors
+from ..graph import larger_neighbor_ids
 
 
 def _as_fraction(gamma):
@@ -100,10 +100,10 @@ def quasi_clique_app(gamma, min_size) -> AppSpec:
     need_hop2 = 2 if 2 * num > den else 1
 
     def seed(v):
-        gt = larger_neighbors(v)
+        gt = larger_neighbor_ids(v)
         if len(gt) < need_min:
             return []
-        return [Task(v.id, pulls=[a.nb for a in gt])]
+        return [Task(v.id, pulls=gt)]
 
     def compute(task, frontier):
         g = task.subgraph

@@ -12,7 +12,7 @@ import struct
 from bisect import bisect_left
 
 from ..engine import AggregatorSpec, AppSpec, Task
-from ..graph import larger_neighbors, respond_larger
+from ..graph import larger_neighbor_ids, respond_larger
 from ..kernels import count_closing_pairs
 
 _CTX = struct.Struct("<QQ")  # (largest candidate id, running count)
@@ -34,10 +34,9 @@ def triangle_app(emit_triangles=False) -> AppSpec:
     """
 
     def seed(v):
-        gt = larger_neighbors(v)
-        if len(gt) < 2:
+        ids = larger_neighbor_ids(v)
+        if len(ids) < 2:
             return []
-        ids = [a.nb for a in gt]
         return [Task(v.id, context=(ids[-1], 0), pulls=ids[:-1])]
 
     def compute(task, frontier):

@@ -32,7 +32,6 @@ from .gen import (
 )
 from .graph import (
     MASK64,
-    AdjItem,
     Graph,
     Vertex,
     read_graph,
@@ -303,7 +302,7 @@ def cmd_convert_edgelist(args):
         adj.setdefault(b, []).append(a)
     g = Graph()
     for vid in sorted(adj):
-        g.add(Vertex(vid, None, sorted(AdjItem(w) for w in adj[vid])))
+        g.add(Vertex.from_ids(vid, None, sorted(adj[vid])))
     write_graph(g, args.out)
     print(f"{args.out}: {g.num_vertices} vertices, {len(edges)} edges")
     return 0

@@ -10,7 +10,9 @@ The label field may be empty.  Neighbor attributes are short opaque
 strings; by convention in labeled graphs the first character of an
 attribute is the neighbor's vertex label (apps that match on labels rely
 on this).  Adjacency lists are sorted by neighbor id at load; duplicate
-neighbors and self-loops are rejected.
+neighbors and self-loops are rejected.  A line whose neighbors carry no
+attributes loads as a plain sorted list of neighbor ids
+(`Vertex.from_ids`); only lines with `nb:attr` tokens build `AdjItem`s.
 """
 
 import hashlib
@@ -52,6 +54,12 @@ class AdjItem(NamedTuple):
 class Vertex:
     """A vertex with a sorted adjacency list.
 
+    The list is held one of two ways: as `AdjItem`s (`Vertex(vid, label,
+    adj)`, needed when neighbors carry attributes) or as a plain list of
+    neighbor ids (`Vertex.from_ids`, what the loader and the codec build
+    for attribute-free vertices).  neighbor_ids(), degree and equality
+    read whichever is held; only `adj` builds AdjItems from ids.
+
     Treated as immutable once a graph is loaded; workers may share Vertex
     objects freely between tasks.  Responders may build pruned copies
     (shorter adjacency) to answer pull requests, so code receiving a
@@ -68,9 +76,10 @@ class Vertex:
 
     @classmethod
     def from_ids(cls, vid, label, nb_ids):
-        """A vertex whose neighbors carry no attributes, from its neighbor
-        id list, the way the codec decodes it.  `adj` is built on first
-        use; apps that read only neighbor_ids() never pay for it."""
+        """A vertex whose neighbors carry no attributes, from its sorted
+        neighbor id list, the way the loader and the codec build it.
+        `adj` is built on first use; apps that read only neighbor_ids()
+        never pay for it."""
         v = cls.__new__(cls)
         v.id = vid
         v.label = label
@@ -90,25 +99,35 @@ class Vertex:
             self._nb_ids = [a.nb for a in self._adj]
         return self._nb_ids
 
+    def neighbor_attrs(self):
+        """Neighbor attributes in adjacency order, or None for a vertex
+        built from ids, whose neighbors carry none."""
+        if self._adj is None:
+            return None
+        return [a.attr for a in self._adj]
+
     @property
     def degree(self):
-        return len(self.adj)
+        adj = self._adj
+        return len(adj) if adj is not None else len(self._nb_ids)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Vertex)
-            and self.id == other.id
-            and self.label == other.label
-            and self.adj == other.adj
-        )
+        if not (isinstance(other, Vertex) and self.id == other.id
+                and self.label == other.label
+                and self.neighbor_ids() == other.neighbor_ids()):
+            return False
+        # a vertex built from ids equals its twin whose attributes are None
+        none = [None] * self.degree
+        return ((self.neighbor_attrs() or none)
+                == (other.neighbor_attrs() or none))
 
     def __repr__(self):
         lab = f" {self.label!r}" if self.label else ""
-        return f"<Vertex {self.id}{lab} deg={len(self.adj)}>"
+        return f"<Vertex {self.id}{lab} deg={self.degree}>"
 
 
-def larger_neighbors(v: Vertex) -> list:
-    """The suffix of v's adjacency with neighbor id > v.id.
+def larger_neighbor_ids(v: Vertex) -> list:
+    """The ids in v's adjacency that are greater than v.id, ascending.
 
     Because adjacency is sorted this is a contiguous slice.  It is the
     candidate set a seed task expands: restricting expansion to larger
@@ -116,13 +135,17 @@ def larger_neighbors(v: Vertex) -> list:
     seeded at its minimum vertex.
     """
     ids = v.neighbor_ids()
-    return v.adj[bisect_right(ids, v.id):]
+    return ids[bisect_right(ids, v.id):]
 
 
 def respond_larger(v: Vertex) -> Vertex:
     """A respond hook: a copy of v holding only its larger neighbors,
     for apps that never look below a pulled vertex's own id."""
-    return Vertex(v.id, v.label, larger_neighbors(v))
+    ids = v.neighbor_ids()
+    k = bisect_right(ids, v.id)
+    if v._adj is None:
+        return Vertex.from_ids(v.id, v.label, ids[k:])
+    return Vertex(v.id, v.label, v._adj[k:])
 
 
 def partition_owner(vid: int, num_workers: int) -> int:
@@ -176,10 +199,36 @@ def parse_vertex_line(line: str, lineno=None) -> Vertex:
     return Vertex(vid, label, adj)
 
 
+def _parse_ids_line(line: str):
+    """parse_vertex_line for a line with no `:` in its neighbor field,
+    in bulk: one int() map, one sort and one set.  Returns the Vertex,
+    or None when the line has attributes or fails any check that
+    parse_vertex_line makes; that parser then words the error."""
+    parts = line.split("\t")
+    if len(parts) != 3 or ":" in parts[2]:
+        return None
+    try:
+        vid = int(parts[0])
+        ids = list(map(int, parts[2].split()))
+    except ValueError:
+        return None
+    if not 0 <= vid <= MASK64:
+        return None
+    if ids:
+        ids.sort()
+        seen = set(ids)
+        if (ids[0] < 0 or ids[-1] > MASK64 or len(seen) != len(ids)
+                or vid in seen):
+            return None
+    return Vertex.from_ids(vid, parts[1] or None, ids)
+
+
 def format_vertex_line(v: Vertex) -> str:
-    toks = []
-    for a in v.adj:
-        toks.append(f"{a.nb}:{a.attr}" if a.attr is not None else str(a.nb))
+    if v._adj is None:
+        toks = map(str, v._nb_ids)
+    else:
+        toks = [f"{a.nb}:{a.attr}" if a.attr is not None else str(a.nb)
+                for a in v._adj]
     return f"{v.id}\t{v.label or ''}\t{' '.join(toks)}"
 
 
@@ -243,7 +292,9 @@ def read_graph_sha256(path):
     Duplicate vertex ids across lines are an error, and every neighbor
     id must itself appear as a vertex line (dangling references would
     otherwise surface later as protocol errors between workers).  Every
-    error names the file and the line.
+    error names the file and the line.  A line without attributes is
+    parsed in bulk (`_parse_ids_line`); any other line, and any line
+    that fails a check, goes through parse_vertex_line.
     """
     g = Graph()
     vertices = g.vertices
@@ -253,9 +304,9 @@ def read_graph_sha256(path):
                                 encoding="utf-8")
         try:
             for lineno, line in enumerate(text, 1):
-                if not line.strip() or line.startswith("#"):
+                if line.isspace() or line.startswith("#"):
                     continue
-                v = parse_vertex_line(line, lineno=lineno)
+                v = _parse_ids_line(line) or parse_vertex_line(line, lineno)
                 if v.id in vertices:
                     raise GraphParseError(
                         f"line {lineno}: duplicate vertex id {v.id}")
@@ -264,13 +315,14 @@ def read_graph_sha256(path):
             raise GraphParseError(f"{path}: {e}") from None
         except UnicodeDecodeError as e:
             raise GraphParseError(f"{path}: not UTF-8 text: {e.reason}") from None
+    contains = vertices.__contains__
     for v in g:
-        for a in v.adj:
-            if a.nb not in vertices:
-                raise GraphDataError(
-                    f"{path}: line {_line_of_vertex(path, v.id)}: vertex "
-                    f"{v.id} references missing vertex {a.nb}"
-                )
+        if not all(map(contains, v.neighbor_ids())):
+            nb = next(nb for nb in v.neighbor_ids() if nb not in vertices)
+            raise GraphDataError(
+                f"{path}: line {_line_of_vertex(path, v.id)}: vertex "
+                f"{v.id} references missing vertex {nb}"
+            )
     return g, hashing.sha256.hexdigest()
 
 
@@ -337,15 +389,15 @@ def _check_every_edge(g: Graph):
     for v in g:
         if not 0 <= v.id <= MASK64:
             raise GraphDataError(f"vertex id {v.id} does not fit in 64 bits")
-        for a in v.adj:
-            w = g.vertices.get(a.nb)
+        for nb in v.neighbor_ids():
+            w = g.vertices.get(nb)
             if w is None:
-                raise GraphDataError(f"vertex {v.id} references missing {a.nb}")
+                raise GraphDataError(f"vertex {v.id} references missing {nb}")
             ids = w.neighbor_ids()
             k = bisect_right(ids, v.id) - 1
             if k < 0 or ids[k] != v.id:
                 raise GraphDataError(
-                    f"edge ({v.id},{a.nb}) is not symmetric"
+                    f"edge ({v.id},{nb}) is not symmetric"
                 )
 
 

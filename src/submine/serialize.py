@@ -50,7 +50,6 @@ spill file
 import struct
 import zlib
 from itertools import islice, repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import AdjItem, Subgraph, Vertex
@@ -67,7 +66,6 @@ _FILE_HEAD_SIZE = _FILE_HEAD.size + 4  # the CRC follows the fixed header
 _NONE_LEN = 0xFFFFFFFF
 _LABEL = 1
 _ATTRS = 2
-_attr_of = itemgetter(1)
 
 
 class CorruptData(ValueError):
@@ -127,11 +125,12 @@ def _strings_at(data, off, k):
 
 
 def encode_vertex(v: Vertex) -> bytes:
-    d = len(v.adj)
-    attrs = list(map(_attr_of, v.adj))
+    ids = v.neighbor_ids()
+    d = len(ids)
+    attrs = v.neighbor_attrs()
     flags = (_LABEL if v.label is not None else 0) | (
-        _ATTRS if attrs.count(None) != d else 0)
-    out = struct.pack(f"<QI{d}QB", v.id, d, *v.neighbor_ids(), flags)
+        _ATTRS if attrs is not None and attrs.count(None) != d else 0)
+    out = struct.pack(f"<QI{d}QB", v.id, d, *ids, flags)
     if flags & _LABEL:
         out += _pack_strings([v.label])
     if flags & _ATTRS:

@@ -32,8 +32,10 @@ from submine.graph import (
     Graph,
     GraphDataError,
     Vertex,
-    larger_neighbors,
+    larger_neighbor_ids,
     partition_owner,
+    read_graph,
+    write_graph,
 )
 from submine.apps import make_app
 
@@ -355,7 +357,7 @@ def test_only_seeds_with_a_remote_pull_are_queued(monkeypatch):
     g = gnp_graph(80, 0.12, seed=2)
     remote = local = 0
     for v in g:
-        pulls = [a.nb for a in larger_neighbors(v)][:-1]
+        pulls = larger_neighbor_ids(v)[:-1]
         if len(pulls) < 1:
             continue
         if any(partition_owner(p, 2) != partition_owner(v.id, 2) for p in pulls):
@@ -519,6 +521,34 @@ def test_seed_phase_publishes_the_aggregate_before_the_first_round():
                   graph=g)
     assert res.aggregate == 7
     assert seen == [7]
+
+
+# -- attribute-free graphs stay neighbor-id lists ------------------------------------
+
+
+def test_text_graph_jobs_never_build_adjacency_items(tmp_path, monkeypatch):
+    # a graph read from text without attributes holds plain id lists; no
+    # seed, compute or respond hook may turn them into AdjItems
+    path = tmp_path / "g.txt"
+    write_graph(gnp_graph(70, 0.15, seed=4), path)
+    sent = []
+    encode = E.encode_vertex
+
+    def recording_encode(v):
+        sent.append(v)
+        return encode(v)
+
+    monkeypatch.setattr(E, "encode_vertex", recording_encode)
+    quasi = make_app("quasiclique", gamma="0.6", min_size=4)
+    for app, workers in ((make_app("triangle"), 1), (make_app("triangle"), 2),
+                         (quasi, 2)):
+        g = read_graph(path)
+        assert all(v._adj is None for v in g)
+        res = run_job(RunConfig(workers=workers), app, graph=g)
+        assert res.metrics["tasks_seeded"] > 0
+        assert [v.id for v in g if v._adj is not None] == []
+    assert sent, "the 2-worker jobs pulled nothing"
+    assert [v.id for v in sent if v._adj is not None] == []
 
 
 # -- errors -------------------------------------------------------------------------

@@ -15,13 +15,14 @@ from submine.graph import (
     _check_every_edge,
     check_undirected,
     format_vertex_line,
-    larger_neighbors,
+    larger_neighbor_ids,
     mix64,
     parse_vertex_line,
     partition_graph,
     partition_owner,
     read_graph,
     read_graph_sha256,
+    respond_larger,
     write_graph,
 )
 from submine.gen import complete_graph, gnp_graph
@@ -102,9 +103,9 @@ def test_format_parse_round_trip():
 
 def test_larger_neighbors_basic():
     v = Vertex(5, None, [AdjItem(2), AdjItem(7), AdjItem(9)])
-    assert [a.nb for a in larger_neighbors(v)] == [7, 9]
+    assert larger_neighbor_ids(v) == [7, 9]
     w = Vertex(9, None, [AdjItem(2), AdjItem(7)])
-    assert larger_neighbors(w) == []
+    assert larger_neighbor_ids(w) == []
 
 
 def test_vertex_from_ids_builds_adjacency_on_first_use():
@@ -114,8 +115,36 @@ def test_vertex_from_ids_builds_adjacency_on_first_use():
     assert plain == Vertex(5, "a", [AdjItem(2), AdjItem(7), AdjItem(9)])
     assert all(type(a) is AdjItem for a in plain.adj)
     assert plain.adj is plain.adj
-    assert [a.nb for a in larger_neighbors(plain)] == [7, 9]
+    assert larger_neighbor_ids(plain) == [7, 9]
     assert plain.degree == 3
+
+
+def test_vertex_accessors_build_neither_representation():
+    plain = Vertex.from_ids(5, "a", [2, 7, 9])
+    items = Vertex(5, "a", [AdjItem(2), AdjItem(7), AdjItem(9)])
+    assert plain.degree == items.degree == 3
+    assert plain.neighbor_attrs() is None
+    assert items.neighbor_attrs() == [None, None, None]
+    assert plain == items and items == plain
+    assert plain != Vertex(5, "a", [AdjItem(2), AdjItem(7, "x"), AdjItem(9)])
+    assert Vertex(5, "a", [AdjItem(2), AdjItem(7, "x"), AdjItem(9)]) != plain
+    assert plain != Vertex.from_ids(5, "a", [2, 7])
+    assert plain != Vertex.from_ids(5, "b", [2, 7, 9])
+    assert Vertex.from_ids(5, None, []) == Vertex(5, None, [])
+    assert repr(plain) == "<Vertex 5 'a' deg=3>"
+    assert plain._adj is None  # no accessor above built AdjItems
+    items_only = Vertex(6, None, [AdjItem(1)])
+    assert items_only.degree == 1
+    assert items_only._nb_ids is None  # degree caches no id list either
+
+
+def test_respond_larger_keeps_the_representation():
+    plain = Vertex.from_ids(5, "a", [2, 7, 9])
+    pruned = respond_larger(plain)
+    assert pruned.neighbor_ids() == [7, 9] and pruned.label == "a"
+    assert pruned._adj is None and plain._adj is None
+    labeled = Vertex(5, "a", [AdjItem(2, "x"), AdjItem(7, "y"), AdjItem(9)])
+    assert respond_larger(labeled).adj == [AdjItem(7, "y"), AdjItem(9)]
 
 
 def test_larger_neighbors_matches_filter_oracle():
@@ -125,7 +154,7 @@ def test_larger_neighbors_matches_filter_oracle():
         nbs = sorted(rng.sample([i for i in range(150) if i != vid],
                                 rng.randint(0, 50)))
         v = Vertex(vid, None, [AdjItem(nb) for nb in nbs])
-        got = [a.nb for a in larger_neighbors(v)]
+        got = larger_neighbor_ids(v)
         assert got == [nb for nb in nbs if nb > vid]
         smaller = [nb for nb in nbs if nb < vid]
         # the two parts partition the adjacency
@@ -215,6 +244,134 @@ def test_read_graph_dangling_reference(tmp_path):
     p.write_text("1\t\t2 9\n2\t\t1\n")
     with pytest.raises(GraphDataError, match="missing vertex 9"):
         read_graph(p)
+
+
+# -- the bulk parse path of read_graph -------------------------------------
+
+_FUZZ_IDS = 24  # every file defines vertices 0 .. _FUZZ_IDS - 1
+_ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                        "\u0665\u0666\u0667\u0668\u0669")
+_FULLWIDTH = str.maketrans("0123456789", "".join(
+    chr(0xFF10 + d) for d in range(10)))
+_MUTATIONS = (
+    "neg_nb", "neg_vid", "huge_nb", "huge_vid", "max_nb", "dup", "self",
+    "empty", "two_fields", "bad_token", "bad_vid", "empty_attr", "attrs",
+)
+
+
+def _spell(rng, n):
+    """A spelling of id n that int() reads as n."""
+    s = str(n)
+    form = rng.randrange(8)
+    if form == 0:
+        return "+" + s
+    if form == 1 and len(s) > 1:
+        return s[0] + "_" + s[1:]
+    if form == 2:
+        return s.translate(_ARABIC)
+    if form == 3:
+        return s.translate(_FULLWIDTH)
+    return s
+
+
+def _fuzz_line(rng, vid, mutation):
+    nbs = rng.sample([i for i in range(_FUZZ_IDS) if i != vid],
+                     rng.randint(0, 7))
+    toks = [_spell(rng, nb) for nb in nbs]
+    vtok = _spell(rng, vid)
+    if mutation == "neg_nb":
+        toks.insert(rng.randrange(len(toks) + 1), f"-{rng.randrange(1, 9)}")
+    elif mutation == "neg_vid":
+        vtok = f"-{vid + 1}"
+    elif mutation == "huge_nb":
+        toks.append(str(2 ** 64 + rng.randrange(3)))
+    elif mutation == "huge_vid":
+        vtok = str(2 ** 64 + vid)
+    elif mutation == "max_nb":
+        toks.append(str(2 ** 64 - 1))
+    elif mutation == "dup" and toks:
+        toks.insert(rng.randrange(len(toks) + 1), _spell(rng, nbs[0]))
+    elif mutation == "self":
+        toks.insert(rng.randrange(len(toks) + 1), _spell(rng, vid))
+    elif mutation == "empty":
+        toks = []
+    elif mutation == "bad_token":
+        bad = rng.choice(["x7", "7x", "1.0", "--3"])
+        toks.insert(rng.randrange(len(toks) + 1), bad)
+    elif mutation == "bad_vid":
+        vtok = rng.choice(["v7", "", "1e3"])
+    elif mutation == "empty_attr" and toks:
+        toks[0] += ":"
+    elif mutation == "attrs":
+        toks = [t + ":" + rng.choice("abc") if rng.random() < 0.6 else t
+                for t in toks]
+    sep = rng.choice([" ", " ", "  ", "\x0c", "\u2003"])
+    label = rng.choice(["", "", "a", "lbl"])
+    if mutation == "two_fields":
+        return f"{vtok}\t{label}"
+    return f"{vtok}\t{label}\t{sep.join(toks)}"
+
+
+def _reference_load(path):
+    """What read_graph must give, through parse_vertex_line alone: the
+    vertices (and whether each line had no `:`), or the error message."""
+    vertices = {}
+    ids_only = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            try:
+                v = parse_vertex_line(line, lineno=lineno)
+            except GraphParseError as e:
+                return f"{path}: {e}", None
+            if v.id in vertices:
+                return (f"{path}: line {lineno}: duplicate vertex id {v.id}",
+                        None)
+            vertices[v.id] = v
+            ids_only[v.id] = ":" not in line.split("\t")[2]
+    return vertices, ids_only
+
+
+def test_bulk_parse_matches_parse_vertex_line(tmp_path):
+    rng = random.Random(2024)
+    outcomes = {m: set() for m in _MUTATIONS}
+    for case in range(400):
+        order = list(range(_FUZZ_IDS))
+        rng.shuffle(order)
+        mutated = {}
+        for vid in rng.sample(order, rng.randint(0, 2)):
+            mutated[vid] = rng.choice(_MUTATIONS)
+        plain = "attrs" if rng.random() < 0.2 else None  # unmutated lines
+        lines = [_fuzz_line(rng, vid, mutated.get(vid, plain)) for vid in order]
+        lines.append(f"{2 ** 64 - 1}\t\t")  # the target of max_nb
+        if rng.random() < 0.3:
+            filler = rng.choice(["# note", "", " \t"])
+            lines.insert(rng.randrange(len(lines)), filler)
+        path = tmp_path / f"g{case}.txt"
+        eol = rng.choice(["\n", "\r\n"])
+        path.write_bytes(eol.join(lines).encode("utf-8"))
+
+        want, ids_only = _reference_load(path)
+        if isinstance(want, str):
+            with pytest.raises(GraphParseError) as err:
+                read_graph(path)
+            assert str(err.value) == want
+        else:
+            g = read_graph(path)
+            assert list(g.vertices) == list(want)
+            for vid, v in want.items():
+                got = g[vid]
+                assert got == v
+                assert (got._adj is None) == ids_only[vid]
+        for m in set(mutated.values()):
+            outcomes[m].add(isinstance(want, str))
+    # every mutation was drawn, and the ones that break a line did break one
+    assert all(outcomes.values()), outcomes
+    for m in ("neg_nb", "neg_vid", "huge_nb", "huge_vid", "self",
+              "two_fields", "bad_token", "bad_vid"):
+        assert outcomes[m] == {True}, m
+    assert False in outcomes["max_nb"] and False in outcomes["empty"]
 
 
 def test_check_undirected():

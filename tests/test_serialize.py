@@ -1,6 +1,7 @@
 """Binary encodings: round trips, canonical form, corruption errors."""
 
 import random
+import struct
 
 import pytest
 
@@ -35,6 +36,19 @@ def test_vertex_round_trip():
         assert vertex_from_bytes(blob) == v
         # canonical: re-encoding the decoded value is byte-identical
         assert encode_vertex(vertex_from_bytes(blob)) == blob
+
+
+def test_id_only_vertex_encodes_like_its_adjacency_twin():
+    rng = random.Random(3)
+    for _ in range(100):
+        v = _random_vertex(rng)
+        twin = Vertex(v.id, v.label, [AdjItem(nb) for nb in v.neighbor_ids()])
+        plain = Vertex.from_ids(v.id, v.label, list(v.neighbor_ids()))
+        assert encode_vertex(plain) == encode_vertex(twin)
+        assert plain._adj is None  # encoding read ids only
+    # the bytes themselves: id, degree, ids, presence, one-string label block
+    assert encode_vertex(Vertex.from_ids(7, "a", [1, 9])) == (
+        struct.pack("<QI2QB", 7, 2, 1, 9, 1) + struct.pack("<I", 1) + b"a")
 
 
 def test_vertex_none_vs_empty_label():

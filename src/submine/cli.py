@@ -39,16 +39,21 @@ from .graph import (
     write_graph,
 )
 
+# job flag -> the RunConfig field it sets; its default is that field's
+_RUN_FIELDS = {
+    "workers": "workers",
+    "buffer_capacity": "buffer_capacity",
+    "file_capacity": "file_capacity",
+    "cache_capacity": "cache_capacity",
+    "queue": "queue_kind",
+    "ell": "ell",
+    "seed": "run_seed",
+    "sync_rounds": "sync_every_rounds",
+    "sync_ms": "sync_every_ms",
+}
+
 DEFAULTS = {
-    "workers": 8,
-    "buffer_capacity": 1000,
-    "file_capacity": 100,
-    "cache_capacity": 1_000_000,
-    "queue": "lsh",
-    "ell": 4,
-    "seed": 1,
-    "sync_rounds": 1,
-    "sync_ms": None,
+    **{flag: getattr(RunConfig, f) for flag, f in _RUN_FIELDS.items()},
     "gamma": "0.6",
     "min_size": 4,
 }
@@ -118,20 +123,9 @@ def _build_app(args, eff):
 
 
 def _run_config(args, eff):
-    sync_rounds = eff["sync_rounds"]
-    return RunConfig(
-        workers=eff["workers"],
-        buffer_capacity=eff["buffer_capacity"],
-        file_capacity=eff["file_capacity"],
-        cache_capacity=eff["cache_capacity"],
-        queue_kind=eff["queue"],
-        ell=eff["ell"],
-        run_seed=eff["seed"],
-        sync_every_rounds=sync_rounds if sync_rounds else None,
-        sync_every_ms=eff["sync_ms"],
-        workdir=args.workdir,
-        collect_trace=args.trace,
-    )
+    fields = {f: eff[flag] for flag, f in _RUN_FIELDS.items()}
+    fields["sync_every_rounds"] = fields["sync_every_rounds"] or None  # 0: off
+    return RunConfig(**fields, workdir=args.workdir, collect_trace=args.trace)
 
 
 def _fmt_aggregate(app_name, aggregate):

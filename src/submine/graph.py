@@ -10,14 +10,16 @@ The label field may be empty.  Neighbor attributes are short opaque
 strings; by convention in labeled graphs the first character of an
 attribute is the neighbor's vertex label (apps that match on labels rely
 on this).  Adjacency lists are sorted by neighbor id at load; duplicate
-neighbors and self-loops are rejected.  A line whose neighbors carry no
-attributes loads as a plain sorted list of neighbor ids
-(`Vertex.from_ids`); only lines with `nb:attr` tokens build `AdjItem`s.
+neighbors and self-loops are rejected.  A vertex holds its sorted
+neighbor ids plus a parallel attribute list that is None whenever no
+neighbor carries an attribute (see Vertex), so an attribute-free line
+loads as one plain id list.
 """
 
 import hashlib
 import io
 from bisect import bisect_right
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 MASK64 = (1 << 64) - 1
@@ -52,13 +54,16 @@ class AdjItem(NamedTuple):
 
 
 class Vertex:
-    """A vertex with a sorted adjacency list.
+    """A vertex: its id, its label and its adjacency, held as the sorted
+    list of neighbor ids plus a parallel list of neighbor attributes.
+    The attribute list is None whenever no neighbor carries an
+    attribute, so each vertex has exactly one representation and
+    equality is a plain compare.
 
-    The list is held one of two ways: as `AdjItem`s (`Vertex(vid, label,
-    adj)`, needed when neighbors carry attributes) or as a plain list of
-    neighbor ids (`Vertex.from_ids`, what the loader and the codec build
-    for attribute-free vertices).  neighbor_ids(), degree and equality
-    read whichever is held; only `adj` builds AdjItems from ids.
+    `Vertex(vid, label, adj)` splits a sorted list of `AdjItem`s into
+    the two lists; `Vertex.from_ids` takes them as they are.  `adj` is
+    a view built on each read, for callers that want (id, attribute)
+    pairs.
 
     Treated as immutable once a graph is loaded; workers may share Vertex
     objects freely between tasks.  Responders may build pruned copies
@@ -66,60 +71,48 @@ class Vertex:
     pulled vertex must not assume its list is the full neighborhood.
     """
 
-    __slots__ = ("id", "label", "_adj", "_nb_ids")
+    __slots__ = ("id", "label", "_ids", "_attrs")
 
-    def __init__(self, vid, label=None, adj=None):
-        self.id = vid
-        self.label = label
-        self._adj = list(adj) if adj else []
-        self._nb_ids = None
+    def __init__(self, vid, label=None, adj=()):
+        self._set(vid, label, [a.nb for a in adj], [a.attr for a in adj])
 
     @classmethod
-    def from_ids(cls, vid, label, nb_ids):
-        """A vertex whose neighbors carry no attributes, from its sorted
-        neighbor id list, the way the loader and the codec build it.
-        `adj` is built on first use; apps that read only neighbor_ids()
-        never pay for it."""
+    def from_ids(cls, vid, label, ids, attrs=None):
+        """A vertex from its sorted neighbor id list and, optionally, the
+        parallel attribute list (dropped when it holds only None)."""
         v = cls.__new__(cls)
-        v.id = vid
-        v.label = label
-        v._adj = None
-        v._nb_ids = nb_ids
+        v._set(vid, label, ids, attrs)
         return v
+
+    def _set(self, vid, label, ids, attrs):
+        self.id = vid
+        self.label = label
+        self._ids = ids
+        if attrs is not None and attrs.count(None) == len(attrs):
+            attrs = None
+        self._attrs = attrs
 
     @property
     def adj(self):
-        if self._adj is None:
-            self._adj = list(map(AdjItem, self._nb_ids))
-        return self._adj
+        return list(map(AdjItem, self._ids, self._attrs or repeat(None)))
 
     def neighbor_ids(self):
-        """Neighbor ids in ascending order (cached list)."""
-        if self._nb_ids is None:
-            self._nb_ids = [a.nb for a in self._adj]
-        return self._nb_ids
+        """Neighbor ids in ascending order (the stored list)."""
+        return self._ids
 
     def neighbor_attrs(self):
-        """Neighbor attributes in adjacency order, or None for a vertex
-        built from ids, whose neighbors carry none."""
-        if self._adj is None:
-            return None
-        return [a.attr for a in self._adj]
+        """Neighbor attributes in adjacency order, or None when no
+        neighbor carries one."""
+        return self._attrs
 
     @property
     def degree(self):
-        adj = self._adj
-        return len(adj) if adj is not None else len(self._nb_ids)
+        return len(self._ids)
 
     def __eq__(self, other):
-        if not (isinstance(other, Vertex) and self.id == other.id
-                and self.label == other.label
-                and self.neighbor_ids() == other.neighbor_ids()):
-            return False
-        # a vertex built from ids equals its twin whose attributes are None
-        none = [None] * self.degree
-        return ((self.neighbor_attrs() or none)
-                == (other.neighbor_attrs() or none))
+        return isinstance(other, Vertex) and (
+            (self.id, self.label, self._ids, self._attrs)
+            == (other.id, other.label, other._ids, other._attrs))
 
     def __repr__(self):
         lab = f" {self.label!r}" if self.label else ""
@@ -141,11 +134,9 @@ def larger_neighbor_ids(v: Vertex) -> list:
 def respond_larger(v: Vertex) -> Vertex:
     """A respond hook: a copy of v holding only its larger neighbors,
     for apps that never look below a pulled vertex's own id."""
-    ids = v.neighbor_ids()
+    ids, attrs = v.neighbor_ids(), v.neighbor_attrs()
     k = bisect_right(ids, v.id)
-    if v._adj is None:
-        return Vertex.from_ids(v.id, v.label, ids[k:])
-    return Vertex(v.id, v.label, v._adj[k:])
+    return Vertex.from_ids(v.id, v.label, ids[k:], attrs and attrs[k:])
 
 
 def partition_owner(vid: int, num_workers: int) -> int:
@@ -224,11 +215,9 @@ def _parse_ids_line(line: str):
 
 
 def format_vertex_line(v: Vertex) -> str:
-    if v._adj is None:
-        toks = map(str, v._nb_ids)
-    else:
-        toks = [f"{a.nb}:{a.attr}" if a.attr is not None else str(a.nb)
-                for a in v._adj]
+    attrs = v.neighbor_attrs() or repeat(None)
+    toks = [f"{nb}:{a}" if a is not None else str(nb)
+            for nb, a in zip(v.neighbor_ids(), attrs)]
     return f"{v.id}\t{v.label or ''}\t{' '.join(toks)}"
 
 

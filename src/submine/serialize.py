@@ -52,7 +52,7 @@ import zlib
 from itertools import islice, repeat
 from typing import NamedTuple
 
-from .graph import AdjItem, Subgraph, Vertex
+from .graph import Subgraph, Vertex
 from .minhash import TaskKey
 
 MAGIC = b"SMQ1"
@@ -129,7 +129,7 @@ def encode_vertex(v: Vertex) -> bytes:
     d = len(ids)
     attrs = v.neighbor_attrs()
     flags = (_LABEL if v.label is not None else 0) | (
-        _ATTRS if attrs is not None and attrs.count(None) != d else 0)
+        _ATTRS if attrs is not None else 0)
     out = struct.pack(f"<QI{d}QB", v.id, d, *ids, flags)
     if flags & _LABEL:
         out += _pack_strings([v.label])
@@ -149,13 +149,12 @@ def _vertex_at(data, off):
     nbs = run[:d]
     _check_presence(flags)
     off = end
-    label = None
+    label = attrs = None
     if flags & _LABEL:
         (label,), off = _strings_at(data, off, 1)
     if flags & _ATTRS:
         attrs, off = _strings_at(data, off, d)
-        return Vertex(vid, label, map(AdjItem, nbs, attrs)), off
-    return Vertex.from_ids(vid, label, list(nbs)), off
+    return Vertex.from_ids(vid, label, list(nbs), attrs), off
 
 
 def vertex_from_bytes(data: bytes) -> Vertex:

@@ -8,6 +8,7 @@ import pytest
 
 from submine import __version__
 from submine.cli import main
+from submine.engine import RunConfig
 from submine.gen import complete_graph, fig4_data_graph
 from submine.graph import check_undirected, read_graph, write_graph
 
@@ -50,6 +51,22 @@ def test_run_triangle_counts_k4(tmp_path, capsys):
     with open(g, "rb") as fh:
         assert man["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
     assert man["queue"] == "lsh"  # default recorded even when not given
+
+
+def test_run_defaults_are_run_config_defaults(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--app", "triangle", "--input", _k4(tmp_path),
+               "--outdir", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    d = RunConfig()
+    want = {"workers": d.workers, "buffer_capacity": d.buffer_capacity,
+            "file_capacity": d.file_capacity,
+            "cache_capacity": d.cache_capacity, "queue": d.queue_kind,
+            "ell": d.ell, "seed": d.run_seed,
+            "sync_rounds": d.sync_every_rounds, "sync_ms": d.sync_every_ms}
+    man = _manifest_dict(out)
+    assert {k: man[k] for k in want} == {k: str(v) for k, v in want.items()}
 
 
 def test_run_emit_triangles_results_files(tmp_path, capsys):

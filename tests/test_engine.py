@@ -527,28 +527,28 @@ def test_seed_phase_publishes_the_aggregate_before_the_first_round():
 
 
 def test_text_graph_jobs_never_build_adjacency_items(tmp_path, monkeypatch):
-    # a graph read from text without attributes holds plain id lists; no
-    # seed, compute or respond hook may turn them into AdjItems
+    # a graph read from text without attributes is plain id lists; no
+    # seed, compute, respond or codec step may ask for AdjItems
     path = tmp_path / "g.txt"
     write_graph(gnp_graph(70, 0.15, seed=4), path)
     sent = []
     encode = E.encode_vertex
 
     def recording_encode(v):
-        sent.append(v)
+        sent.append(v.id)
         return encode(v)
 
+    def no_adj(v):
+        raise AssertionError(f"vertex {v.id}: adj read during a job")
+
     monkeypatch.setattr(E, "encode_vertex", recording_encode)
+    monkeypatch.setattr(Vertex, "adj", property(no_adj))
     quasi = make_app("quasiclique", gamma="0.6", min_size=4)
     for app, workers in ((make_app("triangle"), 1), (make_app("triangle"), 2),
                          (quasi, 2)):
-        g = read_graph(path)
-        assert all(v._adj is None for v in g)
-        res = run_job(RunConfig(workers=workers), app, graph=g)
+        res = run_job(RunConfig(workers=workers), app, graph=read_graph(path))
         assert res.metrics["tasks_seeded"] > 0
-        assert [v.id for v in g if v._adj is not None] == []
     assert sent, "the 2-worker jobs pulled nothing"
-    assert [v.id for v in sent if v._adj is not None] == []
 
 
 # -- errors -------------------------------------------------------------------------

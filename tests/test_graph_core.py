@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from submine import graph as graph_module
 from submine.graph import (
     AdjItem,
     Graph,
@@ -111,10 +112,11 @@ def test_larger_neighbors_basic():
 def test_vertex_from_ids_builds_adjacency_on_first_use():
     plain = Vertex.from_ids(5, "a", [2, 7, 9])
     assert plain.neighbor_ids() == [2, 7, 9]
-    assert plain._adj is None  # reading ids alone never builds AdjItems
     assert plain == Vertex(5, "a", [AdjItem(2), AdjItem(7), AdjItem(9)])
+    # the adj view is built on each read, and never cached
+    assert plain.adj == [AdjItem(2), AdjItem(7), AdjItem(9)]
     assert all(type(a) is AdjItem for a in plain.adj)
-    assert plain.adj is plain.adj
+    assert plain.adj is not plain.adj
     assert larger_neighbor_ids(plain) == [7, 9]
     assert plain.degree == 3
 
@@ -122,29 +124,35 @@ def test_vertex_from_ids_builds_adjacency_on_first_use():
 def test_vertex_accessors_build_neither_representation():
     plain = Vertex.from_ids(5, "a", [2, 7, 9])
     items = Vertex(5, "a", [AdjItem(2), AdjItem(7), AdjItem(9)])
-    assert plain.degree == items.degree == 3
-    assert plain.neighbor_attrs() is None
-    assert items.neighbor_attrs() == [None, None, None]
+    # both constructors give one form: ids, and no attribute list when
+    # no neighbor carries an attribute
     assert plain == items and items == plain
-    assert plain != Vertex(5, "a", [AdjItem(2), AdjItem(7, "x"), AdjItem(9)])
-    assert Vertex(5, "a", [AdjItem(2), AdjItem(7, "x"), AdjItem(9)]) != plain
+    assert plain.neighbor_attrs() is None and items.neighbor_attrs() is None
+    assert Vertex.from_ids(5, "a", [2, 7, 9], [None] * 3).neighbor_attrs() is None
+    assert Vertex.from_ids(5, None, []) == Vertex(5, None, []) == Vertex(5)
+    assert plain.degree == items.degree == 3
+    assert repr(plain) == "<Vertex 5 'a' deg=3>"
     assert plain != Vertex.from_ids(5, "a", [2, 7])
     assert plain != Vertex.from_ids(5, "b", [2, 7, 9])
-    assert Vertex.from_ids(5, None, []) == Vertex(5, None, [])
-    assert repr(plain) == "<Vertex 5 'a' deg=3>"
-    assert plain._adj is None  # no accessor above built AdjItems
-    items_only = Vertex(6, None, [AdjItem(1)])
-    assert items_only.degree == 1
-    assert items_only._nb_ids is None  # degree caches no id list either
+    labeled = Vertex(5, "a", [AdjItem(2, "x"), AdjItem(7, "y"), AdjItem(9)])
+    assert labeled.neighbor_ids() == [2, 7, 9]
+    assert labeled.neighbor_attrs() == ["x", "y", None]
+    assert labeled.adj == [AdjItem(2, "x"), AdjItem(7, "y"), AdjItem(9)]
+    assert labeled != plain and plain != labeled
 
 
 def test_respond_larger_keeps_the_representation():
     plain = Vertex.from_ids(5, "a", [2, 7, 9])
     pruned = respond_larger(plain)
     assert pruned.neighbor_ids() == [7, 9] and pruned.label == "a"
-    assert pruned._adj is None and plain._adj is None
+    assert pruned == Vertex.from_ids(5, "a", [7, 9])
+    assert plain.neighbor_ids() == [2, 7, 9]
     labeled = Vertex(5, "a", [AdjItem(2, "x"), AdjItem(7, "y"), AdjItem(9)])
     assert respond_larger(labeled).adj == [AdjItem(7, "y"), AdjItem(9)]
+    # a slice whose attributes are all None keeps the canonical form
+    pruned = respond_larger(Vertex(5, "a", [AdjItem(2, "x"), AdjItem(7), AdjItem(9)]))
+    assert pruned == Vertex.from_ids(5, "a", [7, 9])
+    assert pruned.neighbor_attrs() is None
 
 
 def test_larger_neighbors_matches_filter_oracle():
@@ -314,9 +322,11 @@ def _fuzz_line(rng, vid, mutation):
 
 def _reference_load(path):
     """What read_graph must give, through parse_vertex_line alone: the
-    vertices (and whether each line had no `:`), or the error message."""
+    vertices or the error message, and how many of the lines read up to
+    there read_graph must hand to parse_vertex_line (every line that
+    fails, and every valid one with a `:`; the rest take the bulk path)."""
     vertices = {}
-    ids_only = {}
+    slow = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip() or line.startswith("#"):
@@ -324,16 +334,23 @@ def _reference_load(path):
             try:
                 v = parse_vertex_line(line, lineno=lineno)
             except GraphParseError as e:
-                return f"{path}: {e}", None
+                return f"{path}: {e}", slow + 1
+            slow += ":" in line.split("\t")[2]
             if v.id in vertices:
                 return (f"{path}: line {lineno}: duplicate vertex id {v.id}",
-                        None)
+                        slow)
             vertices[v.id] = v
-            ids_only[v.id] = ":" not in line.split("\t")[2]
-    return vertices, ids_only
+    return vertices, slow
 
 
-def test_bulk_parse_matches_parse_vertex_line(tmp_path):
+def test_bulk_parse_matches_parse_vertex_line(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_parse(line, lineno=None):
+        calls.append(lineno)
+        return parse_vertex_line(line, lineno)
+
+    monkeypatch.setattr(graph_module, "parse_vertex_line", counting_parse)
     rng = random.Random(2024)
     outcomes = {m: set() for m in _MUTATIONS}
     for case in range(400):
@@ -352,7 +369,8 @@ def test_bulk_parse_matches_parse_vertex_line(tmp_path):
         eol = rng.choice(["\n", "\r\n"])
         path.write_bytes(eol.join(lines).encode("utf-8"))
 
-        want, ids_only = _reference_load(path)
+        want, slow = _reference_load(path)
+        calls.clear()
         if isinstance(want, str):
             with pytest.raises(GraphParseError) as err:
                 read_graph(path)
@@ -361,9 +379,9 @@ def test_bulk_parse_matches_parse_vertex_line(tmp_path):
             g = read_graph(path)
             assert list(g.vertices) == list(want)
             for vid, v in want.items():
-                got = g[vid]
-                assert got == v
-                assert (got._adj is None) == ids_only[vid]
+                assert g[vid] == v
+        # the valid lines without `:` took the bulk path, and only they
+        assert len(calls) == slow
         for m in set(mutated.values()):
             outcomes[m].add(isinstance(want, str))
     # every mutation was drawn, and the ones that break a line did break one

@@ -5,7 +5,14 @@ import struct
 
 import pytest
 
-from submine.graph import AdjItem, Subgraph, Vertex
+from submine.graph import (
+    AdjItem,
+    Subgraph,
+    Vertex,
+    parse_vertex_line,
+    read_graph,
+    respond_larger,
+)
 from submine.minhash import TaskKey
 from submine.serialize import (
     CorruptData,
@@ -45,10 +52,28 @@ def test_id_only_vertex_encodes_like_its_adjacency_twin():
         twin = Vertex(v.id, v.label, [AdjItem(nb) for nb in v.neighbor_ids()])
         plain = Vertex.from_ids(v.id, v.label, list(v.neighbor_ids()))
         assert encode_vertex(plain) == encode_vertex(twin)
-        assert plain._adj is None  # encoding read ids only
     # the bytes themselves: id, degree, ids, presence, one-string label block
     assert encode_vertex(Vertex.from_ids(7, "a", [1, 9])) == (
         struct.pack("<QI2QB", 7, 2, 1, 9, 1) + struct.pack("<I", 1) + b"a")
+
+
+def test_vertex_form_is_canonical_on_the_wire(tmp_path):
+    # `nb:` tokens carry no attribute: the vertex holds no attribute list
+    path = tmp_path / "g.txt"
+    path.write_text("5\ta\t2: 7:\n2\t\t5\n7\t\t5\n", encoding="utf-8")
+    v = read_graph(path)[5]
+    assert v.neighbor_attrs() is None
+    assert encode_vertex(v) == encode_vertex(parse_vertex_line("5\ta\t2 7"))
+    # a slice whose attributes are all None drops its attribute list, so
+    # its encoding has no all-None block for the decoder to reject
+    pruned = respond_larger(Vertex(5, "a", [AdjItem(2, "x"), AdjItem(7), AdjItem(9)]))
+    assert pruned.neighbor_attrs() is None
+    assert vertex_from_bytes(encode_vertex(pruned)) == pruned
+    # the bytes of an attributed vertex: id, degree, ids, presence, the
+    # label block, then one length per attribute (None is 0xFFFFFFFF)
+    assert encode_vertex(Vertex(7, "a", [AdjItem(1, "x"), AdjItem(9)])) == (
+        struct.pack("<QI2QB", 7, 2, 1, 9, 3) + struct.pack("<I", 1) + b"a"
+        + struct.pack("<2I", 1, 0xFFFFFFFF) + b"x")
 
 
 def test_vertex_none_vs_empty_label():

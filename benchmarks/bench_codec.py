@@ -41,13 +41,13 @@ def _vertex(rng, degree):
 def _triangle_task(rng):
     seed = rng.randrange(ID_SPACE // 2)
     pulls = sorted(rng.sample(range(seed + 1, ID_SPACE), 11))
-    ctx = struct.pack("<QQ", pulls[-1], 0)  # the triangle app's context
-    return TaskWire(seed, 0, tuple(pulls[:-1]), frozenset(), ctx, Subgraph())
+    ctx = struct.pack("<Q", pulls[-1])  # the triangle app's context
+    return TaskWire(seed, 0, tuple(pulls[:-1]), ctx, Subgraph())
 
 
 def _quasi_task(rng):
     """Iteration 1 of a quasi-clique task: the seed, 4 larger neighbors
-    and 16 second-hop vertices, pulling the second hop (half remote)."""
+    and 16 second-hop vertices, pulling the second hop."""
     seed = rng.randrange(ID_SPACE // 2)
     ids = sorted(rng.sample(range(seed + 1, ID_SPACE), 20))
     frontier, hop2 = ids[:4], ids[4:]
@@ -61,14 +61,13 @@ def _quasi_task(rng):
         sg.add_edge(frontier[i % 4], w)
         if i % 3 == 0:
             sg.add_edge(frontier[(i + 1) % 4], w)
-    pending = frozenset(w for w in hop2 if w % 2)
-    return TaskWire(seed, 1, tuple(hop2), pending, b"", sg)
+    return TaskWire(seed, 1, tuple(hop2), b"", sg)
 
 
 def _same_task(a, b):
-    return (a.seed_id, a.iteration, a.requested, a.pending, a.context,
+    return (a.seed_id, a.iteration, a.requested, a.context,
             a.subgraph.labels, a.subgraph.adj) == (
-        b.seed_id, b.iteration, b.requested, b.pending, b.context,
+        b.seed_id, b.iteration, b.requested, b.context,
         b.subgraph.labels, b.subgraph.adj)
 
 

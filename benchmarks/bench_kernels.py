@@ -4,6 +4,8 @@
 Times the three hot kernels on generated workloads, checks that both
 backends return identical answers while doing so, and prints a table.
 Runs fine without the extension built (compiled column shows "-").
+The last row times the clique apps' pure-Python bit readout on a wide
+mask; it has no compiled twin.
 
     python3 benchmarks/bench_kernels.py --repeat 5
 """
@@ -14,6 +16,7 @@ import sys
 import time
 from bisect import bisect_right
 
+from submine.apps.cliques import _bits
 from submine.gen import gnp_graph
 from submine.graph import larger_neighbor_ids
 from submine.kernels import pure
@@ -134,6 +137,20 @@ def bench_maximal_cliques(args):
     return len(workload), run
 
 
+def bench_bits_wide_mask(args, width=7000, bits=21, calls=200):
+    """Read the members out of a clique mask as wide as a hub's ego net.
+
+    Returns the row's call count and its best time in seconds."""
+    rng = random.Random(args.seed)
+    mask = 1 << (width - 1)
+    for i in rng.sample(range(width - 1), bits - 1):
+        mask |= 1 << i
+    best, out = _time(lambda: [_bits(mask) for _ in range(calls)], args.repeat)
+    if len(out[0]) != bits:
+        raise SystemExit("cliques_bits_wide_mask: wrong bit count")
+    return calls, best
+
+
 BENCHES = [
     ("count_closing_pairs", bench_count_closing_pairs),
     ("count_closing_pairs_hub", bench_count_closing_pairs_hub),
@@ -166,6 +183,8 @@ def main(argv=None):
                          f"{pure_t / fast_t:.1f}x"))
         else:
             rows.append((name, calls, f"{pure_t:.4f}", "-", "-"))
+    calls, bits_t = bench_bits_wide_mask(args)
+    rows.append(("cliques_bits_wide_mask", calls, f"{bits_t:.4f}", "-", "-"))
 
     header = ("kernel", "calls", "pure_s", "compiled_s", "speedup")
     widths = [max(len(str(r[i])) for r in rows + [header])

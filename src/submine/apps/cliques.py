@@ -27,13 +27,14 @@ from .. import kernels
 
 
 def _bits(mask):
+    """Indices of the set bits of `mask`, ascending.  Each step clears the
+    lowest set bit, so a mask of width n with k bits set costs O(k n / 64),
+    not the O(n^2 / 64) of shifting the whole mask once per bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -15,15 +15,11 @@ from ..engine import AggregatorSpec, AppSpec, Task
 from ..graph import larger_neighbor_ids, respond_larger
 from ..kernels import count_closing_pairs
 
-_CTX = struct.Struct("<QQ")  # (largest candidate id, running count)
-
-
-def _encode_ctx(ctx):
-    return _CTX.pack(*ctx)
+_CTX = struct.Struct("<Q")  # the largest candidate id
 
 
 def _decode_ctx(data):
-    return _CTX.unpack(data)
+    return _CTX.unpack(data)[0]
 
 
 def triangle_app(emit_triangles=False) -> AppSpec:
@@ -37,10 +33,10 @@ def triangle_app(emit_triangles=False) -> AppSpec:
         ids = larger_neighbor_ids(v)
         if len(ids) < 2:
             return []
-        return [Task(v.id, context=(ids[-1], 0), pulls=ids[:-1])]
+        return [Task(v.id, context=ids[-1], pulls=ids[:-1])]
 
     def compute(task, frontier):
-        largest, count = task.context
+        largest = task.context
         ids = [f.id for f in frontier]
         ids.append(largest)
         adj = [f.neighbor_ids() for f in frontier]
@@ -53,14 +49,14 @@ def triangle_app(emit_triangles=False) -> AppSpec:
                     k = bisect_left(nbs, ids[j])
                     if k < len(nbs) and nbs[k] == ids[j]:
                         task.emit(f"{task.seed_id} {ids[i]} {ids[j]}")
-        task.aggregate(count + found)
+        task.aggregate(found)
         return False
 
     return AppSpec(
         name="triangle",
         seed=seed,
         compute=compute,
-        encode_context=_encode_ctx,
+        encode_context=_CTX.pack,
         decode_context=_decode_ctx,
         respond=respond_larger,
         aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),

@@ -52,6 +52,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, Optional
 
 from .graph import (
@@ -136,10 +137,6 @@ class SharedAggregator:
     def snapshot(self):
         return self._snapshot
 
-    def final(self):
-        with self._lock:
-            return self._snapshot
-
 
 @dataclass
 class AppSpec:
@@ -170,31 +167,28 @@ class Task:
     iteration in pull-call order; frontier references are only valid for
     the duration of the call (copy what must be kept into the task's own
     subgraph).  pull() requests a vertex for the next iteration (local
-    ids resolve without messaging); add_task() spawns a child task that
-    inherits this task's seed attribution unless given its own.
+    ids resolve without messaging; an id pulled twice arrives once, at
+    its first place); add_task() spawns a child task that inherits this
+    task's seed attribution unless given its own.
     """
 
     __slots__ = (
         "seed_id", "context", "subgraph", "requested", "pending",
-        "iteration", "_worker", "_pull_order", "_pull_seen", "_children",
+        "iteration", "_worker", "_pull_order", "_children",
     )
 
     def __init__(self, seed_id, context=None, subgraph=None, pulls=()):
         self.seed_id = seed_id
         self.context = context
         self.subgraph = subgraph if subgraph is not None else Subgraph()
-        self.requested = tuple(pulls)
-        self.pending = frozenset()
+        self.requested = tuple(pulls)  # Worker._normalize sets `pending`
         self.iteration = 0
         self._worker = None
         self._pull_order = None
-        self._pull_seen = None
         self._children = []
 
     def pull(self, vid):
-        if vid not in self._pull_seen:
-            self._pull_seen.add(vid)
-            self._pull_order.append(vid)
+        self._pull_order.append(vid)
 
     def add_task(self, child):
         self._children.append(child)
@@ -213,7 +207,6 @@ class Task:
     def _begin(self, worker):
         self._worker = worker
         self._pull_order = []
-        self._pull_seen = set()
         self._children = []
 
     def _end(self):
@@ -276,14 +269,10 @@ class Worker:
     # -- task plumbing -----------------------------------------------------
 
     def _normalize(self, task):
-        seen = set()
-        reqs = []
-        for vid in task.requested:
-            if vid not in seen:
-                seen.add(vid)
-                reqs.append(vid)
-        task.requested = tuple(reqs)
-        task.pending = frozenset(v for v in reqs if v not in self.table)
+        """Drop repeated pulls, keeping first-pull order, and derive the
+        pulled ids that are not local."""
+        task.requested = requested = tuple(dict.fromkeys(task.requested))
+        task.pending = frozenset(filterfalse(self.table.__contains__, requested))
 
     def _ready(self, task):
         """True when the task lacks no vertex: every id it pulls is local
@@ -311,20 +300,32 @@ class Worker:
         self._seq += 1
         return key
 
+    def _admit(self, task, ready, enqueue):
+        """Normalize a new task; hand it to `ready` if it lacks no
+        vertex, else key and encode it for `enqueue`."""
+        self._normalize(task)
+        if self._ready(task):
+            self.metrics["tasks_local"] += 1
+            ready(task)
+        else:
+            enqueue(self._record(task))
+
     def _record(self, task) -> TaskRecord:
         """Key the task by its current pull set and encode it for the queue."""
         wire = TaskWire(
-            task.seed_id, task.iteration, task.requested, task.pending,
+            task.seed_id, task.iteration, task.requested,
             self.app.encode_context(task.context), task.subgraph,
         )
         return TaskRecord(self._key_for(task), encode_task(wire))
 
     def _decode(self, rec: TaskRecord) -> Task:
+        """Rebuild a queued task; its pending set is derived again from
+        this worker's table, which encoded it."""
         w = decode_task(rec.payload)
-        t = Task(w.seed_id, self.app.decode_context(w.context), w.subgraph)
-        t.requested = w.requested
-        t.pending = w.pending
+        t = Task(w.seed_id, self.app.decode_context(w.context), w.subgraph,
+                 pulls=w.requested)
         t.iteration = w.iteration
+        self._normalize(t)
         return t
 
     def _emit(self, seed_id, line):
@@ -336,12 +337,9 @@ class Worker:
         self.local_value = self.app.aggregator.merge(self.local_value, value)
 
     def _best(self):
-        spec = self.app.aggregator
-        if spec is None:
-            return None
         if self.agg is None:
-            return self.local_value
-        return spec.merge(self.local_value, self.agg.snapshot())
+            return self.local_value  # None: the app has no aggregator
+        return self.app.aggregator.merge(self.local_value, self.agg.snapshot())
 
     # -- the round loop ----------------------------------------------------
 
@@ -351,6 +349,10 @@ class Worker:
         or requeue, go to the queue in one bulk load."""
         records = []
         enqueue = records.append
+
+        def run_now(task):
+            self._run_tasks([task], enqueue)
+
         for vid in sorted(self.table):
             v = self.table[vid]
             try:
@@ -361,15 +363,10 @@ class Worker:
                     f"(worker {self.wid}): {e}"
                 ) from e
             for t in tasks:
-                self._normalize(t)
                 self.metrics["tasks_seeded"] += 1
-                if self._ready(t):
-                    self.metrics["tasks_local"] += 1
-                    self._run_tasks([t], enqueue)
-                else:
-                    enqueue(self._record(t))
+                self._admit(t, run_now, enqueue)
         self.queue.seed_bulk(records)
-        if self.app.aggregator and self.agg is not None:
+        if self.agg is not None:
             self.agg.publish(self.wid, self.local_value)
         if self.trace is not None:
             self.trace.append(("seeded", self.metrics["tasks_seeded"]))
@@ -380,7 +377,7 @@ class Worker:
             while not self.stop.is_set():
                 if not self.run_round():
                     break
-            if self.app.aggregator and self.agg is not None:
+            if self.agg is not None:
                 self.agg.publish(self.wid, self.local_value)
         except BaseException as e:
             self.err = e
@@ -389,8 +386,7 @@ class Worker:
     def run_round(self):
         cache = self.cache
         batch = []
-        to_request = []
-        requested_set = set()
+        to_request = set()
         overflow = False
 
         # Step 1: fetch tasks while the batch buffer and the cache have room.
@@ -420,10 +416,7 @@ class Worker:
                         )
                     overflow = True
             batch.append((task, need))
-            for vid in sorted(need):
-                if vid not in requested_set and not cache.has_data(vid):
-                    requested_set.add(vid)
-                    to_request.append(vid)
+            to_request.update(filterfalse(cache.has_data, need))
             if overflow:
                 break
 
@@ -437,11 +430,11 @@ class Worker:
 
         # Step 2: one deduplicated pull request per destination worker.
         by_owner = {}
-        for vid in to_request:
+        for vid in sorted(to_request):
             by_owner.setdefault(partition_owner(vid, self.cfg.workers), []).append(vid)
         outstanding = 0
         for dst in sorted(by_owner):
-            ids = sorted(by_owner[dst])
+            ids = by_owner[dst]
             self.transport.send_request(self.wid, dst, ids)
             outstanding += 1
             self.metrics["requests_sent"] += 1
@@ -508,23 +501,16 @@ class Worker:
             self.metrics["compute_calls"] += 1
             ready = []
             for child in children:
-                self._normalize(child)
                 self.metrics["tasks_spawned"] += 1
-                if self._ready(child):
-                    self.metrics["tasks_local"] += 1
-                    ready.append(child)
-                else:
-                    enqueue(self._record(child))
+                self._admit(child, ready.append, enqueue)
             work.extend(reversed(ready))
             if not cont:
                 self.metrics["tasks_completed"] += 1
                 if self.trace is not None:
                     self.trace.append(("complete", task.seed_id, task.iteration))
                 return
-            task.requested = tuple(task._pull_order)
-            task.pending = frozenset(
-                v for v in task.requested if v not in self.table
-            )
+            task.requested = task._pull_order
+            self._normalize(task)
             if not self._ready(task):
                 # Re-key by the new pull set and hand back to the queue.
                 self.metrics["tasks_requeued"] += 1
@@ -537,7 +523,7 @@ class Worker:
             # Every pull is resident: iterate again at once.
 
     def _maybe_sync(self):
-        if self.app.aggregator is None or self.agg is None:
+        if self.agg is None:
             return
         due = False
         if self.cfg.sync_every_rounds:
@@ -706,7 +692,7 @@ def run_job(cfg: RunConfig, app: AppSpec, graph: Graph) -> JobResult:
             (w.wid, seed, line) for w in workers for seed, line in w.emitted
         ]
         return JobResult(
-            aggregate=agg.final() if agg else None,
+            aggregate=agg.snapshot() if agg else None,
             emitted=emitted,
             metrics=totals,
             per_worker=per_worker,

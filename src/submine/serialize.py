@@ -1,5 +1,5 @@
 """Flat little-endian binary encodings for vertices, subgraphs, task
-payloads, and queue spill files (format version 2).
+payloads, and queue spill files (format version 3).
 
 Every run of ids is packed or unpacked with one `struct` call, and the
 string blocks (labels, edge attributes) are written only when some
@@ -32,9 +32,10 @@ subgraph
     the edge attributes (in neighbor-run order) if bit 1.
 
 task payload
-    u64 seed id, u32 iteration, u32 r, u32 p, r x u64 requested ids
-    (pull order), p x u64 sorted pending ids, u32 context length,
-    the context bytes, then the subgraph.
+    u64 seed id, u32 iteration, u32 r, r x u64 requested ids (pull
+    order), u32 context length, the context bytes, then the subgraph.
+    The ids a task still lacks are not written: the worker that decodes
+    a task is the one that encoded it, and derives them from its table.
 
 record
     u16 ell, ell x u64 minhash signatures, u64 tie-break, u32 payload
@@ -56,11 +57,11 @@ from .graph import Subgraph, Vertex
 from .minhash import TaskKey
 
 MAGIC = b"SMQ1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _U32 = struct.Struct("<I")
 _VERTEX_HEAD = struct.Struct("<QI")
-_TASK_HEAD = struct.Struct("<QIII")
+_TASK_HEAD = struct.Struct("<QII")
 _FILE_HEAD = struct.Struct("<4sHIHI")
 _FILE_HEAD_SIZE = _FILE_HEAD.size + 4  # the CRC follows the fixed header
 _NONE_LEN = 0xFFFFFFFF
@@ -240,20 +241,16 @@ class TaskWire(NamedTuple):
     seed_id: int
     iteration: int
     requested: tuple
-    pending: frozenset
     context: bytes
     subgraph: Subgraph
 
 
 def encode_task(w: TaskWire) -> bytes:
     req = w.requested
-    pend = sorted(w.pending)
     ctx = w.context
     r = len(req)
-    p = len(pend)
     return (
-        struct.pack(f"<QIII{r + p}QI", w.seed_id, w.iteration, r, p,
-                    *req, *pend, len(ctx))
+        struct.pack(f"<QII{r}QI", w.seed_id, w.iteration, r, *req, len(ctx))
         + ctx
         + encode_subgraph(w.subgraph)
     )
@@ -261,20 +258,19 @@ def encode_task(w: TaskWire) -> bytes:
 
 def decode_task(data: bytes) -> TaskWire:
     _need(data, _TASK_HEAD.size)
-    seed_id, iteration, r, p = _TASK_HEAD.unpack_from(data, 0)
+    seed_id, iteration, r = _TASK_HEAD.unpack_from(data, 0)
     off = _TASK_HEAD.size
-    end = off + 8 * (r + p) + 4
+    end = off + 8 * r + 4
     _need(data, end)
-    run = struct.unpack_from(f"<{r + p}QI", data, off)
+    run = struct.unpack_from(f"<{r}QI", data, off)
     off = end
-    end = off + run[r + p]
+    end = off + run[r]
     _need(data, end)
     context = data[off:end]
     subgraph, off = _subgraph_at(data, end)
     if off != len(data):
         raise CorruptData("trailing bytes after task")
-    return TaskWire(seed_id, iteration, run[:r], frozenset(run[r:r + p]),
-                    context, subgraph)
+    return TaskWire(seed_id, iteration, run[:r], context, subgraph)
 
 
 # -- records and spill files -----------------------------------------------

@@ -47,8 +47,9 @@ class _Entry:
 class VertexCache:
     """Bounded LRU map id -> pulled Vertex, with pin counts.
 
-    Safe under one writer (the pull-response path) and one reader (the
-    compute path) interleaving; all map mutations happen under a lock.
+    Only its worker's compute thread uses it: run_round decodes the pull
+    responses and inserts them on that thread itself.  Map mutations
+    happen under a lock.
     Metrics: hits/misses are counted at reservation and ad-hoc lookup
     time, a miss meaning "slot reserved, vertex must be fetched".
     """

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from submine.apps import APP_NAMES, make_app
+from submine.apps.cliques import _bits
 from submine.apps.gmatch import QueryGraph, fig4_query, parse_query_file
 from submine.engine import RunConfig, run_job
 from submine.gen import (
@@ -148,6 +149,20 @@ def test_maxclique_unpruned_agrees():
 
 
 # -- maximal cliques ----------------------------------------------------------------
+
+
+def test_clique_bits_match_a_reference_on_wide_masks():
+    rng = random.Random(11)
+    assert _bits(0) == []
+    for _ in range(200):
+        width = rng.randint(1, 10_000)
+        mask = 0
+        for i in rng.sample(range(width), rng.randint(0, min(width, 40))):
+            mask |= 1 << i
+        if rng.random() < 0.2:
+            mask |= (1 << width) - 1 if width <= 300 else 1 << (width - 1)
+        want = [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+        assert _bits(mask) == want
 
 
 def test_maximal_known_answers():

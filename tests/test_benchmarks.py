@@ -1,0 +1,30 @@
+"""The benchmark scripts still run against the current package: each one
+checks its own answers, so a nonzero exit means an API or result drift."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import submine
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(Path(submine.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("script,args", [
+    ("bench_codec.py", ["--repeat", "1", "--loops", "20"]),
+    ("bench_quasi.py", ["--repeat", "1"]),
+])
+def test_bench_script_runs(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / script), *args],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

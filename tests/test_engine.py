@@ -153,6 +153,40 @@ def test_pull_dedup_within_iteration():
     assert got == [[3, 4]]
 
 
+def test_repeated_pulls_collapse_across_spill_files():
+    # Each seed pulls a remote id twice; its next iteration repeats
+    # another.  The stream queue holds one task in memory and two per
+    # file, so the tasks come back from spill files, whose payloads carry
+    # only the pull list: the worker derives what is remote again.
+    g = complete_graph(12, start_id=0)
+    owned = [[vid for vid in sorted(v.id for v in g)
+              if partition_owner(vid, 2) == w] for w in (0, 1)]
+    seen = {}
+
+    def seed(v):
+        r, r2 = owned[1 - partition_owner(v.id, 2)][:2]
+        return [Task(v.id, context=(r, r2), pulls=(r, r, v.id))]
+
+    def compute(task, frontier):
+        seen[task.seed_id, task.iteration] = [f.id for f in frontier]
+        if task.iteration == 0:
+            r2 = task.context[1]
+            for vid in (r2, task.seed_id, r2):
+                task.pull(vid)
+            return True
+        return False
+
+    res = run_job(RunConfig(workers=2, queue_kind="stream", buffer_capacity=1,
+                            file_capacity=2),
+                  _spec("repeats", seed, compute), graph=g)
+    assert res.metrics["queue_file_reads"] > 0
+    assert len(seen) == 2 * len(g)
+    for v in g:
+        r, r2 = owned[1 - partition_owner(v.id, 2)][:2]
+        assert seen[v.id, 0] == [r, v.id]
+        assert seen[v.id, 1] == [r2, v.id]
+
+
 def test_multi_iteration_local_pulls_finish_in_one_round():
     # all pulls resolve locally on a single worker, so the task never
     # goes back to the queue

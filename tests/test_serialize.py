@@ -97,7 +97,7 @@ def test_subgraph_round_trip():
             if a != b:
                 sg.add_edge(a, b, attr_a=rng.choice([None, "x"]),
                             attr_b=rng.choice([None, "y"]))
-        blob = encode_task(TaskWire(1, 0, (), frozenset(), b"", sg))
+        blob = encode_task(TaskWire(1, 0, (), b"", sg))
         back = decode_task(blob)
         assert back.subgraph.labels == sg.labels
         assert back.subgraph.adj == sg.adj
@@ -115,7 +115,6 @@ def test_task_round_trip():
             seed_id=rng.randrange(10**9),
             iteration=rng.randrange(5),
             requested=tuple(rng.sample(range(100), rng.randint(0, 8))),
-            pending=frozenset(rng.sample(range(100), rng.randint(0, 8))),
             context=bytes(rng.randrange(256) for _ in range(rng.randint(0, 20))),
             subgraph=sg,
         )
@@ -123,7 +122,6 @@ def test_task_round_trip():
         assert back.seed_id == w.seed_id
         assert back.iteration == w.iteration
         assert back.requested == w.requested
-        assert back.pending == w.pending
         assert back.context == w.context
         assert back.subgraph.labels == sg.labels
         assert back.subgraph.adj == sg.adj
@@ -153,7 +151,7 @@ def test_decode_file_rejects_garbage():
         decode_file(good + b"\x00")
 
 
-# -- format version 2: layout, canonical form, strict decoding -----------------
+# -- format version 3: layout, canonical form, strict decoding -----------------
 
 
 def _vertex_shapes():
@@ -183,8 +181,7 @@ def _task_shapes():
                      ("labels", _subgraph(True, False)),
                      ("attrs", _subgraph(False, True)),
                      ("both", _subgraph(True, True))):
-        shapes[name] = TaskWire(11, 2, (30, 4, 17), frozenset({17, 30}),
-                                b"ctx", sg)
+        shapes[name] = TaskWire(11, 2, (30, 4, 17), b"ctx", sg)
     return shapes
 
 
@@ -230,7 +227,7 @@ def test_task_shapes_round_trip_canonically(name):
     w = _task_shapes()[name]
     blob = encode_task(w)
     back = decode_task(blob)
-    assert back.requested == w.requested and back.pending == w.pending
+    assert back.requested == w.requested
     assert back.subgraph.labels == w.subgraph.labels
     assert back.subgraph.adj == w.subgraph.adj
     assert encode_task(back) == blob
@@ -245,6 +242,19 @@ def test_id_runs_have_no_per_field_overhead():
     # count, ids, degrees, neighbor run, presence byte
     assert len(encode_subgraph(_subgraph(False, False))) == \
         4 + 4 * 8 + 4 * 4 + 6 * 8 + 1
+
+
+def test_task_payload_bytes_are_pinned():
+    # seed id, iteration, pull count, the pulls in pull order, context
+    # length, context, then the empty subgraph; no run of pending ids
+    blob = encode_task(TaskWire(11, 2, (30, 4, 17), b"ctx", Subgraph()))
+    assert blob == bytes.fromhex(
+        "0b00000000000000" "02000000" "03000000"
+        "1e00000000000000" "0400000000000000" "1100000000000000"
+        "03000000" "637478" "00000000")
+    # a version 3 spill file says so in its header
+    head = encode_file(8, 0, [(TaskKey((), 0), blob)])
+    assert head[:6] == b"SMQ1\x03\x00"
 
 
 def test_presence_byte_must_be_canonical():

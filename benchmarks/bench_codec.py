@@ -93,7 +93,7 @@ def _rows(seed):
          _triangle_task(rng), _same_task, 1),
         ("task_quasi_requeued", encode_task, decode_task,
          _quasi_task(rng), _same_task, 1),
-        ("spill_file_100", lambda recs: encode_file(100, 4, recs),
+        ("spill_file_100", lambda recs: encode_file(100, recs),
          lambda blob: decode_file(blob)[2], _spill_file(rng),
          lambda a, b: a == b, 0.01),
     ]

@@ -247,15 +247,14 @@ class Worker:
             cfg.cache_capacity, is_local=table.__contains__, trace=trace_cb
         )
         self.store = VertexStore(table, self.cache)
-        # The FIFO queue never reads keys, so its keys carry no signatures
-        # and its spill files say so (ell 0).
-        keyed = cfg.queue_kind == "lsh"
         self.queue = make_queue(
             cfg.queue_kind, os.path.join(workdir, f"w{wid}", "queue"),
             file_capacity=cfg.file_capacity,
-            buffer_capacity=cfg.buffer_capacity, ell=cfg.ell if keyed else 0,
+            buffer_capacity=cfg.buffer_capacity,
         )
-        self.minhash_seeds = seeds if keyed else None
+        # The FIFO queue never reads keys, so its keys carry no signatures
+        # (and its spill files say ell 0).
+        self.minhash_seeds = seeds if cfg.queue_kind == "lsh" else None
         self.local_value = app.aggregator.zero() if app.aggregator else None
         self.emitted = []
         self.resp_stats = _RespStats()
@@ -295,7 +294,7 @@ class Worker:
         if self.minhash_seeds is None:
             sigs = ()
         else:
-            sigs = minhash_signature(sorted(task.pending), self.minhash_seeds)
+            sigs = minhash_signature(task.pending, self.minhash_seeds)
         key = TaskKey(sigs, self._seq)
         self._seq += 1
         return key
@@ -400,8 +399,8 @@ class Worker:
                 task = self._decode(rec)
             need = task.pending
             if need:
-                got = cache.reserve(need)
-                if not got:
+                fresh = cache.reserve(need)
+                if fresh is None:
                     if batch:
                         self._carry = task
                         break
@@ -409,14 +408,16 @@ class Worker:
                     # task alone inside an overflow episode.
                     cache.enter_overflow(len(need))
                     self.metrics["overflow_episodes"] += 1
-                    if not cache.reserve(need):
+                    fresh = cache.reserve(need)
+                    if fresh is None:
                         raise EngineError(
                             f"reservation failed inside overflow episode "
                             f"(worker {self.wid}, seed {task.seed_id})"
                         )
                     overflow = True
+                # Ids that already had a slot are filled or requested already.
+                to_request.update(fresh)
             batch.append((task, need))
-            to_request.update(filterfalse(cache.has_data, need))
             if overflow:
                 break
 
@@ -556,17 +557,15 @@ class Worker:
         return m
 
 
-def _responder_loop(wid, table, app, transport, stop, fail, stats):
+def _responder_loop(wid, table, app, transport, fail, stats):
     """Serve pull requests from this worker's local table until shutdown.
 
     Runs on its own thread so remote workers are never starved by a long
     local compute.  Touches only the read-only table and the app respond
-    hook.
+    hook.  Only SHUTDOWN, which _run_workers always sends, ends it.
     """
     while True:
         req = transport.next_request(wid)
-        if req is None:
-            continue
         if req is SHUTDOWN:
             return
         try:
@@ -630,7 +629,7 @@ def _run_workers(cfg, app, tables, seeds, agg, workdir):
     responders = [
         threading.Thread(
             target=_responder_loop,
-            args=(i, tables[i], app, transport, stop, fail, workers[i].resp_stats),
+            args=(i, tables[i], app, transport, fail, workers[i].resp_stats),
             name=f"responder-{i}",
             daemon=True,
         )

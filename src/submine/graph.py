@@ -399,7 +399,8 @@ def partition_graph(g: Graph, num_workers: int):
 
 
 class Subgraph:
-    """A growable task-local subgraph.
+    """A growable task-local subgraph: a label per vertex (None when
+    unknown) and, per vertex, the set of its neighbor ids.
 
     Adjacency here may be a filtered subset of the global graph's (tasks
     record only the edges they have witnessed), so membership checks are
@@ -415,20 +416,20 @@ class Subgraph:
     def add_vertex(self, vid, label=None):
         if vid not in self.labels:
             self.labels[vid] = label
-            self.adj[vid] = {}
+            self.adj[vid] = set()
         elif label is not None and self.labels[vid] is None:
             self.labels[vid] = label
 
-    def add_edge(self, a, b, attr_a=None, attr_b=None):
+    def add_edge(self, a, b):
         """Record undirected edge (a, b); both endpoints must exist."""
-        self.adj[a][b] = attr_b if attr_b is not None else self.adj[a].get(b)
-        self.adj[b][a] = attr_a if attr_a is not None else self.adj[b].get(a)
+        self.adj[a].add(b)
+        self.adj[b].add(a)
 
     def has_edge(self, a, b):
         return a in self.adj and b in self.adj[a]
 
     def neighbors(self, vid):
-        return self.adj.get(vid, {})
+        return self.adj.get(vid, set())
 
     def vertices_sorted(self):
         return sorted(self.labels)

@@ -1,8 +1,8 @@
 """Flat little-endian binary encodings for vertices, subgraphs, task
-payloads, and queue spill files (format version 3).
+payloads, and queue spill files (format version 4).
 
 Every run of ids is packed or unpacked with one `struct` call, and the
-string blocks (labels, edge attributes) are written only when some
+string blocks (labels, neighbor attributes) are written only when some
 string in them is present, behind a presence byte.  Encodings are
 canonical: collections are written in sorted order and a block that
 would hold only None is left out, so encode(decode(b)) == b
@@ -27,9 +27,9 @@ subgraph
     u32 vertex count n; the empty subgraph is this count alone.
     Otherwise n x u64 sorted vertex ids, n x u32 degrees, the sorted
     neighbor ids of every vertex as one run of sum(degrees) x u64,
-    u8 presence (bit 0: some label; bit 1: some edge attribute), then
-    the string block of the n labels if bit 0 and the string block of
-    the edge attributes (in neighbor-run order) if bit 1.
+    u8 presence (bit 0: some label; no other bit may be set), then the
+    string block of the n labels if bit 0.  Subgraph edges carry no
+    attributes.
 
 task payload
     u64 seed id, u32 iteration, u32 r, r x u64 requested ids (pull
@@ -44,8 +44,9 @@ record
 spill file
     magic "SMQ1", u16 format version, u32 file capacity, u16 ell,
     u32 record count, u32 CRC32 (zlib) of every other byte of the file,
-    then the records in key order.  Every record carries the header's
-    ell.
+    then the records in key order.  The header's ell is the signature
+    count of the records' keys (0 for a file of no records); every
+    record carries it.
 """
 
 import struct
@@ -57,7 +58,7 @@ from .graph import Subgraph, Vertex
 from .minhash import TaskKey
 
 MAGIC = b"SMQ1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _U32 = struct.Struct("<I")
 _VERTEX_HEAD = struct.Struct("<QI")
@@ -78,8 +79,8 @@ def _need(data, end):
         raise CorruptData("truncated record")
 
 
-def _check_presence(flags):
-    if flags & ~(_LABEL | _ATTRS):
+def _check_presence(flags, allowed=_LABEL | _ATTRS):
+    if flags & ~allowed:
         raise CorruptData(f"unknown presence bits {flags:#04x}")
 
 
@@ -177,21 +178,15 @@ def encode_subgraph(sg: Subgraph) -> bytes:
     adj = sg.adj
     degs = []
     nbs = []
-    attrs = []
     for vid in ids:
         row = adj[vid]
         degs.append(len(row))
         nbs += sorted(row)
-        attrs += row.values()
     labs = [labels[vid] for vid in ids]
-    flags = (_LABEL if labs.count(None) != n else 0) | (
-        _ATTRS if attrs.count(None) != len(attrs) else 0)
+    flags = _LABEL if labs.count(None) != n else 0
     out = struct.pack(f"<I{n}Q{n}I{len(nbs)}QB", n, *ids, *degs, *nbs, flags)
     if flags & _LABEL:
         out += _pack_strings(labs)
-    if flags & _ATTRS:
-        out += _pack_strings(
-            [adj[vid][nb] for vid in ids for nb in sorted(adj[vid])])
     return out
 
 
@@ -213,21 +208,15 @@ def _subgraph_at(data, off):
     _need(data, end)
     run = struct.unpack_from(f"<{total}QB", data, off)
     flags = run[total]
-    _check_presence(flags)
+    _check_presence(flags, _LABEL)
     off = end
     if flags & _LABEL:
         labs, off = _strings_at(data, off, n)
         sg.labels = dict(zip(ids, labs))
     else:
         sg.labels = dict.fromkeys(ids)
-    nbs = iter(run)
-    if flags & _ATTRS:
-        attrs, off = _strings_at(data, off, total)
-        attrs = iter(attrs)
-        rows = [dict(zip(islice(nbs, d), islice(attrs, d))) for d in degs]
-    else:
-        # each islice takes the next `d` ids off the one shared iterator
-        rows = map(dict.fromkeys, map(islice, repeat(nbs), degs))
+    # each islice takes the next `d` ids off the one shared iterator
+    rows = map(set, map(islice, repeat(iter(run)), degs))
     sg.adj = dict(zip(ids, rows))
     return sg, off
 
@@ -312,9 +301,11 @@ def _records_at(data, off, ell, count):
     return out, off
 
 
-def encode_file(file_capacity, ell, records) -> bytes:
+def encode_file(file_capacity, records) -> bytes:
     """A spill file: header (magic, version, capacity, ell, count, CRC)
-    then the records in key order."""
+    then the records in key order.  The header's ell is the first key's
+    signature count; a record whose key disagrees raises ValueError."""
+    ell = len(records[0][0].sigs) if records else 0
     head = _FILE_HEAD.pack(MAGIC, FORMAT_VERSION, file_capacity, ell, len(records))
     body = _pack_records(ell, records)
     crc = zlib.crc32(body, zlib.crc32(head))

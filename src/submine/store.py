@@ -33,15 +33,11 @@ class CacheError(RuntimeError):
 
 
 class _Entry:
-    __slots__ = ("vertex", "pins")
+    __slots__ = ("vertex", "pins")  # vertex is None until the pull fills it
 
     def __init__(self, vertex=None, pins=0):
         self.vertex = vertex
         self.pins = pins
-
-    @property
-    def filled(self):
-        return self.vertex is not None
 
 
 class VertexCache:
@@ -82,7 +78,7 @@ class VertexCache:
 
     def has_data(self, vid):
         e = self._entries.get(vid)
-        return e is not None and e.filled
+        return e is not None and e.vertex is not None
 
     def pins_of(self, vid):
         e = self._entries.get(vid)
@@ -97,7 +93,7 @@ class VertexCache:
         """Cached vertex or None; a filled hit refreshes recency."""
         with self._lock:
             e = self._entries.get(vid)
-            if e is None or not e.filled:
+            if e is None or e.vertex is None:
                 if count:
                     self.misses += 1
                 return None
@@ -111,8 +107,9 @@ class VertexCache:
 
         Cached ids are pinned where they sit; missing ids get a pinned
         placeholder slot each, evicting unpinned entries (LRU first) to
-        make room.  Returns the set of reserved ids -- equal to `ids` on
-        success, empty on rejection (in which case nothing was touched).
+        make room.  Returns the list of ids given a new slot (the ids to
+        pull; empty when every id was resident), or None on rejection,
+        in which case nothing was touched.
         """
         ids = set(ids)
         for vid in ids:
@@ -127,15 +124,15 @@ class VertexCache:
                 evictable = self._n_evictable
                 for vid in ids:
                     e = self._entries.get(vid)
-                    if e is not None and e.pins == 0 and e.filled:
+                    if e is not None and e.pins == 0 and e.vertex is not None:
                         evictable -= 1
                 if len(new) > free + evictable:
-                    return set()
+                    return None
                 self._evict_locked(len(new) - free, protect=ids)
             for vid in ids:
                 e = self._entries.get(vid)
                 if e is not None:
-                    if e.pins == 0 and e.filled:
+                    if e.pins == 0 and e.vertex is not None:
                         self._n_evictable -= 1
                     e.pins += 1
                     self._entries.move_to_end(vid)
@@ -146,7 +143,7 @@ class VertexCache:
                     if self.trace:
                         self.trace(("cache_slot", vid))
             self._note_peak()
-            return ids
+            return new
 
     def insert_pulled(self, v):
         """Fill the reserved slot for v.id with the pulled vertex.
@@ -161,7 +158,7 @@ class VertexCache:
             e = self._entries.get(v.id)
             if e is None:
                 raise CacheError(f"insert of unreserved vertex {v.id}")
-            if e.filled:
+            if e.vertex is not None:
                 return
             e.vertex = v
             if e.pins == 0:
@@ -177,7 +174,7 @@ class VertexCache:
                 if e is None or e.pins <= 0:
                     raise CacheError(f"unpin of unpinned vertex {vid}")
                 e.pins -= 1
-                if e.pins == 0 and e.filled:
+                if e.pins == 0 and e.vertex is not None:
                     self._n_evictable += 1
 
     # -- overflow episodes ---------------------------------------------------
@@ -220,7 +217,7 @@ class VertexCache:
         for vid, e in self._entries.items():
             if count <= 0:
                 break
-            if e.pins == 0 and e.filled and vid not in protect:
+            if e.pins == 0 and e.vertex is not None and vid not in protect:
                 victims.append(vid)
                 count -= 1
         if count > 0:
@@ -243,7 +240,7 @@ class VertexCache:
             for vid, e in self._entries.items():
                 if e.pins:
                     raise CacheError(f"leftover pin on vertex {vid}")
-                if not e.filled:
+                if e.vertex is None:
                     raise CacheError(f"leftover unfilled slot for vertex {vid}")
             if self._n_evictable != len(self._entries):
                 raise CacheError(

@@ -95,14 +95,13 @@ class _TaskQueueBase:
     kind = "?"
 
     def __init__(self, dirpath, file_capacity=100, buffer_capacity=1000,
-                 ell=4, storage=None):
+                 storage=None):
         if file_capacity < 2:
             raise ValueError("file_capacity must be >= 2")
         if buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
         self.file_capacity = file_capacity
         self.buffer_capacity = buffer_capacity
-        self.ell = ell
         self.storage = storage or QueueStorage(dirpath)
         self.enqueued_total = 0
         self.fetched_total = 0
@@ -159,7 +158,7 @@ class _TaskQueueBase:
 
     def _write_records(self, records):
         name = self._next_name()
-        self.storage.write(name, encode_file(self.file_capacity, self.ell, records))
+        self.storage.write(name, encode_file(self.file_capacity, records))
         return FileMeta(name, len(records), records[0].key, records[-1].key)
 
     def _load(self, meta, count=True, delete=True):
@@ -212,6 +211,14 @@ class StreamTaskQueue(_TaskQueueBase):
     """FIFO task queue: head reads, tail appends, files of exactly C."""
 
     kind = "stream"
+
+    def __init__(self, dirpath, file_capacity=100, buffer_capacity=1000,
+                 storage=None):
+        # Only whole C-task files spill, so B < C would overfill the buffer.
+        if buffer_capacity < file_capacity:
+            raise ValueError(f"stream queue: buffer_capacity {buffer_capacity}"
+                             f" < file_capacity {file_capacity}")
+        super().__init__(dirpath, file_capacity, buffer_capacity, storage)
 
     def merge_spill(self):
         """Append the input buffer's oldest tasks as full C-task files."""
@@ -316,10 +323,10 @@ QUEUE_KINDS = {"stream": StreamTaskQueue, "lsh": LshTaskQueue}
 
 
 def make_queue(kind, dirpath, file_capacity=100, buffer_capacity=1000,
-               ell=4, storage=None):
+               storage=None):
     try:
         cls = QUEUE_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown queue kind {kind!r}") from None
     return cls(dirpath, file_capacity=file_capacity,
-               buffer_capacity=buffer_capacity, ell=ell, storage=storage)
+               buffer_capacity=buffer_capacity, storage=storage)

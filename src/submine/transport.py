@@ -35,11 +35,9 @@ class InProcTransport:
     def send_request(self, src, dst, ids):
         self._requests[dst].put(PullRequest(src, tuple(ids)))
 
-    def next_request(self, wid, timeout=0.05):
-        try:
-            return self._requests[wid].get(timeout=timeout)
-        except _queue.Empty:
-            return None
+    def next_request(self, wid):
+        """Block until worker `wid` has a request (or SHUTDOWN)."""
+        return self._requests[wid].get()
 
     def send_response(self, dst, resp: PullResponse):
         self._responses[dst].put(resp)

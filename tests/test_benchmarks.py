@@ -17,6 +17,8 @@ SRC = str(Path(submine.__file__).resolve().parent.parent)
 @pytest.mark.parametrize("script,args", [
     ("bench_codec.py", ["--repeat", "1", "--loops", "20"]),
     ("bench_quasi.py", ["--repeat", "1"]),
+    ("bench_cache.py", ["--repeat", "1"]),
+    ("bench_kernels.py", ["--repeat", "1"]),
 ])
 def test_bench_script_runs(script, args):
     env = dict(os.environ)

@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import os
+import tempfile
 
 import pytest
 
@@ -181,6 +182,28 @@ def test_run_load_error_names_file_and_line(tmp_path, capsys, text, want):
     rc = main(["run", "--app", "triangle", "--input", str(path)])
     assert rc == 1
     assert capsys.readouterr().err.strip() == f"error: {path}: {want}"
+
+
+def test_run_rejects_non_utf8_input(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"1\t\t2\n2\t\xff\t1\n")
+    rc = main(["run", "--app", "triangle", "--input", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8")
+
+
+def test_run_rejects_stream_buffer_below_file_capacity(
+        tmp_path, capsys, monkeypatch):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    rc = main(["run", "--app", "triangle", "--input", _k4(tmp_path),
+               "--queue", "stream", "--buffer-capacity", "10",
+               "--file-capacity", "100", "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "buffer_capacity 10 < file_capacity 100" in capsys.readouterr().err
+    assert list(tmp.glob("submine-run-*")) == []
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -38,6 +38,7 @@ from submine.graph import (
     write_graph,
 )
 from submine.apps import make_app
+from submine.serialize import decode_file
 
 from testkit import assert_cache_bound, assert_dedup
 
@@ -155,7 +156,7 @@ def test_pull_dedup_within_iteration():
 
 def test_repeated_pulls_collapse_across_spill_files():
     # Each seed pulls a remote id twice; its next iteration repeats
-    # another.  The stream queue holds one task in memory and two per
+    # another.  The stream queue holds two tasks in memory and two per
     # file, so the tasks come back from spill files, whose payloads carry
     # only the pull list: the worker derives what is remote again.
     g = complete_graph(12, start_id=0)
@@ -176,7 +177,7 @@ def test_repeated_pulls_collapse_across_spill_files():
             return True
         return False
 
-    res = run_job(RunConfig(workers=2, queue_kind="stream", buffer_capacity=1,
+    res = run_job(RunConfig(workers=2, queue_kind="stream", buffer_capacity=2,
                             file_capacity=2),
                   _spec("repeats", seed, compute), graph=g)
     assert res.metrics["queue_file_reads"] > 0
@@ -354,9 +355,11 @@ def test_only_the_lsh_queue_computes_signatures(monkeypatch, queue_kind, ell):
     headers = []
     real_encode_file = Q.encode_file
 
-    def recording_encode_file(cap, file_ell, records):
+    def recording_encode_file(cap, records):
+        blob = real_encode_file(cap, records)
+        _cap, file_ell, _recs = decode_file(blob)
         headers.append((file_ell, {len(k.sigs) for k, _ in records}))
-        return real_encode_file(cap, file_ell, records)
+        return blob
 
     monkeypatch.setattr(E, "minhash_signature", counting_sig)
     monkeypatch.setattr(Q, "encode_file", recording_encode_file)
@@ -512,6 +515,7 @@ def test_failing_peer_stops_a_long_seed_phase():
     with pytest.raises(ComputeError, match="boom"):
         run_job(RunConfig(workers=2),
                 _spec("stop", lambda v: [Task(v.id)], compute), graph=g)
+    assert _job_threads() == []
     assert healthy > 100
     assert len(calls) < 5
 
@@ -626,6 +630,13 @@ def test_dangling_pull_is_protocol_error():
     with pytest.raises(ProtocolError, match="99"):
         run_job(RunConfig(workers=2),
                 _spec("dangle", seed, lambda t, f: False), graph=g)
+    assert _job_threads() == []
+
+
+def _job_threads():
+    """Compute and responder threads still alive (a job leaves none)."""
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(("worker-", "responder-"))]
 
 
 def test_failed_job_leaves_no_temp_workdir(tmp_path, monkeypatch):
@@ -643,6 +654,7 @@ def test_failed_job_leaves_no_temp_workdir(tmp_path, monkeypatch):
         run_job(RunConfig(workers=2),
                 _spec("bad", lambda v: [Task(v.id)], compute), graph=g)
     assert os.listdir(tmp_path) == []
+    assert _job_threads() == []
 
 
 def test_validation_catches_asymmetry_first():

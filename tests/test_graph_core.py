@@ -467,6 +467,14 @@ def test_graph_stats_and_duplicates():
         g.add(Vertex(1))
 
 
+def test_read_graph_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"1\t\t2\n2\t\xff\t1\n")
+    with pytest.raises(GraphParseError, match="not UTF-8") as e:
+        read_graph(path)
+    assert str(e.value).startswith(f"{path}: not UTF-8 text")
+
+
 # -- subgraph ----------------------------------------------------------------
 
 
@@ -474,7 +482,7 @@ def test_subgraph_basics():
     sg = Subgraph()
     sg.add_vertex(1, "a")
     sg.add_vertex(2)
-    sg.add_edge(1, 2, attr_a="a", attr_b=None)
+    sg.add_edge(1, 2)
     assert 1 in sg and 2 in sg and 3 not in sg
     assert sg.has_edge(1, 2) and sg.has_edge(2, 1)
     assert not sg.has_edge(1, 3)
@@ -485,4 +493,5 @@ def test_subgraph_basics():
     assert sg.labels[2] == "b"
     sg.add_vertex(1, "z")
     assert sg.labels[1] == "a"
-    assert sg.neighbors(9) == {}
+    assert sg.neighbors(1) == {2}
+    assert sg.neighbors(9) == set()

@@ -95,8 +95,7 @@ def test_subgraph_round_trip():
         for _ in range(rng.randint(0, 15)):
             a, b = rng.sample(ids, 2) if len(ids) > 1 else (ids[0], ids[0])
             if a != b:
-                sg.add_edge(a, b, attr_a=rng.choice([None, "x"]),
-                            attr_b=rng.choice([None, "y"]))
+                sg.add_edge(a, b)
         blob = encode_task(TaskWire(1, 0, (), b"", sg))
         back = decode_task(blob)
         assert back.subgraph.labels == sg.labels
@@ -133,14 +132,14 @@ def test_record_and_file_round_trip():
     for i in range(37):
         key = TaskKey(tuple(rng.randrange(2**64) for _ in range(4)), i)
         records.append((key, bytes([i]) * rng.randint(0, 9)))
-    blob = encode_file(16, 4, records)
+    blob = encode_file(16, records)
     cap, ell, back = decode_file(blob)
     assert cap == 16 and ell == 4
     assert back == records
 
 
 def test_decode_file_rejects_garbage():
-    good = encode_file(8, 4, [(TaskKey((1, 2, 3, 4), 0), b"x")])
+    good = encode_file(8, [(TaskKey((1, 2, 3, 4), 0), b"x")])
     with pytest.raises(CorruptData, match="bad magic"):
         decode_file(b"XXXX" + good[4:])
     with pytest.raises(CorruptData, match="format version"):
@@ -151,7 +150,7 @@ def test_decode_file_rejects_garbage():
         decode_file(good + b"\x00")
 
 
-# -- format version 3: layout, canonical form, strict decoding -----------------
+# -- format version 4: layout, canonical form, strict decoding -----------------
 
 
 def _vertex_shapes():
@@ -165,22 +164,20 @@ def _vertex_shapes():
     }
 
 
-def _subgraph(labels, attrs):
+def _subgraph(labels):
     sg = Subgraph()
     for vid in (5, 1, 9, 3):
         sg.add_vertex(vid, f"L{vid}" if labels and vid != 9 else None)
     for a, b in ((1, 5), (5, 9), (3, 1)):
-        sg.add_edge(a, b, attr_a="p" if attrs and a == 1 else None)
+        sg.add_edge(a, b)
     return sg
 
 
 def _task_shapes():
     shapes = {}
     for name, sg in (("empty", Subgraph()),
-                     ("neither", _subgraph(False, False)),
-                     ("labels", _subgraph(True, False)),
-                     ("attrs", _subgraph(False, True)),
-                     ("both", _subgraph(True, True))):
+                     ("neither", _subgraph(False)),
+                     ("labels", _subgraph(True))):
         shapes[name] = TaskWire(11, 2, (30, 4, 17), b"ctx", sg)
     return shapes
 
@@ -188,7 +185,7 @@ def _task_shapes():
 def _spill_blob():
     recs = [(TaskKey((i, 2**64 - 1 - i), i), encode_task(w))
             for i, w in enumerate(_task_shapes().values())]
-    return encode_file(8, 2, recs)
+    return encode_file(8, recs)
 
 
 def _blobs():
@@ -240,7 +237,7 @@ def test_id_runs_have_no_per_field_overhead():
     # the empty subgraph is a bare count
     assert encode_subgraph(Subgraph()) == b"\x00\x00\x00\x00"
     # count, ids, degrees, neighbor run, presence byte
-    assert len(encode_subgraph(_subgraph(False, False))) == \
+    assert len(encode_subgraph(_subgraph(False))) == \
         4 + 4 * 8 + 4 * 4 + 6 * 8 + 1
 
 
@@ -252,9 +249,9 @@ def test_task_payload_bytes_are_pinned():
         "0b00000000000000" "02000000" "03000000"
         "1e00000000000000" "0400000000000000" "1100000000000000"
         "03000000" "637478" "00000000")
-    # a version 3 spill file says so in its header
-    head = encode_file(8, 0, [(TaskKey((), 0), blob)])
-    assert head[:6] == b"SMQ1\x03\x00"
+    # a version 4 spill file says so in its header
+    head = encode_file(8, [(TaskKey((), 0), blob)])
+    assert head[:6] == b"SMQ1\x04\x00"
 
 
 def test_presence_byte_must_be_canonical():
@@ -267,10 +264,12 @@ def test_presence_byte_must_be_canonical():
         vertex_from_bytes(all_none)
     with pytest.raises(CorruptData, match="presence"):
         vertex_from_bytes(plain[:flag_at] + b"\x04")
-    # a task ends with its subgraph, whose last byte here is the presence byte
+    # a task ends with its subgraph, whose last byte here is the presence
+    # byte; a subgraph has no attribute block, so bit 1 is corrupt too
     task_blob = encode_task(_task_shapes()["neither"])
-    with pytest.raises(CorruptData, match="presence"):
-        decode_task(task_blob[:-1] + b"\x80")
+    for flag in (b"\x02", b"\x80"):
+        with pytest.raises(CorruptData, match="presence"):
+            decode_task(task_blob[:-1] + flag)
 
 
 def test_bad_utf8_is_corrupt():
@@ -289,10 +288,12 @@ def test_every_flipped_byte_of_a_spill_file_is_caught():
 
 
 def test_spill_file_header_ell_must_match_records():
+    # the header's ell comes from the records' keys, which must agree
     recs = [(TaskKey((1, 2), 0), b"p")]
-    with pytest.raises(ValueError, match="2 signatures, expected 4"):
-        encode_file(8, 4, recs)
-    assert decode_file(encode_file(8, 2, recs))[1:] == (2, recs)
+    with pytest.raises(ValueError, match="4 signatures, expected 2"):
+        encode_file(8, recs + [(TaskKey((1, 2, 3, 4), 1), b"q")])
+    assert decode_file(encode_file(8, recs))[1:] == (2, recs)
     # FIFO spill files carry no signatures at all
     bare = [(TaskKey((), 0), b"p"), (TaskKey((), 1), b"")]
-    assert decode_file(encode_file(8, 0, bare)) == (8, 0, bare)
+    assert decode_file(encode_file(8, bare)) == (8, 0, bare)
+    assert decode_file(encode_file(8, [])) == (8, 0, [])

@@ -20,7 +20,7 @@ def _v(vid):
 
 
 def _fill(cache, ids):
-    assert cache.reserve(ids) == set(ids)
+    assert sorted(cache.reserve(ids)) == sorted(ids)
     for vid in ids:
         cache.insert_pulled(_v(vid))
     cache.unpin_batch(ids)
@@ -33,14 +33,17 @@ def test_reserve_all_or_nothing_accept():
     c = VertexCache(10)
     _fill(c, range(3))  # 3 resident, unpinned
     got = c.reserve(range(100, 107))  # 7 new
-    assert got == set(range(100, 107))
+    assert sorted(got) == list(range(100, 107))
     assert c.resident == 10
+    # an all-resident reservation succeeds with nothing to pull
+    assert c.reserve(range(3)) == []
+    assert c.pins_of(0) == 1
 
 
 def test_reserve_rejected_when_everything_pinned():
     c = VertexCache(10)
-    assert c.reserve(range(10)) == set(range(10))  # 10 pinned placeholders
-    assert c.reserve({99}) == set()
+    assert sorted(c.reserve(range(10))) == list(range(10))  # 10 placeholders
+    assert c.reserve({99}) is None
     # rejection touched nothing
     assert c.resident == 10
     assert c.pins_of(99) == 0
@@ -50,7 +53,7 @@ def test_reserve_evicts_lru_first():
     c = VertexCache(3)
     _fill(c, [1, 2, 3])
     c.get(1)  # refresh 1; LRU order now 2, 3, 1
-    assert c.reserve({50, 51}) == {50, 51}
+    assert sorted(c.reserve({50, 51})) == [50, 51]
     assert c.has_data(1)
     assert not c.has_data(2) and not c.has_data(3)
 
@@ -62,7 +65,7 @@ def test_reserve_never_evicts_its_own_ids():
     c = VertexCache(4)
     _fill(c, [1, 2, 3, 4])  # full, all unpinned, LRU order 1 2 3 4
     got = c.reserve({1, 50})  # 1 is resident and oldest
-    assert got == {1, 50}
+    assert got == [50]  # only 50 needs a pull
     assert c.resident == 4
     assert c.has_data(1)  # survived, pinned in place
     assert c.pins_of(1) == 1
@@ -73,7 +76,7 @@ def test_reserve_feasibility_excludes_own_ids():
     # room for the third id, so the reserve must reject, not half-apply
     c = VertexCache(2)
     _fill(c, [1, 2])
-    assert c.reserve({1, 2, 3}) == set()
+    assert c.reserve({1, 2, 3}) is None
     assert c.resident == 2
     assert c.pins_of(1) == 0 and c.pins_of(2) == 0
 
@@ -115,12 +118,12 @@ def test_full_cache_reserve_visits_only_ids_and_victims():
         for _task in range(8):
             # engine-shaped pull set: new ids plus one id from each end of
             # the recency order (the LRU-end one is walked past, not evicted)
-            ids = set(range(next_id, next_id + k))
-            ids |= {next(iter(entries)), next(reversed(entries))}
+            new = range(next_id, next_id + k)
+            ids = set(new) | {next(iter(entries)), next(reversed(entries))}
             next_id += k
             entries.visited = 0
             evicted = c.evictions
-            assert c.reserve(ids) == ids
+            assert sorted(c.reserve(ids)) == list(new)
             assert entries.visited <= (c.evictions - evicted) + len(ids)
             batch.append(ids)
         for ids in batch:
@@ -180,9 +183,9 @@ def test_shared_pin_counts():
     assert c.pins_of(9) == 2
     c.unpin_batch({9})
     # still pinned by the other task: reserve of a new id must reject
-    assert c.reserve({10}) == set()
+    assert c.reserve({10}) is None
     c.unpin_batch({9})
-    assert c.reserve({10}) == {10}
+    assert c.reserve({10}) == [10]
 
 
 def test_get_refreshes_and_counts():
@@ -206,7 +209,7 @@ def test_overflow_episode_roundtrip():
     need = list(range(100, 112))  # 12 vertices, way over capacity
     c.enter_overflow(len(need))
     assert c.in_overflow
-    assert c.reserve(need) == set(need)
+    assert sorted(c.reserve(need)) == need
     for vid in need:
         c.insert_pulled(_v(vid))
     assert c.resident >= 12
@@ -307,7 +310,8 @@ def _model_evict(model, count, protect=()):
 
 
 def _model_reserve(model, ids, limit):
-    """Reference reserve: the victims, or None on rejection."""
+    """Reference reserve: the victims and the ids given a new slot, or
+    None on rejection."""
     new = [vid for vid in ids if vid not in model]
     free = limit - len(model)
     victims = []
@@ -323,7 +327,7 @@ def _model_reserve(model, ids, limit):
             model.move_to_end(vid)
         else:
             model[vid] = [1, False]
-    return victims
+    return victims, new
 
 
 def test_randomized_against_model():
@@ -351,12 +355,12 @@ def test_randomized_against_model():
                     want = _model_reserve(model, set(ids), limit)
                     got = c.reserve(ids)
                     if want is None:
-                        assert got == set()
+                        assert got is None
                     else:
-                        assert got == ids
-                        want_victims = want
-                        pinned_sets.append(got)
-                        unfilled |= {vid for vid in got if not model[vid][1]}
+                        want_victims, want_new = want
+                        assert sorted(got) == sorted(want_new)
+                        pinned_sets.append(ids)
+                        unfilled |= {vid for vid in ids if not model[vid][1]}
             elif op < 0.5 and unfilled:
                 for vid in rng.sample(sorted(unfilled), rng.randint(1, len(unfilled))):
                     c.insert_pulled(_v(vid))
@@ -387,7 +391,8 @@ def test_randomized_against_model():
             assert victims == want_victims, trial
             assert list(c._entries) == list(model), trial
             assert c._n_evictable == sum(
-                1 for e in c._entries.values() if e.pins == 0 and e.filled
+                1 for e in c._entries.values()
+                if e.pins == 0 and e.vertex is not None
             ), trial
             assert c.resident <= limit, (trial, c.resident, limit)
             assert c.total_pins() == sum(len(s) for s in pinned_sets)

@@ -109,6 +109,23 @@ def test_stream_is_fifo_across_spills(tmp_path):
     assert _drain(q) == recs  # exact order preserved across spill files
 
 
+def test_stream_rejects_buffer_below_file_capacity(tmp_path):
+    # a stream queue spills only whole C-task files, so with B < C its
+    # input buffer would grow past B before the first spill
+    with pytest.raises(ValueError, match="buffer_capacity 4 < file_capacity 16"):
+        make_queue("stream", tmp_path / "s", file_capacity=16, buffer_capacity=4)
+    # B == C is the smallest accepted buffer, and it keeps its bound
+    q = make_queue("stream", tmp_path / "s", file_capacity=16, buffer_capacity=16)
+    for r in _records(9, 40):
+        q.enqueue(r)
+        q.check_invariants()
+    # the LSH queue spills whatever its buffer holds, so B < C stays bounded
+    q = make_queue("lsh", tmp_path / "l", file_capacity=16, buffer_capacity=4)
+    for r in _records(9, 40):
+        q.enqueue(r)
+        q.check_invariants()
+
+
 def test_stream_files_hold_exactly_c(tmp_path):
     q = make_queue("stream", tmp_path / "s", file_capacity=10, buffer_capacity=30)
     for r in _records(5, 200):

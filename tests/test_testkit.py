@@ -174,7 +174,7 @@ def test_counting_storage_tallies(tmp_path):
 def test_counting_storage_under_queue(tmp_path):
     st = CountingStorage(str(tmp_path / "q"))
     q = make_queue("stream", str(tmp_path / "q"), file_capacity=4,
-                   buffer_capacity=2, storage=st)
+                   buffer_capacity=4, storage=st)
     seeds = derive_seeds(1, 4)
     recs = make_records(gen_pull_sets(3, 40, 100), 4, seeds)
     for r in recs:

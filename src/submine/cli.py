@@ -16,6 +16,7 @@ machine.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .apps import APP_NAMES, make_app, parse_query_file
@@ -185,8 +186,8 @@ def format_trace_event(ev):
 def cmd_run(args):
     eff = _effective_config(args)
     app = _build_app(args, eff)
-    graph, input_sha = read_graph_sha256(args.input)
     cfg = _run_config(args, eff)
+    graph, input_sha = read_graph_sha256(args.input)
     result = run_job(cfg, app, graph)
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
@@ -205,15 +206,15 @@ def cmd_run(args):
 def cmd_bench_queues(args):
     eff = _effective_config(args)
     app = _build_app(args, eff)
+    base = _run_config(args, eff)
+    cfgs = [replace(base, queue_kind=kind) for kind in ("lsh", "stream")]
     graph = read_graph(args.input)
     rows = []
-    for kind in ("lsh", "stream"):
-        cfg = _run_config(args, eff)
-        cfg.queue_kind = kind
+    for cfg in cfgs:
         result = run_job(cfg, app, graph)
         m = result.metrics
         rows.append({
-            "queue": kind,
+            "queue": cfg.queue_kind,
             "elapsed_s": f"{result.elapsed:.3f}",
             "hit_rate": f"{result.cache_hit_rate():.4f}",
             "file_reads": m["queue_file_reads"],

@@ -65,7 +65,7 @@ from .graph import (
 from .minhash import TaskKey, derive_seeds, minhash_signature
 from .serialize import TaskWire, decode_task, encode_task, encode_vertex, vertex_from_bytes
 from .store import VertexCache, VertexStore
-from .taskqueue import TaskRecord, make_queue
+from .taskqueue import TaskRecord, check_stream_capacities, make_queue
 from .transport import SHUTDOWN, InProcTransport, PullResponse
 
 
@@ -104,6 +104,8 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.queue_kind not in ("stream", "lsh"):
             raise ValueError(f"unknown queue kind {self.queue_kind!r}")
+        if self.queue_kind == "stream":
+            check_stream_capacities(self.file_capacity, self.buffer_capacity)
 
 
 @dataclass

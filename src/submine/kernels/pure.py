@@ -1,35 +1,55 @@
 """Pure-python reference implementations of the hot search kernels.
 
-These are the import-time fallback when the compiled extension is not
-available.  Both backends implement the exact same algorithms with the
-same tie-breaking, so their outputs are bit-identical; the test suite
-checks the two against each other on random inputs.
+These are the import-time fallback when the compiled extensions are
+not available.  Both backends implement the same algorithms (the clique
+kernels with the same tie-breaking), so their outputs are bit-identical;
+the test suite checks the two against each other on random inputs.
 
 Small dense neighborhoods are represented as bitmasks: `rows[i]` is an
 int whose bit j is set iff vertices i and j are adjacent.  Python ints
 make this reasonably quick even without the extension.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 
 def count_closing_pairs(ids, adj_lists):
     """Count pairs i < j with ids[j] present in adj_lists[i].
 
-    `ids` is an ascending id list; `adj_lists[i]` is the sorted neighbor
-    list of ids[i] and may be shorter than len(ids) - 1 entries.  Used by
-    triangle counting: each hit closes one triangle.
+    `ids` is a strictly ascending id list; `adj_lists[i]` is the sorted
+    neighbor list of ids[i] and may hold ids below ids[i] too.  Rows past
+    len(adj_lists) count nothing.  Used by triangle counting: each hit
+    closes one triangle.
+
+    Only the neighbors above ids[i] can match a later id, so each row
+    walks the shorter of those neighbors and the later ids and looks its
+    elements up in the other side: neighbors in a set of the ids, later
+    ids by bisecting the neighbors from a position that only moves
+    forward.  A row costs min(neighbors above, later ids) lookups, never
+    a scan of a hub's whole adjacency.
     """
     total = 0
     n = len(ids)
-    for i, adj in enumerate(adj_lists):
+    idset = None
+    for i in range(min(len(adj_lists), n - 1)):
+        adj = adj_lists[i]
         if not adj:
             continue
+        end = len(adj)
+        lo = bisect_right(adj, ids[i])
+        if end - lo <= n - i - 1:
+            if idset is None:
+                idset = frozenset(ids)
+            total += len(idset.intersection(adj[lo:]))
+            continue
         for j in range(i + 1, n):
-            x = ids[j]
-            k = bisect_left(adj, x)
-            if k < len(adj) and adj[k] == x:
+            y = ids[j]
+            lo = bisect_left(adj, y, lo)
+            if lo == end:
+                break
+            if adj[lo] == y:
                 total += 1
+                lo += 1
     return total
 
 

@@ -207,6 +207,13 @@ class _TaskQueueBase:
         }
 
 
+def check_stream_capacities(file_capacity, buffer_capacity):
+    """Only whole C-task files spill, so B < C would overfill the buffer."""
+    if buffer_capacity < file_capacity:
+        raise ValueError(f"stream queue: buffer_capacity {buffer_capacity}"
+                         f" < file_capacity {file_capacity}")
+
+
 class StreamTaskQueue(_TaskQueueBase):
     """FIFO task queue: head reads, tail appends, files of exactly C."""
 
@@ -214,10 +221,7 @@ class StreamTaskQueue(_TaskQueueBase):
 
     def __init__(self, dirpath, file_capacity=100, buffer_capacity=1000,
                  storage=None):
-        # Only whole C-task files spill, so B < C would overfill the buffer.
-        if buffer_capacity < file_capacity:
-            raise ValueError(f"stream queue: buffer_capacity {buffer_capacity}"
-                             f" < file_capacity {file_capacity}")
+        check_stream_capacities(file_capacity, buffer_capacity)
         super().__init__(dirpath, file_capacity, buffer_capacity, storage)
 
     def merge_spill(self):

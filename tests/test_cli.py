@@ -206,6 +206,21 @@ def test_run_rejects_stream_buffer_below_file_capacity(
     assert list(tmp.glob("submine-run-*")) == []
 
 
+@pytest.mark.parametrize("command, queue", [
+    ("run", ["--queue", "stream"]),
+    ("bench-queues", []),  # runs a stream job after the lsh one
+])
+def test_bad_stream_capacities_fail_before_the_input_is_read(
+        tmp_path, capsys, command, queue):
+    # the config is checked first: a missing input is never reached
+    rc = main([command, "--app", "triangle",
+               "--input", str(tmp_path / "missing.graph"), *queue,
+               "--buffer-capacity", "10", "--file-capacity", "100"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: stream queue: buffer_capacity 10 < file_capacity 100\n"
+
+
 def test_config_file_precedence(tmp_path, capsys):
     g = _k4(tmp_path)
     cfg = tmp_path / "job.cfg"

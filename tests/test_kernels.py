@@ -1,9 +1,9 @@
 """Search kernels: pure vs compiled parity, oracle checks, backend wiring.
 
-The parity tests run against the compiled module whether or not it is
-built in place: the `fastpath` fixture compiles the committed
-_fastpath.c into a temp dir when it is not importable, and skips only
-when no C compiler is found.
+The parity tests run against the compiled modules whether or not they
+are built in place: the `compiled` fixture builds every extension from
+its shipped C file into a temp dir when they are not importable, and
+skips only when no C compiler is found.
 """
 
 import importlib
@@ -16,8 +16,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +26,7 @@ from submine.kernels import pure
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS_DIR = Path(kernels.__file__).parent
+EXTENSIONS = ("_fastpath", "_pairs")
 
 
 def _c_compiler():
@@ -34,31 +35,46 @@ def _c_compiler():
 
 
 @pytest.fixture(scope="module")
-def fastpath(tmp_path_factory):
-    """The compiled kernels module, built from _fastpath.c if need be."""
+def compiled(tmp_path_factory):
+    """The compiled kernel modules by name, built from their C files if
+    need be."""
     try:
-        return importlib.import_module("submine.kernels._fastpath")
+        return {name: importlib.import_module("submine.kernels." + name)
+                for name in EXTENSIONS}
     except ImportError:
         pass
     if _c_compiler() is None:
         pytest.skip("no C compiler found to build the compiled kernels")
-    out = tmp_path_factory.mktemp("fastpath")
+    out = tmp_path_factory.mktemp("compiled")
     env = {k: v for k, v in os.environ.items() if k != "SUBMINE_NO_EXT"}
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
          "--build-temp", str(out / "temp")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    built = list((out / "submine" / "kernels").glob("_fastpath*" + suffix))
-    if build.returncode != 0 or not built:
-        # setup.py marks the extension optional, so a failed compile
-        # still exits 0: the missing module is the signal
-        pytest.fail("building _fastpath failed:\n" + build.stdout + build.stderr)
-    spec = importlib.util.spec_from_file_location(
-        "submine.kernels._fastpath", built[0])
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    mods = {}
+    for name in EXTENSIONS:
+        built = list((out / "submine" / "kernels").glob(name + "*" + suffix))
+        if build.returncode != 0 or not built:
+            # setup.py marks the extensions optional, so a failed compile
+            # still exits 0: the missing module is the signal
+            pytest.fail(f"building {name} failed:\n" + build.stdout
+                        + build.stderr)
+        spec = importlib.util.spec_from_file_location(
+            "submine.kernels." + name, built[0])
+        mods[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mods[name])
+    return mods
+
+
+@pytest.fixture(scope="module")
+def fastpath(compiled):
+    return compiled["_fastpath"]
+
+
+@pytest.fixture(scope="module")
+def pairs(compiled):
+    return compiled["_pairs"]
 
 
 def _random_rows(rng, n, p):
@@ -90,13 +106,15 @@ def _is_clique(rows, members):
 
 
 def test_backend_matches_built_extension():
-    here = os.path.dirname(kernels.__file__)
-    built = any(f.startswith("_fastpath") and f.endswith(".so")
-                for f in os.listdir(here))
+    here = os.listdir(os.path.dirname(kernels.__file__))
+    built = all(any(f.startswith(name) and f.endswith(".so") for f in here)
+                for name in EXTENSIONS)
     if built and os.environ.get("SUBMINE_PURE_KERNELS") != "1":
         assert kernels.BACKEND == "compiled"
+        assert kernels.count_closing_pairs is kernels._pairs.count_closing_pairs
     else:
         assert kernels.BACKEND == "pure"
+        assert kernels.count_closing_pairs is pure.count_closing_pairs
 
 
 def test_env_var_forces_pure_backend():
@@ -162,6 +180,11 @@ def test_stale_check_catches_an_edited_pyx_line():
 # -- count_closing_pairs --------------------------------------------------------
 
 
+def _closing_pairs_bf(ids, adj_lists):
+    return sum(len(set(ids[i + 1:]) & set(adj))
+               for i, adj in enumerate(adj_lists[:len(ids)]))
+
+
 def test_count_closing_pairs_brute_force():
     rng = random.Random(6)
     for _ in range(200):
@@ -169,19 +192,17 @@ def test_count_closing_pairs_brute_force():
         adj_lists = []
         for _v in ids:
             adj_lists.append(sorted(rng.sample(range(100), rng.randint(0, 10))))
-        want = sum(
-            1
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-            if ids[j] in adj_lists[i]
-        )
+        want = _closing_pairs_bf(ids, adj_lists)
         assert pure.count_closing_pairs(ids, adj_lists) == want
         assert kernels.count_closing_pairs(ids, adj_lists) == want
 
 
-def test_count_closing_pairs_empty():
-    assert kernels.count_closing_pairs([], []) == 0
-    assert kernels.count_closing_pairs([1, 2], [[], []]) == 0
+def test_count_closing_pairs_empty(pairs):
+    for kernel in (pure.count_closing_pairs, pairs.count_closing_pairs):
+        for ids, adj in (([], []), ((), ()), ([1, 2], [[], []]),
+                         ((1, 2), ((), ())), ([1, 2], []), ([], [[1, 2]]),
+                         ([5], [[1, 9]])):
+            assert kernel(ids, adj) == 0
 
 
 def _hub_calls(rng, calls, universe=50_000):
@@ -200,39 +221,135 @@ def _hub_calls(rng, calls, universe=50_000):
     return out
 
 
-def test_count_closing_pairs_backend_parity(fastpath):
+def _random_calls(rng, calls, top):
+    """Small calls over ids just below `top`, some with fewer adjacency
+    lists than ids, some as tuples."""
+    span = range(max(top - 300, 0), top + 1)
+    out = []
+    for _ in range(calls):
+        ids = sorted(rng.sample(span, rng.randint(0, 30)))
+        adj = [sorted(rng.sample(span, rng.randint(0, 60)))
+               for _ in range(rng.randint(0, len(ids)))]
+        if rng.random() < 0.3:
+            ids, adj = tuple(ids), tuple(tuple(a) for a in adj)
+        out.append((ids, adj))
+    return out
+
+
+def test_count_closing_pairs_backend_parity(pairs):
     rng = random.Random(13)
     calls = []
-    for _ in range(300):
-        top = rng.choice([100, 10**6, 2**63 - 1])
-        ids = sorted(rng.sample(range(top - 5000, top + 1), rng.randint(0, 30)))
-        calls.append((ids, [sorted(rng.sample(range(top - 5000, top + 1),
-                                               rng.randint(0, 60)))
-                            for _ in ids]))
+    for top in (100, 10**6, 2**63 - 1, 2**64 - 1):
+        calls += _random_calls(rng, 150, top)
     calls += _hub_calls(rng, 5)
     hits = 0
     for ids, adj in calls:
-        want = pure.count_closing_pairs(ids, adj)
-        assert fastpath.count_closing_pairs(ids, adj) == want
+        want = _closing_pairs_bf(ids, adj)
+        assert pure.count_closing_pairs(ids, adj) == want
+        assert pairs.count_closing_pairs(ids, adj) == want
         hits += want
     assert hits > 10_000  # the hub calls close plenty of pairs
 
 
-def test_count_closing_pairs_ids_past_int64(fastpath, monkeypatch):
-    # the compiled wrapper, tested whichever backend this process loaded
-    wrapper = kernels._compiled_count_closing_pairs
-    big = 2**63
-    monkeypatch.setattr(kernels, "_fastpath", fastpath)
-    # a neighbor id past int64: the extension raises, the wrapper retries
-    assert wrapper([1, 2, 3], [[2, 3, big], [3, big], []]) == 3
-    # an id past int64 goes to pure before the extension is entered (an
-    # overflow while it converts ids would leak its id array)
-    def refuse(*args):
-        raise AssertionError("extension called with ids past int64")
+def test_count_closing_pairs_ids_past_int64(pairs):
+    # every id read_graph accepts fits the compiled kernel's uint64 ids,
+    # including 2**64 - 1, on either side of the shorter-side rule
+    top = 2**64 - 1
+    cases = [
+        ([1, 2, 3], [[2, 3, 2**63], [3, 2**63], []], 3),
+        ([5, 2**63, top], [[2**63, top], [top], []], 3),
+        ([2**63, top - 1, top], [list(range(2**63, 2**63 + 500)) + [top],
+                                 [top]], 2),
+        ([2**63 + k for k in range(0, 600, 2)], [[2**63 + 100, top]], 1),
+    ]
+    for ids, adj, want in cases:
+        assert _closing_pairs_bf(ids, adj) == want
+        assert pure.count_closing_pairs(ids, adj) == want
+        assert pairs.count_closing_pairs(ids, adj) == want
 
-    monkeypatch.setattr(kernels, "_fastpath",
-                        SimpleNamespace(count_closing_pairs=refuse))
-    assert wrapper([5, big, big + 1], [[big, big + 1], [big + 1], []]) == 3
+
+@pytest.mark.parametrize("ids, adj, error", [
+    ([1, -1], [[2]], OverflowError),
+    ([1, 2**64], [[2]], OverflowError),
+    ([1, 2], [[-1]], OverflowError),
+    ([1, 2], [[2**64]], OverflowError),
+    ([1, "2"], [[2]], TypeError),
+    ([1, 2], [["2"]], TypeError),
+    ([1, 2], [2], TypeError),
+    (5, [[2]], TypeError),
+])
+def test_pairs_rejects_ids_outside_uint64(pairs, ids, adj, error):
+    with pytest.raises(error):
+        pairs.count_closing_pairs(ids, adj)
+
+
+def test_pairs_survives_a_row_that_shrinks_adj_lists(pairs):
+    # a row that is neither list nor tuple is iterated, which runs python
+    # code; the kernel must not index past the list it then shrank
+    class Shrinking:
+        def __iter__(self):
+            del adj[1:]
+            return iter([2, 3])
+
+    adj = [Shrinking(), [3], []]
+    assert pairs.count_closing_pairs([1, 2, 3], adj) == 2
+
+
+def test_pairs_failures_free_their_memory(pairs):
+    # each call fails after the id array is allocated; PyMem_Malloc is
+    # traced, so a leaked array would show as ~10^4 * 24 bytes
+    bad = [([1, 2, 2**64], [[2]]), ([1, 2, 3], [[2, "x"]]),
+           ([1, 2, 3], [[0, 1, -1]])]
+
+    def fail_all(times):
+        for _ in range(times):
+            for ids, adj in bad:
+                try:
+                    pairs.count_closing_pairs(ids, adj)
+                except (OverflowError, TypeError):
+                    pass
+                else:
+                    raise AssertionError("expected a failure")
+
+    tracemalloc.start()
+    try:
+        fail_all(100)
+        before = tracemalloc.get_traced_memory()[0]
+        fail_all(10_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_000
+
+
+class _CountingList(list):
+    """A list that counts the elements read out of it."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        got = super().__getitem__(k)
+        self.reads += len(got) if isinstance(k, slice) else 1
+        return got
+
+    def __iter__(self):
+        for x in super().__iter__():
+            self.reads += 1
+            yield x
+
+
+def test_pure_count_closing_pairs_reads_the_shorter_side():
+    # a row walks min(neighbors above its id, later ids) elements and
+    # bisects the other side, so a 100k-wide adjacency costs O(log) reads
+    # however many or few candidates face it
+    wide = list(range(0, 200_000, 2))
+    adj = _CountingList(wide)
+    assert pure.count_closing_pairs([1, 150_000], [adj]) == 1
+    assert adj.reads <= 40
+    ids = [199_990] + list(range(200_000, 300_000))
+    adj = _CountingList(wide[:-5] + [200_002, 200_004, 200_007])
+    assert pure.count_closing_pairs(ids, [adj]) == 3
+    assert adj.reads <= 40
 
 
 # -- max_clique ------------------------------------------------------------------

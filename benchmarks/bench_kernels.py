@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Compare the pure-Python kernels against the compiled backend.
 
-Times the three hot kernels on generated workloads, checks that both
-backends return identical answers while doing so, and prints a table.
-The compiled column times what the package calls (`submine.kernels`
-with its compiled backend: _pairs for count_closing_pairs, _fastpath for
-the clique kernels).  Runs fine without the extensions built (compiled
-column shows "-").
+Times the hot kernels on generated workloads, checks that both backends
+return identical answers while doing so, and prints a table.  The
+compiled column times what the package calls (`submine.kernels` with its
+compiled backend: _pairs for count_closing_pairs, _fastpath for the
+clique kernels, _hash for minhash_signature and mix64).  Runs fine
+without the extensions built (compiled column shows "-").
 The last row times the clique apps' pure-Python bit readout on a wide
 mask; it has no compiled twin.
 
@@ -24,6 +24,7 @@ from submine.apps.cliques import _bits
 from submine.gen import gnp_graph
 from submine.graph import larger_neighbor_ids
 from submine.kernels import pure
+from submine.minhash import derive_seeds
 
 compiled = kernels if kernels.BACKEND == "compiled" else None
 
@@ -43,6 +44,15 @@ def _triangle_workload(seed, graphs=20, n=150, p=0.08):
     return calls
 
 
+def _skewed_ids(rng, count, n=30_000, exponent=0.5):
+    """`count` ids drawn with Chung-Lu weights (rank + 1) ** -exponent
+    over n shuffled ids; the defaults are tri-skew-lru's."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    weights = [(r + 1) ** -exponent for r in range(n)]
+    return rng.choices(ids, weights=weights, k=count)
+
+
 def _hub_workload(seed, n=20_000, m=100_000, exponent=0.8, calls=300):
     """The widest triangle calls on a hub-skewed graph.
 
@@ -54,10 +64,7 @@ def _hub_workload(seed, n=20_000, m=100_000, exponent=0.8, calls=300):
     widest few hundred are where the kernel's time goes.
     """
     rng = random.Random(seed)
-    ids = list(range(n))
-    rng.shuffle(ids)
-    weights = [(r + 1) ** -exponent for r in range(n)]
-    ends = rng.choices(ids, weights=weights, k=2 * m)
+    ends = _skewed_ids(rng, 2 * m, n, exponent)
     nbrs = [set() for _ in range(n)]
     for a, b in zip(ends[::2], ends[1::2]):
         if a != b:
@@ -71,6 +78,16 @@ def _hub_workload(seed, n=20_000, m=100_000, exponent=0.8, calls=300):
             out.append((gt, [adj[u] for u in gt[:-1]] + [()]))
     out.sort(key=lambda c: len(c[0]), reverse=True)
     return out[:calls]
+
+
+def _pull_sets_workload(seed, sets=20_000):
+    """Remote pull sets shaped like tri-skew-lru's keyed tasks: frozensets
+    of skewed ids, sizes 1-8 with mean about 3.25."""
+    rng = random.Random(seed)
+    sizes = rng.choices(range(1, 9), weights=(6, 6, 5, 4, 3, 2, 1, 1),
+                        k=sets)
+    ids = iter(_skewed_ids(rng, sum(sizes)))
+    return [frozenset(next(ids) for _ in range(k)) for k in sizes]
 
 
 def _rows_workload(seed, count, n, p):
@@ -116,6 +133,27 @@ def bench_count_closing_pairs_hub(args):
     return len(calls), run
 
 
+def bench_minhash_signature(args):
+    sets = _pull_sets_workload(args.seed)
+    seeds = derive_seeds(args.seed, 4)
+
+    def run(mod):
+        return [mod.minhash_signature(s, seeds) for s in sets]
+
+    return len(sets), run
+
+
+def bench_mix64(args):
+    """Owner lookups, as partitioning and a round's pull grouping make."""
+    ids = _skewed_ids(random.Random(args.seed), 45_000)
+
+    def run(mod):
+        mix = mod.mix64
+        return [mix(v) % 2 for v in ids]
+
+    return len(ids), run
+
+
 def bench_max_clique(args):
     n = 60
     workload = _rows_workload(args.seed, 30, n, 0.5)
@@ -155,6 +193,8 @@ def bench_bits_wide_mask(args, width=7000, bits=21, calls=200):
 BENCHES = [
     ("count_closing_pairs", bench_count_closing_pairs),
     ("count_closing_pairs_hub", bench_count_closing_pairs_hub),
+    ("minhash_signature", bench_minhash_signature),
+    ("mix64", bench_mix64),
     ("max_clique", bench_max_clique),
     ("maximal_cliques", bench_maximal_cliques),
 ]

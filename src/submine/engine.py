@@ -62,10 +62,15 @@ from .graph import (
     partition_graph,
     partition_owner,
 )
-from .minhash import TaskKey, derive_seeds, minhash_signature
+from .minhash import TaskKey, check_ell, derive_seeds, minhash_signature
 from .serialize import TaskWire, decode_task, encode_task, encode_vertex, vertex_from_bytes
-from .store import VertexCache, VertexStore
-from .taskqueue import TaskRecord, check_stream_capacities, make_queue
+from .store import VertexCache, VertexStore, check_cache_capacity
+from .taskqueue import (
+    TaskRecord,
+    check_queue_capacities,
+    check_stream_capacities,
+    make_queue,
+)
 from .transport import SHUTDOWN, InProcTransport, PullResponse
 
 
@@ -104,6 +109,9 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.queue_kind not in ("stream", "lsh"):
             raise ValueError(f"unknown queue kind {self.queue_kind!r}")
+        check_ell(self.ell)
+        check_queue_capacities(self.file_capacity, self.buffer_capacity)
+        check_cache_capacity(self.cache_capacity)
         if self.queue_kind == "stream":
             check_stream_capacities(self.file_capacity, self.buffer_capacity)
 

@@ -22,7 +22,8 @@ from bisect import bisect_right
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-MASK64 = (1 << 64) - 1
+from .kernels import mix64
+from .kernels.pure import MASK64
 
 
 class GraphParseError(ValueError):
@@ -31,21 +32,6 @@ class GraphParseError(ValueError):
 
 class GraphDataError(ValueError):
     """Structurally invalid graph (dangling edge, asymmetry, self-loop)."""
-
-
-def mix64(x: int) -> int:
-    """64-bit avalanche hash (splitmix64 finalizer).
-
-    Pure integer arithmetic, so the value is identical across processes
-    and platforms -- required for stable vertex partitioning and minhash
-    signatures.
-    """
-    x &= MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & MASK64
-    return x ^ (x >> 31)
 
 
 class AdjItem(NamedTuple):

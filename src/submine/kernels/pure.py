@@ -1,4 +1,5 @@
-"""Pure-python reference implementations of the hot search kernels.
+"""Pure-python reference implementations of the hot kernels: the id
+hashes behind partitioning and MinHash keys, and the search kernels.
 
 These are the import-time fallback when the compiled extensions are
 not available.  Both backends implement the same algorithms (the clique
@@ -11,6 +12,33 @@ make this reasonably quick even without the extension.
 """
 
 from bisect import bisect_left, bisect_right
+
+MASK64 = (1 << 64) - 1
+SENTINEL_SIG = MASK64  # the empty pull set's signature: sorts last
+
+
+def mix64(x: int) -> int:
+    """64-bit avalanche hash (splitmix64 finalizer) of x's low 64 bits.
+
+    Pure integer arithmetic, so the value is identical across processes
+    and platforms -- required for stable vertex partitioning and minhash
+    signatures.
+    """
+    x &= MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def minhash_signature(pull_ids, seeds):
+    """Signature tuple of a pull set, one min hash per seed; all-sentinel
+    for the empty set.  `pull_ids` may be any iterable of ints."""
+    ids = list(pull_ids)
+    if not ids:
+        return (SENTINEL_SIG,) * len(seeds)
+    return tuple(min(mix64(v ^ s) for v in ids) for s in seeds)
 
 
 def count_closing_pairs(ids, adj_lists):

@@ -6,6 +6,11 @@ signature with probability equal to the Jaccard similarity of the sets,
 so sorting tasks by key places tasks that want the same vertices next to
 each other -- that is the whole locality story of the disk queue.
 
+Signature k is the minimum of mix64(v ^ seeds[k]) over the pull ids v.
+`minhash_signature` is the kernels backend's: hand-written C (_hash.c)
+when the compiled kernels are built, else the pure twin in
+kernels.pure, which gives the same tuples bit for bit.
+
 Tasks with an empty pull set get an all-max sentinel key, which sorts
 last; ordering among them falls to the tie-break.
 """
@@ -13,15 +18,21 @@ last; ordering among them falls to the tie-break.
 from typing import NamedTuple
 
 from .graph import MASK64, mix64
+from .kernels import minhash_signature
+from .kernels.pure import SENTINEL_SIG
 
 GOLDEN64 = 0x9E3779B97F4A7C15
-SENTINEL_SIG = MASK64
+
+
+def check_ell(ell):
+    """A key needs at least one signature."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
 
 
 def derive_seeds(run_seed: int, ell: int):
     """Derive `ell` signature seeds from one run seed (splitmix stream)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    check_ell(ell)
     out = []
     s = run_seed & MASK64
     for _ in range(ell):
@@ -37,11 +48,3 @@ class TaskKey(NamedTuple):
 
     sigs: tuple
     tiebreak: int
-
-
-def minhash_signature(pull_ids, seeds):
-    """Signature tuple of a pull set; all-sentinel for the empty set."""
-    if not pull_ids:
-        return (SENTINEL_SIG,) * len(seeds)
-    ids = list(pull_ids)
-    return tuple(min(mix64(v ^ s) for v in ids) for s in seeds)

@@ -40,6 +40,12 @@ class _Entry:
         self.pins = pins
 
 
+def check_cache_capacity(capacity):
+    """The cache must hold at least one vertex."""
+    if capacity < 1:
+        raise ValueError("cache capacity must be >= 1")
+
+
 class VertexCache:
     """Bounded LRU map id -> pulled Vertex, with pin counts.
 
@@ -51,8 +57,7 @@ class VertexCache:
     """
 
     def __init__(self, capacity, is_local=None, trace=None):
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
+        check_cache_capacity(capacity)
         self.capacity = capacity
         self._base_capacity = capacity
         self._is_local = is_local or (lambda vid: False)

@@ -88,6 +88,14 @@ def _rkey(rec):
     return rec.key
 
 
+def check_queue_capacities(file_capacity, buffer_capacity):
+    """A spill file holds at least two tasks; the buffer at least one."""
+    if file_capacity < 2:
+        raise ValueError("file_capacity must be >= 2")
+    if buffer_capacity < 1:
+        raise ValueError("buffer_capacity must be >= 1")
+
+
 class _TaskQueueBase:
     """The shared buffering path; subclasses supply `merge_spill` and the
     per-file checks, and may reorder the input buffer before a take."""
@@ -96,10 +104,7 @@ class _TaskQueueBase:
 
     def __init__(self, dirpath, file_capacity=100, buffer_capacity=1000,
                  storage=None):
-        if file_capacity < 2:
-            raise ValueError("file_capacity must be >= 2")
-        if buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
+        check_queue_capacities(file_capacity, buffer_capacity)
         self.file_capacity = file_capacity
         self.buffer_capacity = buffer_capacity
         self.storage = storage or QueueStorage(dirpath)

@@ -221,6 +221,20 @@ def test_bad_stream_capacities_fail_before_the_input_is_read(
     assert err == "error: stream queue: buffer_capacity 10 < file_capacity 100\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ell", "0", "ell must be >= 1"),
+    ("--file-capacity", "1", "file_capacity must be >= 2"),
+    ("--buffer-capacity", "0", "buffer_capacity must be >= 1"),
+    ("--cache-capacity", "0", "cache capacity must be >= 1"),
+])
+def test_bad_config_fails_before_the_input_is_read(
+        tmp_path, capsys, flag, value, message):
+    rc = main(["run", "--app", "triangle", "--workers", "2",
+               "--input", str(tmp_path / "missing.graph"), flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_file_precedence(tmp_path, capsys):
     g = _k4(tmp_path)
     cfg = tmp_path / "job.cfg"

@@ -1,6 +1,7 @@
 """Worker runtime: rounds, pulls, dedup, overflow, children, errors,
 aggregation, termination, determinism."""
 
+import hashlib
 import os
 import pickle
 import tempfile
@@ -10,6 +11,7 @@ import time
 import pytest
 
 import submine.engine as E
+import submine.graph as G
 import submine.taskqueue as Q
 from submine.engine import (
     AggregatorSpec,
@@ -38,6 +40,7 @@ from submine.graph import (
     write_graph,
 )
 from submine.apps import make_app
+from submine.kernels import pure
 from submine.serialize import decode_file
 
 from testkit import assert_cache_bound, assert_dedup
@@ -374,6 +377,41 @@ def test_only_the_lsh_queue_computes_signatures(monkeypatch, queue_kind, ell):
                          else res.metrics["queue_enqueued"])
 
 
+def _lsh_job_fingerprint(monkeypatch, tmp_path):
+    """Counters, aggregate and a sha256 over every spill file a 2-worker
+    lsh job writes, sorted by worker and file name."""
+    written = []
+    real_write = Q.QueueStorage.write
+
+    def recording_write(self, name, data):
+        wdir = os.path.basename(os.path.dirname(self.dir))
+        written.append((wdir, name, bytes(data)))
+        return real_write(self, name, data)
+
+    monkeypatch.setattr(Q.QueueStorage, "write", recording_write)
+    cfg = RunConfig(workers=2, buffer_capacity=8, file_capacity=4,
+                    cache_capacity=30, queue_kind="lsh", workdir=str(tmp_path))
+    res = run_job(cfg, make_app("triangle"), graph=gnp_graph(200, 0.06, seed=3))
+    digest = hashlib.sha256()
+    for wdir, name, data in sorted(written):
+        digest.update(f"{wdir}/{name}\0".encode() + data)
+    return res.metrics, res.aggregate, len(written), digest.hexdigest()
+
+
+def test_keys_and_owners_match_the_pure_hashes_end_to_end(monkeypatch,
+                                                          tmp_path):
+    # whichever backend is bound, signatures and owners are the pure
+    # twins' bit for bit, so spill files and counters do not move
+    bound = _lsh_job_fingerprint(monkeypatch, tmp_path / "bound")
+    monkeypatch.setattr(E, "minhash_signature", pure.minhash_signature)
+    monkeypatch.setattr(G, "mix64", pure.mix64)
+    twins = _lsh_job_fingerprint(monkeypatch, tmp_path / "pure")
+    metrics, _agg, files, _sha = bound
+    assert files > 0 and metrics["cache_evictions"] > 0
+    assert metrics["queue_file_reads"] > 0
+    assert twins == bound
+
+
 # -- tasks that lack no vertex skip the queue ----------------------------------------
 
 
@@ -642,9 +680,11 @@ def _job_threads():
 def test_failed_job_leaves_no_temp_workdir(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     g = complete_graph(6, start_id=0)
-    for bad in (dict(file_capacity=1), dict(cache_capacity=0)):
+    for field, value in (("file_capacity", 1), ("cache_capacity", 0)):
+        cfg = RunConfig(workers=2)
+        setattr(cfg, field, value)  # past the constructor's own check
         with pytest.raises(ValueError):
-            run_job(RunConfig(workers=2, **bad), make_app("triangle"), graph=g)
+            run_job(cfg, make_app("triangle"), graph=g)
     assert os.listdir(tmp_path) == []
 
     def compute(task, frontier):
@@ -681,6 +721,21 @@ def test_config_validation():
         RunConfig(workers=0)
     with pytest.raises(ValueError):
         RunConfig(queue_kind="mystery")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ell", 0, "ell must be >= 1"),
+    ("file_capacity", 1, "file_capacity must be >= 2"),
+    ("buffer_capacity", 0, "buffer_capacity must be >= 1"),
+    ("cache_capacity", 0, "cache capacity must be >= 1"),
+])
+def test_run_config_checks_what_the_job_would_reject(field, value, message):
+    # the constructor raises the message the seeds, queue or cache would
+    # raise mid-setup, on either queue kind
+    for queue_kind in ("lsh", "stream"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(queue_kind=queue_kind, **{field: value})
+    RunConfig(**{field: value + 1})
 
 
 # -- aggregation ----------------------------------------------------------------------

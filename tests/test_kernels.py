@@ -21,12 +21,15 @@ from pathlib import Path
 
 import pytest
 
+import submine.engine
+import submine.graph
+import submine.minhash
 from submine import kernels
 from submine.kernels import pure
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS_DIR = Path(kernels.__file__).parent
-EXTENSIONS = ("_fastpath", "_pairs")
+EXTENSIONS = ("_fastpath", "_pairs", "_hash")
 
 
 def _c_compiler():
@@ -77,6 +80,11 @@ def pairs(compiled):
     return compiled["_pairs"]
 
 
+@pytest.fixture(scope="module")
+def hashes(compiled):
+    return compiled["_hash"]
+
+
 def _random_rows(rng, n, p):
     """Symmetric bitmask adjacency over n vertices."""
     rows = [0] * n
@@ -109,12 +117,21 @@ def test_backend_matches_built_extension():
     here = os.listdir(os.path.dirname(kernels.__file__))
     built = all(any(f.startswith(name) and f.endswith(".so") for f in here)
                 for name in EXTENSIONS)
+    bound = (kernels.count_closing_pairs, kernels.minhash_signature,
+             kernels.mix64)
     if built and os.environ.get("SUBMINE_PURE_KERNELS") != "1":
         assert kernels.BACKEND == "compiled"
-        assert kernels.count_closing_pairs is kernels._pairs.count_closing_pairs
+        assert bound == (kernels._pairs.count_closing_pairs,
+                         kernels._hash.minhash_signature,
+                         kernels._hash.mix64)
     else:
         assert kernels.BACKEND == "pure"
-        assert kernels.count_closing_pairs is pure.count_closing_pairs
+        assert bound == (pure.count_closing_pairs, pure.minhash_signature,
+                         pure.mix64)
+    # the partitioner and the engine's keys call what the backend binds
+    assert submine.graph.mix64 is kernels.mix64
+    assert submine.minhash.minhash_signature is kernels.minhash_signature
+    assert submine.engine.minhash_signature is kernels.minhash_signature
 
 
 def test_env_var_forces_pure_backend():
@@ -350,6 +367,103 @@ def test_pure_count_closing_pairs_reads_the_shorter_side():
     adj = _CountingList(wide[:-5] + [200_002, 200_004, 200_007])
     assert pure.count_closing_pairs(ids, [adj]) == 3
     assert adj.reads <= 40
+
+
+# -- mix64 and minhash_signature -------------------------------------------------
+
+_SEEDS = (0x9E3779B97F4A7C15, 1, 2**64 - 1, 0x5692161D100B05E5)
+
+
+def _hash_ids(rng, count):
+    """Random ids over the whole u64 range plus its edges and ints whose
+    low 64 bits are what gets hashed."""
+    return ([rng.randrange(2**64) for _ in range(count)]
+            + [0, 2**64 - 1, 2**64 + 5, -1])
+
+
+def test_mix64_backend_parity(hashes):
+    rng = random.Random(21)
+    for x in _hash_ids(rng, 5000) + [-(2**70) - 3, 2**200 + 7, True]:
+        assert hashes.mix64(x) == pure.mix64(x)
+    assert hashes.mix64(2**64 + 5) == hashes.mix64(5)
+    assert hashes.mix64(-1) == hashes.mix64(2**64 - 1)
+    for mix in (pure.mix64, hashes.mix64):
+        for bad in ("1", 1.0, None):
+            with pytest.raises(TypeError):
+                mix(bad)
+
+
+def test_minhash_signature_backend_parity(hashes):
+    rng = random.Random(22)
+    ids = _hash_ids(rng, 300)
+    for _ in range(3000):
+        pull = rng.sample(ids, rng.randint(0, 8))
+        seeds = tuple(rng.randrange(2**64)
+                      for _ in range(rng.choice((0, 1, 4, 16))))
+        want = pure.minhash_signature(pull, seeds)
+        assert len(want) == len(seeds)
+        assert hashes.minhash_signature(pull, seeds) == want
+        assert hashes.minhash_signature(frozenset(pull), list(seeds)) == want
+
+
+def test_minhash_signature_input_forms(hashes):
+    sentinel = (pure.SENTINEL_SIG,) * 4
+    for sig in (pure.minhash_signature, hashes.minhash_signature):
+        for empty in ((), [], frozenset(), iter(())):
+            assert sig(empty, _SEEDS) == sentinel
+        assert sig([], list(_SEEDS[:1])) == sentinel[:1]
+        assert sig((), ()) == ()
+        want = sig([4, 9, 17], _SEEDS)
+        assert sentinel[0] not in want
+        for form in ([17, 4, 9, 4, 17], frozenset({4, 9, 17}), (9, 17, 4),
+                     (x for x in (4, 9, 9, 17))):
+            assert sig(form, _SEEDS) == want
+        for ell in (0, 1, 4, 16):
+            seeds = tuple(range(3, 3 + ell))
+            got = sig([4, 9, 17], seeds)
+            assert got == sig([4, 9, 17], list(seeds))
+            assert len(got) == ell
+        assert sig([5], (7,)) == (pure.mix64(5 ^ 7),)
+
+
+@pytest.mark.parametrize("pull, seeds", [
+    (["4"], _SEEDS),
+    ([1, 2, 3.0], _SEEDS),
+    ([1, None], _SEEDS),
+    ([1, 2], (1, "2")),
+    ([1, 2], (1.0,)),
+])
+def test_minhash_signature_rejects_non_ints(hashes, pull, seeds):
+    for sig in (pure.minhash_signature, hashes.minhash_signature):
+        with pytest.raises(TypeError):
+            sig(pull, seeds)
+
+
+def test_hash_failures_free_their_memory(hashes):
+    # each call fails after the id buffer is allocated; PyMem_Malloc is
+    # traced, so a leaked buffer would show as ~3*10^4 * 40 bytes
+    bad = [(lambda: [1, 2, "x"], _SEEDS), (lambda: [1, 2, 3], (1, 2, None)),
+           (lambda: (x for x in (5, 6, 7.5)), _SEEDS)]
+
+    def fail_all(times):
+        for _ in range(times):
+            for pull, seeds in bad:
+                try:
+                    hashes.minhash_signature(pull(), seeds)
+                except TypeError:
+                    pass
+                else:
+                    raise AssertionError("expected a failure")
+
+    tracemalloc.start()
+    try:
+        fail_all(100)
+        before = tracemalloc.get_traced_memory()[0]
+        fail_all(10_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_000
 
 
 # -- max_clique ------------------------------------------------------------------

@@ -4,9 +4,10 @@
 Times the hot kernels on generated workloads, checks that both backends
 return identical answers while doing so, and prints a table.  The
 compiled column times what the package calls (`submine.kernels` with its
-compiled backend: _pairs for count_closing_pairs, _fastpath for the
-clique kernels, _hash for minhash_signature and mix64).  Runs fine
-without the extensions built (compiled column shows "-").
+compiled backend: _pairs for count_closing_pairs and edges_symmetric,
+_fastpath for the clique kernels, _hash for minhash_signature and
+mix64).  Runs fine without the extensions built (compiled column shows
+"-").
 The last row times the clique apps' pure-Python bit readout on a wide
 mask; it has no compiled twin.
 
@@ -53,15 +54,11 @@ def _skewed_ids(rng, count, n=30_000, exponent=0.5):
     return rng.choices(ids, weights=weights, k=count)
 
 
-def _hub_workload(seed, n=20_000, m=100_000, exponent=0.8, calls=300):
-    """The widest triangle calls on a hub-skewed graph.
+def _hub_adjacency(seed, n=20_000, m=100_000, exponent=0.8):
+    """Sorted adjacency lists of a hub-skewed graph on ids 0..n-1.
 
     Chung-Lu-style: edge ends are drawn with weight (rank + 1) ** -exponent
-    and ranks get shuffled ids.  As in the triangle app, each call pairs a
-    seed's larger neighbors with their full sorted adjacency lists (which
-    hold ids below their own too); here n reaches ~2k and lists ~3.6k.
-    The tiny calls that make up most of a real job are left out: the
-    widest few hundred are where the kernel's time goes.
+    and ranks get shuffled ids; the widest lists reach ~3.6k.
     """
     rng = random.Random(seed)
     ends = _skewed_ids(rng, 2 * m, n, exponent)
@@ -70,9 +67,21 @@ def _hub_workload(seed, n=20_000, m=100_000, exponent=0.8, calls=300):
         if a != b:
             nbrs[a].add(b)
             nbrs[b].add(a)
-    adj = [sorted(s) for s in nbrs]
+    return [sorted(s) for s in nbrs]
+
+
+def _hub_workload(seed, calls=300):
+    """The widest triangle calls on the _hub_adjacency graph.
+
+    As in the triangle app, each call pairs a seed's larger neighbors
+    with their full sorted adjacency lists (which hold ids below their
+    own too); here n reaches ~2k.  The tiny calls that make up most of a
+    real job are left out: the widest few hundred are where the kernel's
+    time goes.
+    """
+    adj = _hub_adjacency(seed)
     out = []
-    for v in range(n):
+    for v in range(len(adj)):
         gt = adj[v][bisect_right(adj[v], v):]
         if len(gt) >= 2:
             out.append((gt, [adj[u] for u in gt[:-1]] + [()]))
@@ -131,6 +140,23 @@ def bench_count_closing_pairs_hub(args):
         return sum(mod.count_closing_pairs(ids, adj) for ids, adj in calls)
 
     return len(calls), run
+
+
+def bench_edges_symmetric(args):
+    """The load's symmetry check on the _hub_adjacency graph, as is and
+    with the reverse of its last edge dropped, so the walk runs to the
+    end both times and the backends must agree on True and on False."""
+    rows = _hub_adjacency(args.seed)
+    ids = list(range(len(rows)))
+    v = max(v for v in ids if rows[v])
+    broken = list(rows)
+    broken[rows[v][-1]] = [u for u in rows[rows[v][-1]] if u != v]
+
+    def run(mod):
+        return [mod.edges_symmetric(ids, rows),
+                mod.edges_symmetric(ids, broken)]
+
+    return 2, run
 
 
 def bench_minhash_signature(args):
@@ -193,6 +219,7 @@ def bench_bits_wide_mask(args, width=7000, bits=21, calls=200):
 BENCHES = [
     ("count_closing_pairs", bench_count_closing_pairs),
     ("count_closing_pairs_hub", bench_count_closing_pairs_hub),
+    ("edges_symmetric", bench_edges_symmetric),
     ("minhash_signature", bench_minhash_signature),
     ("mix64", bench_mix64),
     ("max_clique", bench_max_clique),

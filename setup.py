@@ -3,8 +3,10 @@ import os
 from setuptools import Extension, setup
 
 # The compiled kernels are three C files, so a C compiler is all they
-# need: _fastpath.c is committed Cython output, and _pairs.c and _hash.c
-# are written by hand against the CPython API.  optional=True lets a
+# need: _fastpath.c is committed Cython output, and _pairs.c (the two
+# kernels that read adjacency lists, count_closing_pairs and
+# edges_symmetric) and _hash.c are written by hand against the CPython
+# API.  optional=True lets a
 # machine without a compiler still install: the kernels package uses the
 # pure backend unless all three modules import.  After editing
 # _fastpath.pyx, regenerate its .c with

@@ -19,10 +19,11 @@ loads as one plain id list.
 import hashlib
 import io
 from bisect import bisect_right
-from itertools import repeat
+from itertools import islice, repeat
+from operator import lt
 from typing import NamedTuple, Optional
 
-from .kernels import mix64
+from .kernels import edges_symmetric, mix64
 from .kernels.pure import MASK64
 
 
@@ -320,47 +321,30 @@ def write_graph(g: Graph, path):
 
 
 def check_undirected(g: Graph):
-    """Verify adjacency symmetry (self-loops/parallels already rejected)
-    and that every id fits the codec's unsigned 64-bit fields.  Every
-    neighbor must be a vertex, so checking vertex ids covers neighbors.
+    """Verify that every id fits the codec's unsigned 64-bit fields,
+    that every neighbor list is strictly ascending with no self-loop,
+    that every neighbor is a vertex, and that every edge has its
+    reverse.  Graphs built in code reach here without the parser's
+    checks.
 
-    A fast pass looks up only the up-edges (v -> w with v < w) in w's
-    list; when anything is wrong the full per-edge scan runs and names
-    the first offending edge.
+    A fast pass (kernels.edges_symmetric) answers yes or no; when
+    anything is wrong the full per-edge scan runs and names the first
+    offending vertex or edge.
     """
-    if not _up_edges_symmetric(g):
+    ids = g.ids()
+    rows = list(map(Vertex.neighbor_ids, map(g.vertices.__getitem__, ids)))
+    if not edges_symmetric(ids, rows):
         _check_every_edge(g)
 
 
-def _up_edges_symmetric(g: Graph) -> bool:
-    """True when every id fits and every edge has its reverse.
-
-    Each up-edge found reversed is a distinct down-edge (w -> v), so
-    once up-edges and down-edges are equal in number every down-edge is
-    some up-edge reversed.
-    """
-    vertices = g.vertices
-    up = down = 0
-    for v in g:
-        vid = v.id
-        if not 0 <= vid <= MASK64:
-            return False
-        nbs = v.neighbor_ids()
-        k = bisect_right(nbs, vid)
-        down += k
-        up += len(nbs) - k
-        for nb in nbs[k:]:
-            w = vertices.get(nb)
-            if w is None:
-                return False
-            ids = w.neighbor_ids()
-            j = bisect_right(ids, vid) - 1
-            if j < 0 or ids[j] != vid:
-                return False
-    return up == down
-
-
 def _check_every_edge(g: Graph):
+    for v in g:
+        ids = v.neighbor_ids()
+        if v.id in ids:
+            raise GraphDataError(f"vertex {v.id} has a self-loop")
+        if not all(map(lt, ids, islice(ids, 1, None))):
+            raise GraphDataError(
+                f"neighbor ids of vertex {v.id} are not strictly ascending")
     for v in g:
         if not 0 <= v.id <= MASK64:
             raise GraphDataError(f"vertex id {v.id} does not fit in 64 bits")

@@ -5,7 +5,9 @@ place by `python setup.py build_ext --inplace`) and needing only a C
 compiler:
 - _fastpath, from the committed Cython output _fastpath.c, holds the
   clique kernels max_clique and maximal_cliques;
-- _pairs, from the hand-written _pairs.c, holds count_closing_pairs;
+- _pairs, from the hand-written _pairs.c, holds the two kernels that read
+  adjacency lists: count_closing_pairs (the triangle app) and
+  edges_symmetric (graph.check_undirected, before a job starts);
 - _hash, from the hand-written _hash.c, holds the id hashes mix64 (behind
   graph.partition_owner) and minhash_signature (the lsh queue's keys).
 BACKEND is "compiled" only when all three import, and then every kernel
@@ -17,7 +19,8 @@ hashes bit for bit, the clique kernels with the same algorithms and
 tie-breaking); benchmarks/bench_kernels.py compares their speed.
 
 count_closing_pairs takes every id read_graph accepts (0 to 2**64 - 1),
-and the hashes hash the low 64 bits of any int.  The clique kernels'
+edges_symmetric answers False for an id outside that range, and the
+hashes hash the low 64 bits of any int.  The clique kernels'
 fixed-width word arrays do not scale to very wide neighborhoods, so past
 _COMPILED_N_LIMIT vertices the wrapper hands those to the pure
 implementation, whose python-int bitmasks degrade gracefully.
@@ -31,6 +34,7 @@ _COMPILED_N_LIMIT = 4096
 
 BACKEND = "pure"
 count_closing_pairs = pure.count_closing_pairs
+edges_symmetric = pure.edges_symmetric
 minhash_signature = pure.minhash_signature
 mix64 = pure.mix64
 max_clique = pure.max_clique
@@ -47,6 +51,7 @@ else:
 if _hash is not None:
     BACKEND = "compiled"
     count_closing_pairs = _pairs.count_closing_pairs
+    edges_symmetric = _pairs.edges_symmetric
     minhash_signature = _hash.minhash_signature
     mix64 = _hash.mix64
 

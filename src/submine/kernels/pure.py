@@ -1,5 +1,6 @@
 """Pure-python reference implementations of the hot kernels: the id
-hashes behind partitioning and MinHash keys, and the search kernels.
+hashes behind partitioning and MinHash keys, the load's symmetry check,
+and the search kernels.
 
 These are the import-time fallback when the compiled extensions are
 not available.  Both backends implement the same algorithms (the clique
@@ -12,6 +13,8 @@ make this reasonably quick even without the extension.
 """
 
 from bisect import bisect_left, bisect_right
+from itertools import islice, repeat
+from operator import lt
 
 MASK64 = (1 << 64) - 1
 SENTINEL_SIG = MASK64  # the empty pull set's signature: sorts last
@@ -79,6 +82,57 @@ def count_closing_pairs(ids, adj_lists):
                 total += 1
                 lo += 1
     return total
+
+
+def edges_symmetric(ids, rows):
+    """True when `rows[i]`, the neighbor ids of vertex `ids[i]`, describe
+    an undirected graph: `ids` strictly ascending in [0, 2**64), every
+    row strictly ascending with no self-loop, every neighbor a vertex,
+    and every edge with its reverse.
+
+    One walk in ascending id order with a cursor per vertex into its
+    down-prefix (its neighbors below its own id): each up-edge (v, w)
+    must be the next unmatched entry of w's down-prefix, and advances w's
+    cursor.  The up-edges into w arrive in ascending order of v, so when
+    the walk reaches w its cursor must sit at the end of its down-prefix:
+    the next entry, if any, is above w.  Every down-edge is thus matched
+    by a distinct up-edge, with no count argument.
+
+    `ids` and `rows` are lists or tuples of equal length (else
+    ValueError); a non-int id or a row that is neither a list nor a tuple
+    raises TypeError.  Neighbors must be ints.
+    """
+    n = len(ids)
+    if len(rows) != n:
+        raise ValueError("ids and rows differ in length")
+    if not all(map(isinstance, ids, repeat(int))):
+        raise TypeError("ids must be ints")
+    if not all(map(isinstance, rows, repeat((list, tuple)))):
+        raise TypeError("rows must be lists or tuples")
+    if not n:
+        return True
+    if (ids[0] < 0 or ids[-1] > MASK64
+            or not all(map(lt, ids, islice(ids, 1, None)))):
+        return False
+    index = dict(zip(ids, range(n)))
+    cursor = [0] * n
+    # zip reads cursor[i] as the walk reaches vertex i; by then only the
+    # vertices below it have moved it, so it is final
+    for vid, row, c in zip(ids, rows, cursor):
+        prev = vid
+        for w in islice(row, c, None):
+            if w <= prev:
+                return False  # an unmatched down-edge, a self-loop, or disorder
+            prev = w
+            j = index.get(w)
+            if j is None:
+                return False
+            d = cursor[j]
+            down = rows[j]
+            if d == len(down) or down[d] != vid:
+                return False
+            cursor[j] = d + 1
+    return True
 
 
 def _color_order(pmask, rows):

@@ -3,8 +3,25 @@
 The acceptance tests record one verdict line per criterion here; the
 terminal-summary hook replays them after capture ends so the verdicts
 are visible in every run, not just on failure.
+
+The `compiled` fixture hands the kernel tests the compiled modules,
+building them from their C files when they are not built in place.
 """
 
+import importlib
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+EXTENSIONS = ("_fastpath", "_pairs", "_hash")
 ACCEPTANCE_VERDICTS = []
 
 
@@ -13,3 +30,41 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def _c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(cc)[0])
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel modules by name, built from their C files if
+    need be."""
+    try:
+        return {name: importlib.import_module("submine.kernels." + name)
+                for name in EXTENSIONS}
+    except ImportError:
+        pass
+    if _c_compiler() is None:
+        pytest.skip("no C compiler found to build the compiled kernels")
+    out = tmp_path_factory.mktemp("compiled")
+    env = {k: v for k, v in os.environ.items() if k != "SUBMINE_NO_EXT"}
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+         "--build-temp", str(out / "temp")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    mods = {}
+    for name in EXTENSIONS:
+        built = list((out / "submine" / "kernels").glob(name + "*" + suffix))
+        if build.returncode != 0 or not built:
+            # setup.py marks the extensions optional, so a failed compile
+            # still exits 0: the missing module is the signal
+            pytest.fail(f"building {name} failed:\n" + build.stdout
+                        + build.stderr)
+        spec = importlib.util.spec_from_file_location(
+            "submine.kernels." + name, built[0])
+        mods[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mods[name])
+    return mods

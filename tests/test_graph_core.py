@@ -27,6 +27,7 @@ from submine.graph import (
     write_graph,
 )
 from submine.gen import complete_graph, gnp_graph
+from submine.kernels import pure as pure_kernels
 
 
 # -- parsing ---------------------------------------------------------------
@@ -403,8 +404,8 @@ def test_check_undirected():
 
 
 def test_check_undirected_down_edge_without_reverse():
-    # 2 -> 1 is a down-edge; the fast pass only looks up up-edges, so it
-    # is the up/down count that catches the missing 1 -> 2
+    # 2 -> 1 is a down-edge that no up-edge 1 -> 2 matches, so the fast
+    # pass reaches vertex 2 with its cursor short of its down-prefix
     bad = Graph()
     bad.add(Vertex(1, None, [AdjItem(3)]))
     bad.add(Vertex(2, None, [AdjItem(1)]))
@@ -443,6 +444,35 @@ def test_check_undirected_names_the_same_edge_as_a_full_scan():
         except GraphDataError as e:
             got = str(e)
         assert got == expected
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def symmetry_kernel(request, monkeypatch):
+    """check_undirected's fast pass, on each backend in turn."""
+    if request.param == "pure":
+        kernel = pure_kernels.edges_symmetric
+    else:
+        kernel = request.getfixturevalue("compiled")["_pairs"].edges_symmetric
+    monkeypatch.setattr(graph_module, "edges_symmetric", kernel)
+    return kernel
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({1: [1, 2], 2: [1]}, "vertex 1 has a self-loop"),
+    ({1: [2, 2], 2: [1, 1]},
+     "neighbor ids of vertex 1 are not strictly ascending"),
+    ({1: [3, 2], 2: [1], 3: [1]},
+     "neighbor ids of vertex 1 are not strictly ascending"),
+], ids=["self_loop", "repeated", "unsorted"])
+def test_check_undirected_rejects_bad_rows(symmetry_kernel, rows, message):
+    # built in code, so the parser's checks never ran
+    g = Graph()
+    for vid, nbs in rows.items():
+        g.add(Vertex.from_ids(vid, None, nbs))
+    ids = sorted(rows)
+    assert symmetry_kernel(ids, [rows[v] for v in ids]) is False
+    with pytest.raises(GraphDataError, match=f"^{message}$"):
+        check_undirected(g)
 
 
 @pytest.mark.parametrize("start,ok", [

@@ -1,25 +1,21 @@
 """Search kernels: pure vs compiled parity, oracle checks, backend wiring.
 
 The parity tests run against the compiled modules whether or not they
-are built in place: the `compiled` fixture builds every extension from
-its shipped C file into a temp dir when they are not importable, and
-skips only when no C compiler is found.
+are built in place: the `compiled` fixture (conftest.py) builds every
+extension from its shipped C file into a temp dir when they are not
+importable, and skips only when no C compiler is found.
 """
 
-import importlib
-import importlib.util
 import os
 import random
 import re
-import shlex
-import shutil
 import subprocess
 import sys
-import sysconfig
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import EXTENSIONS
 
 import submine.engine
 import submine.graph
@@ -27,47 +23,7 @@ import submine.minhash
 from submine import kernels
 from submine.kernels import pure
 
-ROOT = Path(__file__).resolve().parents[1]
 KERNELS_DIR = Path(kernels.__file__).parent
-EXTENSIONS = ("_fastpath", "_pairs", "_hash")
-
-
-def _c_compiler():
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    return shutil.which(shlex.split(cc)[0])
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The compiled kernel modules by name, built from their C files if
-    need be."""
-    try:
-        return {name: importlib.import_module("submine.kernels." + name)
-                for name in EXTENSIONS}
-    except ImportError:
-        pass
-    if _c_compiler() is None:
-        pytest.skip("no C compiler found to build the compiled kernels")
-    out = tmp_path_factory.mktemp("compiled")
-    env = {k: v for k, v in os.environ.items() if k != "SUBMINE_NO_EXT"}
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
-         "--build-temp", str(out / "temp")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    mods = {}
-    for name in EXTENSIONS:
-        built = list((out / "submine" / "kernels").glob(name + "*" + suffix))
-        if build.returncode != 0 or not built:
-            # setup.py marks the extensions optional, so a failed compile
-            # still exits 0: the missing module is the signal
-            pytest.fail(f"building {name} failed:\n" + build.stdout
-                        + build.stderr)
-        spec = importlib.util.spec_from_file_location(
-            "submine.kernels." + name, built[0])
-        mods[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mods[name])
-    return mods
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +323,232 @@ def test_pure_count_closing_pairs_reads_the_shorter_side():
     adj = _CountingList(wide[:-5] + [200_002, 200_004, 200_007])
     assert pure.count_closing_pairs(ids, [adj]) == 3
     assert adj.reads <= 40
+
+
+# -- edges_symmetric -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def symmetric(pairs):
+    return pairs.edges_symmetric
+
+
+def _symmetric_bf(ids, rows):
+    """edges_symmetric by its definition, with sets."""
+    if list(ids) != sorted(set(ids)) or not all(0 <= v < 2**64 for v in ids):
+        return False
+    edges = set()
+    for v, row in zip(ids, rows):
+        if list(row) != sorted(set(row)) or v in row:
+            return False
+        edges.update((v, w) for w in row)
+    return all((w, v) in edges for v, w in edges)
+
+
+def _spread_ids(rng, n):
+    """n ascending ids with gaps between them, so a non-vertex id can
+    sit below, between or above the vertices."""
+    return sorted(rng.sample(range(1, 10 * n), n))
+
+
+def _gnp_adjacency(rng, n, p):
+    ids = _spread_ids(rng, n)
+    adj = {v: set() for v in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if rng.random() < p:
+                adj[a].add(b)
+                adj[b].add(a)
+    return adj
+
+
+def _chung_lu_adjacency(rng, n, m, exponent=0.8):
+    """Edge ends drawn with weight (rank + 1) ** -exponent: a few hubs."""
+    ids = _spread_ids(rng, n)
+    weights = [(r + 1) ** -exponent for r in range(n)]
+    ends = rng.choices(rng.sample(ids, n), weights=weights, k=2 * m)
+    adj = {v: set() for v in ids}
+    for a, b in zip(ends[::2], ends[1::2]):
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def _non_edge(rng, adj, up, avoid=None):
+    """(v, w), two vertices with no edge between them and w above v when
+    `up` (below it otherwise), other than `avoid`; None when there is
+    none."""
+    pairs = [(v, w) for v in adj for w in adj
+             if (w > v if up else w < v) and w not in adj[v]
+             and (v, w) != avoid]
+    return rng.choice(pairs) if pairs else None
+
+
+def _mutate(rng, adj, kind):
+    """Sorted rows of `adj` with one fault of the given kind, or None
+    when the graph has no room for it."""
+    rows = {v: sorted(s) for v, s in adj.items()}
+    edges = [(v, w) for v, s in adj.items() for w in s]
+    if kind == "dropped_reverse":
+        v, w = rng.choice(edges)
+        rows[w].remove(v)
+    elif kind in ("extra_down_edge", "balanced_pair"):
+        down = _non_edge(rng, adj, up=False)
+        if down is None:
+            return None
+        v, w = down
+        rows[v] = sorted(rows[v] + [w])
+        if kind == "balanced_pair":
+            # plus an unrelated up-edge with no reverse either: the up
+            # and down entry counts still agree
+            up = _non_edge(rng, adj, up=True, avoid=(w, v))
+            if up is None:
+                return None
+            x, u = up
+            rows[x] = sorted(rows[x] + [u])
+    elif kind == "dangling":
+        v = rng.choice(sorted(adj))
+        w = rng.choice([x for x in range(10 * len(adj) + 2) if x not in adj])
+        rows[v] = sorted(rows[v] + [w])
+    elif kind == "misnamed":
+        # an up-neighbor x of v renamed to x - 1, which is no vertex: the
+        # first vertex at or above x - 1 is x, and x lists v
+        named = [(v, x) for v, x in edges if v < x - 1 and x - 1 not in adj]
+        if not named:
+            return None
+        v, x = rng.choice(named)
+        rows[v] = sorted([w for w in rows[v] if w != x] + [x - 1])
+    elif kind == "self_loop":
+        v = rng.choice(sorted(adj))
+        rows[v] = sorted(rows[v] + [v])
+    elif kind == "repeated":
+        v, w = rng.choice(edges)
+        rows[v] = sorted(rows[v] + [w])
+    elif kind == "unsorted":
+        v = rng.choice([v for v in adj if len(adj[v]) >= 2])
+        k = rng.randrange(len(rows[v]) - 1)
+        rows[v][k], rows[v][k + 1] = rows[v][k + 1], rows[v][k]
+    return rows
+
+
+_FAULTS = ("dropped_reverse", "extra_down_edge", "dangling", "misnamed",
+           "balanced_pair", "self_loop", "repeated", "unsorted")
+
+
+def _call(rows):
+    ids = sorted(rows)
+    return ids, [rows[v] for v in ids]
+
+
+def test_edges_symmetric_backend_parity(symmetric):
+    rng = random.Random(31)
+    graphs = [_gnp_adjacency(rng, rng.randint(3, 60), rng.uniform(0.05, 0.4))
+              for _ in range(40)]
+    graphs += [_chung_lu_adjacency(rng, rng.randint(50, 150),
+                                   rng.randint(100, 600))
+               for _ in range(20)]
+    seen = set()
+    for adj in graphs:
+        if sum(map(len, adj.values())) < 4:
+            continue
+        for kind in ("none",) + _FAULTS:
+            mutated = _mutate(rng, adj, kind)
+            if mutated is None:
+                continue
+            ids, rows = _call(mutated)
+            want = kind == "none"
+            assert _symmetric_bf(ids, rows) is want, kind
+            assert pure.edges_symmetric(ids, rows) is want, kind
+            assert symmetric(ids, rows) is want, kind
+            tuples = tuple(map(tuple, rows))
+            assert pure.edges_symmetric(tuple(ids), tuples) is want, kind
+            assert symmetric(tuple(ids), tuples) is want, kind
+            seen.add(kind)
+    assert seen == {"none", *_FAULTS}
+
+
+_TOP = 2**64 - 1
+
+
+@pytest.mark.parametrize("ids, rows, want", [
+    ([0, _TOP], [[_TOP], [0]], True),
+    ([0, 5, _TOP], [[5, _TOP], [0, _TOP], [0, 5]], True),
+    ([-1, 5], [[5], [-1]], False),              # -1 as a vertex
+    ([5, 2**64], [[2**64], [5]], False),        # 2**64 as a vertex
+    ([0, 5], [[5], [-1, 0]], False),            # -1 as a neighbor
+    ([0, 5], [[5, 2**64], [0]], False),         # 2**64 as a neighbor
+    ([_TOP], [[2**64]], False),
+    ([0], [[-1]], False),
+    ([1, 5], [[3], [1]], False),               # 3 is no vertex; 5 lists 1
+])
+def test_edges_symmetric_id_range(symmetric, ids, rows, want):
+    assert _symmetric_bf(ids, rows) is want
+    assert pure.edges_symmetric(ids, rows) is want
+    assert symmetric(ids, rows) is want
+
+
+def test_edges_symmetric_empty_and_isolated(symmetric):
+    for kernel in (pure.edges_symmetric, symmetric):
+        assert kernel([], []) is True
+        assert kernel((), ()) is True
+        assert kernel([7], [[]]) is True
+        assert kernel([0, 3, 9, _TOP], [[], (), [], []]) is True
+        assert kernel([1, 2, 3], [[], [3], [2]]) is True
+        assert kernel([3, 3], [[], []]) is False   # ids not strictly ascending
+        assert kernel([3, 1], [[], []]) is False
+
+
+@pytest.mark.parametrize("ids, rows, error", [
+    ([1, "2"], [[2], [1]], TypeError),
+    ([1, 2.0], [[2], [1]], TypeError),
+    ([1, None], [[], []], TypeError),
+    ([1, 2], [[2], {1}], TypeError),
+    ([1, 2], [[2], 1], TypeError),
+    ([1, 2], [None, [1]], TypeError),
+    ([1, 2], [[2]], ValueError),
+    ([1], [[], []], ValueError),
+])
+def test_edges_symmetric_rejects_bad_arguments(symmetric, ids, rows, error):
+    # a non-int id or a row that is neither a list nor a tuple raises, in
+    # both twins, even where the data alone would answer False
+    for kernel in (pure.edges_symmetric, symmetric):
+        with pytest.raises(error):
+            kernel(ids, rows)
+        with pytest.raises(error):
+            kernel([-1] + ids, [[]] + rows)
+
+
+def test_edges_symmetric_failures_free_their_memory(symmetric):
+    # every call fails after the buffers are allocated (about 3 kB for
+    # these 60-vertex rows); PyMem_Malloc is traced, so a leak would
+    # show as ~3*10^4 times that
+    rng = random.Random(37)
+    adj = _gnp_adjacency(rng, 60, 0.2)
+    ids, rows = _call({v: sorted(s) for v, s in adj.items()})
+    last = rows[-1]
+    bad = [(ids, rows[:-1] + [last[:-1]]),          # a missing reverse
+           (ids, rows[:-1] + [last + [2**64]]),     # a neighbor past 2**64
+           (ids, rows[:-1] + [last + ["x"]])]       # a non-int neighbor
+
+    def fail_all(times):
+        for _ in range(times):
+            for i, r in bad:
+                try:
+                    assert symmetric(i, r) is False
+                except TypeError:
+                    pass
+
+    assert symmetric(ids, rows) is True
+    tracemalloc.start()
+    try:
+        fail_all(100)
+        before = tracemalloc.get_traced_memory()[0]
+        fail_all(10_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_000
 
 
 # -- mix64 and minhash_signature -------------------------------------------------

@@ -74,13 +74,16 @@ def test_install_spans_resolves_records_and_restores(job, queue_kind):
 
     kind = Q.QUEUE_KINDS[queue_kind].__name__
     for name in [("Worker", "seed_all"), ("Worker", "run_round"),
+                 ("submine.engine", "check_undirected"),
+                 ("submine.engine", "partition_graph"),
                  ("submine.engine", "encode_task"),
                  ("submine.engine", "decode_task"),
                  ("VertexStore", "resolve"), ("VertexCache", "reserve"),
                  (kind, "enqueue"), (kind, "fetch"), (kind, "seed_bulk")]:
         assert name in patched
     times, _sizes = tracer.totals()
-    for key in ("engine.seed", "engine.round", "serialize.task_encode",
+    for key in ("graph.check_undirected",
+                "engine.seed", "engine.round", "serialize.task_encode",
                 "serialize.task_decode", "serialize.file_encode",
                 "taskqueue.enqueue", "taskqueue.fetch", "taskqueue.seed_bulk",
                 "taskqueue.io", "store.reserve", "store.get",

@@ -5,7 +5,7 @@ Times the hot kernels on generated workloads, checks that both backends
 return identical answers while doing so, and prints a table.  The
 compiled column times what the package calls (`submine.kernels` with its
 compiled backend: _pairs for count_closing_pairs and edges_symmetric,
-_fastpath for the clique kernels, _hash for minhash_signature and
+_cliques for the clique kernels, _hash for minhash_signature and
 mix64).  Runs fine without the extensions built (compiled column shows
 "-").
 The last row times the clique apps' pure-Python bit readout on a wide
@@ -190,6 +190,18 @@ def bench_max_clique(args):
     return len(workload), run
 
 
+def bench_max_clique_dense(args):
+    """Dense 90-vertex nets, where a search that never drops a tried
+    vertex from its candidates runs several times longer than pure."""
+    n = 90
+    workload = _rows_workload(args.seed + 2, 3, n, 0.8)
+
+    def run(mod):
+        return [mod.max_clique(n, rows) for rows in workload]
+
+    return len(workload), run
+
+
 def bench_maximal_cliques(args):
     n = 34
     workload = _rows_workload(args.seed + 1, 20, n, 0.4)
@@ -223,6 +235,7 @@ BENCHES = [
     ("minhash_signature", bench_minhash_signature),
     ("mix64", bench_mix64),
     ("max_clique", bench_max_clique),
+    ("max_clique_dense", bench_max_clique_dense),
     ("maximal_cliques", bench_maximal_cliques),
 ]
 

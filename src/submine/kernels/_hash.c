@@ -1,5 +1,5 @@
 /* Compiled twins of kernels.pure.mix64 and kernels.pure.minhash_signature,
- * written by hand against the CPython API (no Cython needed to change it).
+ * written by hand against the CPython API.
  *
  * Both hash the low 64 bits of their int arguments, as the pure twins do
  * with `& MASK64`, so negative ints and ints >= 2**64 hash alike in both

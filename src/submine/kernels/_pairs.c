@@ -1,7 +1,6 @@
 /* Compiled twins of kernels.pure.count_closing_pairs and
  * kernels.pure.edges_symmetric, the two kernels that read adjacency
- * lists, written by hand against the CPython API (no Cython needed to
- * change them).
+ * lists, written by hand against the CPython API.
  *
  * count_closing_pairs: for row i the pairs it may close are the
  * neighbours of ids[i] above ids[i] that are also later candidates, so

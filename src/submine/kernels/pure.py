@@ -4,12 +4,14 @@ and the search kernels.
 
 These are the import-time fallback when the compiled extensions are
 not available.  Both backends implement the same algorithms (the clique
-kernels with the same tie-breaking), so their outputs are bit-identical;
-the test suite checks the two against each other on random inputs.
+kernels with the same visit order and tie-breaking), so their outputs
+are bit-identical; the test suite checks the two against each other on
+random inputs.
 
-Small dense neighborhoods are represented as bitmasks: `rows[i]` is an
-int whose bit j is set iff vertices i and j are adjacent.  Python ints
-make this reasonably quick even without the extension.
+The clique kernels take an ego net as bitmasks: `rows[i]` is an int
+whose bit j is set iff vertices i and j are adjacent.  The compiled
+twins in _cliques.c copy each mask into an array of 64-bit words and
+run the same search over those.
 """
 
 from bisect import bisect_left, bisect_right

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-EXTENSIONS = ("_fastpath", "_pairs", "_hash")
+EXTENSIONS = ("_cliques", "_pairs", "_hash")
 ACCEPTANCE_VERDICTS = []
 
 

@@ -8,14 +8,15 @@ importable, and skips only when no C compiler is found.
 
 import os
 import random
-import re
 import subprocess
 import sys
+import sysconfig
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import EXTENSIONS
+from conftest import EXTENSIONS, _c_compiler
 
 import submine.engine
 import submine.graph
@@ -27,8 +28,8 @@ KERNELS_DIR = Path(kernels.__file__).parent
 
 
 @pytest.fixture(scope="module")
-def fastpath(compiled):
-    return compiled["_fastpath"]
+def cliques(compiled):
+    return compiled["_cliques"]
 
 
 @pytest.fixture(scope="module")
@@ -73,17 +74,20 @@ def test_backend_matches_built_extension():
     here = os.listdir(os.path.dirname(kernels.__file__))
     built = all(any(f.startswith(name) and f.endswith(".so") for f in here)
                 for name in EXTENSIONS)
-    bound = (kernels.count_closing_pairs, kernels.minhash_signature,
-             kernels.mix64)
+    names = ("count_closing_pairs", "edges_symmetric", "minhash_signature",
+             "mix64", "max_clique", "maximal_cliques")
+    bound = [getattr(kernels, name) for name in names]
     if built and os.environ.get("SUBMINE_PURE_KERNELS") != "1":
         assert kernels.BACKEND == "compiled"
-        assert bound == (kernels._pairs.count_closing_pairs,
+        assert bound == [kernels._pairs.count_closing_pairs,
+                         kernels._pairs.edges_symmetric,
                          kernels._hash.minhash_signature,
-                         kernels._hash.mix64)
+                         kernels._hash.mix64,
+                         kernels._cliques.max_clique,
+                         kernels._cliques.maximal_cliques]
     else:
         assert kernels.BACKEND == "pure"
-        assert bound == (pure.count_closing_pairs, pure.minhash_signature,
-                         pure.mix64)
+        assert bound == [getattr(pure, name) for name in names]
     # the partitioner and the engine's keys call what the backend binds
     assert submine.graph.mix64 is kernels.mix64
     assert submine.minhash.minhash_signature is kernels.minhash_signature
@@ -99,55 +103,19 @@ def test_env_var_forces_pure_backend():
     assert out.stdout.strip() == "pure"
 
 
-# -- generated C is current ----------------------------------------------------
-
-# Cython quotes the .pyx around every line it compiles: a comment block
-# naming the line, with up to two lines of context either side and the
-# line itself marked.
-_QUOTE = re.compile(
-    r'/\* "submine/kernels/_fastpath\.pyx":(\d+)\n(.*?)\n\*/', re.S)
-_MARK = re.compile(r"\s*# <{14}$")
-
-
-def _stale_quotes(pyx_lines, c_text):
-    """(line, quoted, actual) for every quoted line the .pyx no longer has,
-    and the number of quote blocks read."""
-    stale = []
-    blocks = _QUOTE.findall(c_text)
-    for num, body in blocks:
-        quoted = [ln[3:] if ln.startswith(" * ") else ln[2:]
-                  for ln in body.split("\n")]
-        at = next(i for i, q in enumerate(quoted) if _MARK.search(q))
-        quoted[at] = _MARK.sub("", quoted[at])
-        first = int(num) - 1 - at
-        for k, q in enumerate(quoted):
-            i = first + k
-            actual = pyx_lines[i].rstrip() if 0 <= i < len(pyx_lines) else None
-            if q != actual:
-                stale.append((i + 1, q, actual))
-    return stale, len(blocks)
-
-
-def _fastpath_sources():
-    return ((KERNELS_DIR / "_fastpath.pyx").read_text().splitlines(),
-            (KERNELS_DIR / "_fastpath.c").read_text())
-
-
-def test_generated_c_matches_pyx():
-    pyx, c_text = _fastpath_sources()
-    stale, blocks = _stale_quotes(pyx, c_text)
-    assert blocks > 100
-    assert stale == [], (
-        "_fastpath.c was generated from a different _fastpath.pyx; "
-        "regenerate it with cython (first mismatches: %r)" % stale[:3])
-
-
-def test_stale_check_catches_an_edited_pyx_line():
-    pyx, c_text = _fastpath_sources()
-    i = next(i for i, ln in enumerate(pyx) if "cdef int64_t x" in ln)
-    edited = pyx[:i] + [pyx[i].replace("int64_t", "uint64_t")] + pyx[i + 1:]
-    stale, _ = _stale_quotes(edited, c_text)
-    assert stale and {line for line, _, _ in stale} == {i + 1}
+def test_hand_written_c_is_warning_clean():
+    # setup.py builds the extensions with optional=True, so a C file that
+    # stops compiling would quietly switch every kernel to pure
+    cc = _c_compiler()
+    include = sysconfig.get_paths()["include"]
+    if cc is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no C compiler or Python headers found")
+    for name in EXTENSIONS:
+        out = subprocess.run(
+            [cc, "-Wall", "-Werror", "-fsyntax-only", "-I" + include,
+             str(KERNELS_DIR / (name + ".c"))],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, name + ".c:\n" + out.stderr
 
 
 # -- count_closing_pairs --------------------------------------------------------
@@ -705,26 +673,69 @@ def test_max_clique_witness_invariant_under_lower_bound():
             assert kernels.max_clique(n, rows, lower_bound=lb) == (size, mask)
 
 
-def test_max_clique_backend_parity(fastpath):
+def test_max_clique_backend_parity(cliques):
     rng = random.Random(10)
     for _ in range(150):
         n = rng.randint(0, 18)
         rows = _random_rows(rng, n, rng.choice([0.3, 0.5, 0.8]))
         lb = rng.randint(0, 3)
-        assert fastpath.max_clique(n, rows, lb) == \
+        assert cliques.max_clique(n, rows, lb) == \
             pure.max_clique(n, rows, lb)
 
 
-def test_max_clique_wide_input_falls_back():
-    # beyond the compiled width limit the wrapper must agree with pure
+def _embed(rows, n, positions):
+    """The graph `rows` with vertex i moved to positions[i], as n rows."""
+    wide = [0] * n
+    for i, row in enumerate(rows):
+        wide[positions[i]] = _spread(row, positions)
+    return wide
+
+
+def _spread(mask, positions):
+    return sum(1 << positions[i] for i in _bits(mask))
+
+
+def test_max_clique_wide_input_parity(cliques):
+    # the compiled kernel sizes its words from n: no width limit, and the
+    # same answer as pure and brute force on graphs placed past bit 4096
+    rng = random.Random(14)
     n = 4100
     rows = [0] * n
     for a, b in ((4090, 4091), (4090, 4092), (4091, 4092)):
         rows[a] |= 1 << b
         rows[b] |= 1 << a
-    size, mask = kernels.max_clique(n, rows)
-    assert size == 3
-    assert sorted(_bits(mask)) == [4090, 4091, 4092]
+    assert cliques.max_clique(n, rows) == pure.max_clique(n, rows) == \
+        (3, (1 << 4090) | (1 << 4091) | (1 << 4092))
+    for n in (4100, 8200):
+        for _ in range(6):
+            k = rng.randint(3, 12)
+            small = _random_rows(rng, k, rng.choice([0.4, 0.7]))
+            wide = _embed(small, n, sorted(rng.sample(range(4000, n), k)))
+            size, mask = pure.max_clique(n, wide)
+            assert size == _max_clique_bf(small, k)
+            assert _is_clique(wide, _bits(mask))
+            assert cliques.max_clique(n, wide) == (size, mask)
+            assert cliques.max_clique(n, wide, size - 1) == (size, mask)
+
+
+def test_max_clique_compiled_not_slower_than_pure(cliques):
+    # the answers would agree even if the compiled search never dropped a
+    # tried vertex from its candidates; its time would not (about 6x
+    # slower than pure here, against well over 10x faster)
+    rows = _random_rows(random.Random(1), 90, 0.8)
+
+    def best_of_3(kernel):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            out = kernel(90, rows)
+            times.append(time.perf_counter() - t0)
+        return min(times), out
+
+    compiled_s, got = best_of_3(cliques.max_clique)
+    pure_s, want = best_of_3(pure.max_clique)
+    assert got == want
+    assert compiled_s <= pure_s
 
 
 # -- maximal_cliques -------------------------------------------------------------
@@ -765,24 +776,100 @@ def test_maximal_cliques_x_mask_suppresses():
     assert got == []  # {1,2} extends by 0, so nothing maximal without 0
 
 
-def test_maximal_cliques_backend_parity(fastpath):
+def test_maximal_cliques_backend_parity(cliques):
     rng = random.Random(12)
     for _ in range(150):
         n = rng.randint(0, 16)
         rows = _random_rows(rng, n, rng.choice([0.3, 0.6]))
         pm = rng.getrandbits(n) if n else 0
         xm = rng.getrandbits(n) & ~pm if n else 0
-        assert fastpath.maximal_cliques(n, rows, pm, xm) == \
+        assert cliques.maximal_cliques(n, rows, pm, xm) == \
             pure.maximal_cliques(n, rows, pm, xm)
 
 
-def test_maximal_cliques_wide_input_falls_back():
+def test_maximal_cliques_wide_input_parity(cliques):
+    rng = random.Random(15)
     n = 4100
     rows = [0] * n
     rows[4098] = 1 << 4099
     rows[4099] = 1 << 4098
-    got = kernels.maximal_cliques(n, rows, (1 << 4098) | (1 << 4099), 0)
-    assert got == [(1 << 4098) | (1 << 4099)]
+    pm = (1 << 4098) | (1 << 4099)
+    assert cliques.maximal_cliques(n, rows, pm, 0) == \
+        pure.maximal_cliques(n, rows, pm, 0) == [pm]
+    for n in (4100, 8200):
+        for _ in range(6):
+            k = rng.randint(2, 9)
+            small = _random_rows(rng, k, 0.5)
+            positions = sorted(rng.sample(range(4000, n), k))
+            wide = _embed(small, n, positions)
+            full = _spread((1 << k) - 1, positions)
+            got = cliques.maximal_cliques(n, wide, full, 0)
+            assert got == pure.maximal_cliques(n, wide, full, 0)
+            assert set(got) == {_spread(m, positions)
+                                for m in _maximal_bf(small, k)}
+            pm = full & rng.getrandbits(n)
+            xm = full & ~pm & rng.getrandbits(n)
+            assert cliques.maximal_cliques(n, wide, pm, xm) == \
+                pure.maximal_cliques(n, wide, pm, xm)
+
+
+@pytest.mark.parametrize("kernel, args, error", [
+    ("max_clique", (3, [6, "5", 3]), TypeError),
+    ("max_clique", (3, [6, 5, None]), TypeError),
+    ("max_clique", (3, 5), TypeError),
+    ("max_clique", (3, [6, -5, 3]), OverflowError),
+    ("max_clique", (3, [6, 1 << 64, 3]), OverflowError),
+    ("max_clique", (3, [6, 5]), ValueError),
+    ("max_clique", (300, [0] * 299), ValueError),
+    ("maximal_cliques", (3, [6, 5, "3"], 7, 0), TypeError),
+    ("maximal_cliques", (3, [6, 5, 3], 7.0, 0), TypeError),
+    ("maximal_cliques", (3, [6, 5, 3], -1, 0), OverflowError),
+    ("maximal_cliques", (3, [6, 5, 3], 6, -2), OverflowError),
+    ("maximal_cliques", (3, [6, -5, 3], 7, 0), OverflowError),
+    ("maximal_cliques", (3, [6, 5], 7, 0), ValueError),
+    ("maximal_cliques", (3, [6, 5], 3, 0), ValueError),
+    ("maximal_cliques", (3, [6, 5, 3], 8, 0), ValueError),
+    ("maximal_cliques", (3, [6, 5, 3], 0, 1 << 40), ValueError),
+    ("maximal_cliques", (0, [], 1, 0), ValueError),
+    ("maximal_cliques", (-1, [], 0, 0), ValueError),
+])
+def test_cliques_rejects_bad_arguments(cliques, kernel, args, error):
+    # a P or X bit past the rows read, or fewer rows than n, would index
+    # past the row words: the kernel must raise before any search
+    with pytest.raises(error):
+        getattr(cliques, kernel)(*args)
+
+
+def test_cliques_failures_free_their_memory(cliques):
+    # every call fails after the row or mask words are allocated (480
+    # bytes for 60 rows); PyMem_Malloc is traced, so a leak would show
+    # as ~3*10^4 times that
+    rows = _random_rows(random.Random(16), 60, 0.3)
+    full = (1 << 60) - 1
+    bad = [(cliques.max_clique, (60, rows[:-1] + ["x"])),
+           (cliques.maximal_cliques, (60, rows[:-1] + [-1], full, 0)),
+           (cliques.maximal_cliques, (60, rows, 1 << 60, 0))]
+
+    def fail_all(times):
+        for _ in range(times):
+            for kernel, args in bad:
+                try:
+                    kernel(*args)
+                except (TypeError, OverflowError, ValueError):
+                    pass
+                else:
+                    raise AssertionError("expected a failure")
+
+    assert cliques.max_clique(60, rows) == pure.max_clique(60, rows)
+    tracemalloc.start()
+    try:
+        fail_all(100)
+        before = tracemalloc.get_traced_memory()[0]
+        fail_all(10_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_000
 
 
 def test_bench_script_smoke():

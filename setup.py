@@ -1,5 +1,3 @@
-import os
-
 from setuptools import Extension, setup
 
 # The compiled kernels are three C files written by hand against the
@@ -10,12 +8,8 @@ from setuptools import Extension, setup
 # kernels package uses the pure backend unless all three modules import,
 # and tests/test_kernels.py compiles each file with -Wall -Werror so a
 # broken one does not pass unnoticed.
-ext_modules = []
-if os.environ.get("SUBMINE_NO_EXT") != "1":
-    ext_modules = [
-        Extension(f"submine.kernels.{name}",
-                   [f"src/submine/kernels/{name}.c"], optional=True)
-        for name in ("_cliques", "_pairs", "_hash")
-    ]
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension(f"submine.kernels.{name}",
+              [f"src/submine/kernels/{name}.c"], optional=True)
+    for name in ("_cliques", "_pairs", "_hash")
+])

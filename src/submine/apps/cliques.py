@@ -23,7 +23,7 @@ from ..engine import (
     encode_no_context,
 )
 from ..graph import larger_neighbor_ids, respond_larger
-from .. import kernels
+from ..kernels import max_clique, maximal_cliques
 
 
 def _bits(mask):
@@ -76,7 +76,7 @@ def max_clique_app() -> AppSpec:
             # the current best are still found; the lex-min merge then picks
             # the same winner no matter which task ran first.
             floor = max(task.best()[0] - 2, 0)
-            size, mask = kernels.max_clique(len(cand), rows, floor)
+            size, mask = max_clique(len(cand), rows, floor)
             if size:
                 members = [v] + [cand[i] for i in _bits(mask)]
                 task.aggregate((size + 1, tuple(members)))
@@ -131,7 +131,7 @@ def maximal_cliques_app() -> AppSpec:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         count = 0
-        for mask in kernels.maximal_cliques(n, rows, p_mask, x_mask):
+        for mask in maximal_cliques(n, rows, p_mask, x_mask):
             members = sorted([v.id] + [universe[i] for i in _bits(mask)])
             task.emit(" ".join(map(str, members)))
             count += 1

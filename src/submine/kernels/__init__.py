@@ -11,13 +11,12 @@ CPython API, built by `setup.py` (on install, or in place by
 - _hash, from _hash.c, holds the id hashes mix64 (behind
   graph.partition_owner) and minhash_signature (the lsh queue's keys).
 BACKEND is "compiled" only when all three import, and then every kernel
-here is the compiled one; otherwise, or with SUBMINE_NO_EXT=1 set at
-build time, every kernel is the pure-python reference in
-submine.kernels.pure.  Set SUBMINE_PURE_KERNELS=1 in the environment to
-force the pure backend.  Both backends return identical results (the
-hashes bit for bit, the clique kernels with the same algorithms, visit
-order and tie-breaking); benchmarks/bench_kernels.py compares their
-speed.
+here is the compiled one; otherwise every kernel is the pure-python
+reference in submine.kernels.pure.  Set SUBMINE_PURE_KERNELS=1 in the
+environment to force the pure backend.  Both backends return identical
+results (the hashes bit for bit, the clique kernels with the same
+algorithms, visit order and tie-breaking); benchmarks/bench_kernels.py
+compares their speed.
 
 count_closing_pairs takes every id read_graph accepts (0 to 2**64 - 1),
 edges_symmetric answers False for an id outside that range, and the

@@ -9,7 +9,7 @@ import pytest
 from submine.apps import APP_NAMES, make_app
 from submine.apps.cliques import _bits
 from submine.apps.gmatch import QueryGraph, fig4_query, parse_query_file
-from submine.engine import RunConfig, run_job
+from submine.engine import ComputeError, RunConfig, run_job
 from submine.gen import (
     complete_graph,
     fig4_data_graph,
@@ -352,32 +352,44 @@ def test_fig4_replica_matches_exactly_once():
     assert res.aggregate == 1
 
 
-def test_gmatch_bowtie_oracle_loop():
-    q = fig4_query()
-    for s in range(8):
-        g = labeled_gnp_graph(30, 0.18, seed=1200 + s, alphabet="abcd")
-        res = _run(make_app("gmatch", query=q), g)
-        got = {tuple(int(x) for x in line.split()) for line in res.result_lines()}
-        assert got == match_bf(g, q)
-        assert res.aggregate == len(got)
-
-
-def test_gmatch_generic_pipeline_oracle_loop():
-    # queries that are not the bowtie shape take the generic ego pipeline
+def test_gmatch_oracle_loop():
+    # small caches and queue files make tasks requeue and the cache evict
     queries = [
+        fig4_query(),
         QueryGraph({1: "a", 2: "b"}, [(1, 2)]),
         QueryGraph({1: "a", 2: "b", 3: "c"}, [(1, 2), (2, 3), (1, 3)]),
+        QueryGraph({1: "a", 2: "a", 3: "a"}, [(1, 2), (2, 3), (1, 3)]),
+        QueryGraph({1: "a", 2: "b", 3: "a", 4: "b", 5: "c"},
+                   [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
+        QueryGraph({1: "b"}, []),
         QueryGraph({1: "b", 2: "a", 3: "b", 4: "c"},
                    [(1, 2), (2, 3), (3, 4)], start=2),
+        # a, b, b, c, d like the bowtie, but a 4-cycle with a tail
+        QueryGraph({1: "a", 2: "b", 3: "b", 4: "c", 5: "d"},
+                   [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]),
+        QueryGraph({1: "b", 2: "a", 3: "c", 4: "b"},
+                   [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], start=3),
     ]
+    totals = dict.fromkeys(("tasks_requeued", "cache_evictions"), 0)
+    found = 0
     for qi, q in enumerate(queries):
-        for s in range(4):
-            g = labeled_gnp_graph(25, 0.2, seed=1300 + 10 * qi + s,
-                                  alphabet="abc")
-            res = _run(make_app("gmatch", query=q), g)
-            got = {tuple(int(x) for x in line.split())
-                   for line in res.result_lines()}
-            assert got == match_bf(g, q), (qi, s)
+        for s in range(3):
+            g = labeled_gnp_graph(30, 0.18, seed=1300 + 10 * qi + s,
+                                  alphabet="abcd")
+            want = match_bf(g, q)
+            found += len(want)
+            for workers in (1, 3):
+                res = _run(make_app("gmatch", query=q), g, workers=workers,
+                           cache_capacity=4, buffer_capacity=4,
+                           file_capacity=2)
+                lines = res.result_lines()
+                got = {tuple(int(x) for x in line.split()) for line in lines}
+                assert got == want, (qi, s, workers)
+                assert len(lines) == res.aggregate == len(want)
+                for key in totals:
+                    totals[key] += res.metrics[key]
+    assert found > 0
+    assert all(totals.values()), totals
 
 
 def test_gmatch_unlabeled_graph_matches_nothing():
@@ -386,6 +398,18 @@ def test_gmatch_unlabeled_graph_matches_nothing():
     res = _run(make_app("gmatch", query=q), g)
     assert res.aggregate == 0
     assert res.result_lines() == []
+
+
+def test_gmatch_needs_neighbor_labels_local_or_pulled():
+    # vertex 2 lacks neighbor labels; it is pulled (and expanded) for 2
+    q = QueryGraph({1: "a", 2: "b", 3: "b"}, [(1, 2), (2, 3)])
+    g = Graph()
+    g.add(Vertex(1, "a", [AdjItem(2, "b")]))
+    g.add(Vertex.from_ids(2, "b", [1, 3]))
+    g.add(Vertex(3, "b", [AdjItem(2, "b")]))
+    for workers in range(1, 4):
+        with pytest.raises(ComputeError, match="vertex 2 lacks"):
+            _run(make_app("gmatch", query=q), g, workers=workers)
 
 
 def test_query_graph_validation():
@@ -407,10 +431,8 @@ def test_query_helpers():
     q = fig4_query()
     assert q.start == 1
     assert q.label_set() == {"a", "b", "c", "d"}
-    assert q.eccentricity_from_start() == 3
-    order = q.bfs_order()
-    assert order[0] == 1
-    assert set(order) == {1, 2, 3, 4, 5}
+    assert q.level == {1: 0, 2: 1, 3: 1, 4: 2, 5: 3}
+    assert q.bfs_order() == [1, 2, 3, 4, 5]
 
 
 def test_parse_query_file(tmp_path):
@@ -424,6 +446,22 @@ def test_parse_query_file(tmp_path):
     bad.write_text("1\ta\t\n2\tb\t\n")  # disconnected
     with pytest.raises(GraphParseError, match="connected"):
         parse_query_file(bad)
+
+
+def test_parse_query_file_bad_start_names_file_and_line(tmp_path):
+    p = tmp_path / "q.txt"
+    p.write_text("1\ta\t2\n# start: x\n2\tb\t1\n")
+    with pytest.raises(GraphParseError,
+                       match=r"q\.txt: line 2: bad start vertex 'x'"):
+        parse_query_file(p)
+
+
+def test_parse_query_file_repeated_vertex_names_file_and_line(tmp_path):
+    p = tmp_path / "q.txt"
+    p.write_text("1\ta\t2\n2\tb\t1\n1\tc\t2\n")
+    with pytest.raises(GraphParseError,
+                       match=r"q\.txt: line 3: duplicate vertex id 1"):
+        parse_query_file(p)
 
 
 # -- app registry ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ SRC = str(Path(submine.__file__).resolve().parent.parent)
     ("bench_quasi.py", ["--repeat", "1"]),
     ("bench_cache.py", ["--repeat", "1"]),
     ("bench_kernels.py", ["--repeat", "1"]),
+    ("bench_gmatch.py", ["--repeat", "1"]),
 ])
 def test_bench_script_runs(script, args):
     env = dict(os.environ)

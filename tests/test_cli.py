@@ -251,6 +251,18 @@ def test_config_file_precedence(tmp_path, capsys):
     assert man["file_capacity"] == "100"  # untouched default
 
 
+def test_config_file_skips_comments_and_reads_float_sync_ms(tmp_path, capsys):
+    g = _k4(tmp_path)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("# a job file\n\nsync_ms = 2.5  # milliseconds\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["run", "--app", "triangle", "--input", g, "--config", str(cfg),
+               "--outdir", str(out)])
+    assert rc == 0
+    assert _manifest_dict(out)["sync_ms"] == "2.5"
+
+
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     g = _k4(tmp_path)
     cfg = tmp_path / "job.cfg"

@@ -62,8 +62,11 @@ def test_install_spans_resolves_records_and_restores(job, queue_kind):
         patched = _changed(owners, before)
         cfg = RunConfig(workers=2, cache_capacity=8, buffer_capacity=8,
                         file_capacity=4, queue_kind=queue_kind)
-        # triangle reaches the kernels; quasiclique requeues tasks
+        # triangle and the clique apps reach the kernels; quasiclique
+        # requeues tasks
         for app in (submine.apps.make_app("triangle"),
+                    submine.apps.make_app("maxclique"),
+                    submine.apps.make_app("maximalcliques"),
                     submine.apps.make_app("quasiclique", gamma="0.6", min_size=4)):
             res = run_job(cfg, tracer.wrap_app(app), graph=gnp_graph(30, 0.2, seed=4))
             assert res.metrics["queue_file_writes"] > 0
@@ -79,7 +82,10 @@ def test_install_spans_resolves_records_and_restores(job, queue_kind):
                  ("submine.engine", "encode_task"),
                  ("submine.engine", "decode_task"),
                  ("VertexStore", "resolve"), ("VertexCache", "reserve"),
-                 (kind, "enqueue"), (kind, "fetch"), (kind, "seed_bulk")]:
+                 (kind, "enqueue"), (kind, "fetch"), (kind, "seed_bulk"),
+                 ("submine.apps.triangles", "count_closing_pairs"),
+                 ("submine.apps.cliques", "max_clique"),
+                 ("submine.apps.cliques", "maximal_cliques")]:
         assert name in patched
     times, _sizes = tracer.totals()
     for key in ("graph.check_undirected",

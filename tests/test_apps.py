@@ -352,27 +352,12 @@ def test_fig4_replica_matches_exactly_once():
     assert res.aggregate == 1
 
 
-def test_gmatch_oracle_loop():
-    # small caches and queue files make tasks requeue and the cache evict
-    queries = [
-        fig4_query(),
-        QueryGraph({1: "a", 2: "b"}, [(1, 2)]),
-        QueryGraph({1: "a", 2: "b", 3: "c"}, [(1, 2), (2, 3), (1, 3)]),
-        QueryGraph({1: "a", 2: "a", 3: "a"}, [(1, 2), (2, 3), (1, 3)]),
-        QueryGraph({1: "a", 2: "b", 3: "a", 4: "b", 5: "c"},
-                   [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
-        QueryGraph({1: "b"}, []),
-        QueryGraph({1: "b", 2: "a", 3: "b", 4: "c"},
-                   [(1, 2), (2, 3), (3, 4)], start=2),
-        # a, b, b, c, d like the bowtie, but a 4-cycle with a tail
-        QueryGraph({1: "a", 2: "b", 3: "b", 4: "c", 5: "d"},
-                   [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]),
-        QueryGraph({1: "b", 2: "a", 3: "c", 4: "b"},
-                   [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], start=3),
-    ]
+def _gmatch_oracle_loop(queries):
+    # small caches and queue files make tasks requeue and the cache evict;
+    # each query is checked on its own graphs at 1 and 3 workers
     totals = dict.fromkeys(("tasks_requeued", "cache_evictions"), 0)
     found = 0
-    for qi, q in enumerate(queries):
+    for qi, q in queries:
         for s in range(3):
             g = labeled_gnp_graph(30, 0.18, seed=1300 + 10 * qi + s,
                                   alphabet="abcd")
@@ -390,6 +375,30 @@ def test_gmatch_oracle_loop():
                     totals[key] += res.metrics[key]
     assert found > 0
     assert all(totals.values()), totals
+
+
+def test_gmatch_bowtie_oracle_loop():
+    # the Fig. 4 bowtie goes through the same query-directed pipeline
+    _gmatch_oracle_loop([(0, fig4_query())])
+
+
+def test_gmatch_generic_pipeline_oracle_loop():
+    queries = [
+        QueryGraph({1: "a", 2: "b"}, [(1, 2)]),
+        QueryGraph({1: "a", 2: "b", 3: "c"}, [(1, 2), (2, 3), (1, 3)]),
+        QueryGraph({1: "a", 2: "a", 3: "a"}, [(1, 2), (2, 3), (1, 3)]),
+        QueryGraph({1: "a", 2: "b", 3: "a", 4: "b", 5: "c"},
+                   [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
+        QueryGraph({1: "b"}, []),
+        QueryGraph({1: "b", 2: "a", 3: "b", 4: "c"},
+                   [(1, 2), (2, 3), (3, 4)], start=2),
+        # a, b, b, c, d like the bowtie, but a 4-cycle with a tail
+        QueryGraph({1: "a", 2: "b", 3: "b", 4: "c", 5: "d"},
+                   [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]),
+        QueryGraph({1: "b", 2: "a", 3: "c", 4: "b"},
+                   [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], start=3),
+    ]
+    _gmatch_oracle_loop(list(enumerate(queries, start=1)))
 
 
 def test_gmatch_unlabeled_graph_matches_nothing():

@@ -4,6 +4,11 @@ Both apps decompose the graph by minimum vertex: the task seeded at v
 works on the subgraph around v's larger neighbors, so each clique is
 examined exactly once, where its smallest member lives.
 
+Both build the ego net's bitset rows with `_ego_rows`, which sets both
+bits of every edge it finds, so each app reads each edge from one end:
+maximum clique scans the neighbors above each frontier vertex's id,
+maximal clique those below.
+
 Maximum clique keeps a global (size, witness) aggregate that doubles as
 the branch-and-bound floor: tasks prune against the best size published
 so far, which only ever removes branches that cannot win.
@@ -11,18 +16,17 @@ so far, which only ever removes branches that cannot win.
 Maximal clique enumeration must judge maximality against the *full*
 graph, not just the larger-neighbor universe: a clique of v and larger
 neighbors that can be extended by some smaller vertex is not maximal
-(and belongs to a smaller seed).  The excluded set is seeded with v's
-smaller neighbors and updated through the pulled full adjacency lists.
+(and belongs to a smaller seed).  The excluded set is v's smaller
+neighbors.  The task never pulls their lists, so an edge between one of
+them and a larger neighbor is seen only in the larger one's list, below
+its id; this app therefore scans the neighbors below each frontier
+vertex's id.
 """
 
-from ..engine import (
-    AggregatorSpec,
-    AppSpec,
-    Task,
-    decode_no_context,
-    encode_no_context,
-)
-from ..graph import larger_neighbor_ids, respond_larger
+from bisect import bisect_right
+
+from ..engine import SUM_AGGREGATOR, AggregatorSpec, AppSpec, Task
+from ..graph import larger_neighbor_ids, respond_larger, smaller_neighbor_ids
 from ..kernels import max_clique, maximal_cliques
 
 
@@ -36,6 +40,25 @@ def _bits(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _ego_rows(members, scans):
+    """Adjacency rows of the net on `members`, bit i standing for
+    members[i].  `scans` yields (member id, neighbor ids) pairs; each
+    neighbor that is a member sets both bits of its edge, so an edge
+    needs to be listed from one end only."""
+    idx = {u: i for i, u in enumerate(members)}
+    rows = [0] * len(members)
+    for u, nbrs in scans:
+        i = idx[u]
+        bit = 1 << i
+        row = 0
+        for w in idx.keys() & nbrs:
+            j = idx[w]
+            row |= 1 << j
+            rows[j] |= bit
+        rows[i] |= row
+    return rows
 
 
 def _qmax_merge(a, b):
@@ -63,15 +86,8 @@ def max_clique_app() -> AppSpec:
         task.aggregate((1, (v,)))
         if frontier:
             cand = [f.id for f in frontier]
-            idx = {c: i for i, c in enumerate(cand)}
-            rows = [0] * len(cand)
-            for f in frontier:
-                i = idx[f.id]
-                for w in f.neighbor_ids():
-                    j = idx.get(w)
-                    if j is not None:
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
+            rows = _ego_rows(cand, ((f.id, larger_neighbor_ids(f))
+                                    for f in frontier))
             # Floor sits one below "strictly better" so witnesses that TIE
             # the current best are still found; the lex-min merge then picks
             # the same winner no matter which task ran first.
@@ -86,8 +102,6 @@ def max_clique_app() -> AppSpec:
         name="maxclique",
         seed=seed,
         compute=compute,
-        encode_context=encode_no_context,
-        decode_context=decode_no_context,
         respond=respond_larger,
         aggregator=AggregatorSpec(zero=lambda: (0, ()), merge=_qmax_merge),
     )
@@ -96,9 +110,9 @@ def max_clique_app() -> AppSpec:
 def maximal_cliques_app() -> AppSpec:
     """Enumerate all maximal cliques, each emitted by its minimum vertex.
 
-    Responses are never pruned here: the maximality check needs each
-    pulled vertex's smaller neighbors too (they decide whether a clique
-    extends below the seed).
+    Responses are not pruned to larger neighbors here: the rows come
+    from each pulled vertex's smaller neighbors (they decide whether a
+    clique extends below the seed).
     """
 
     def seed(v):
@@ -108,31 +122,19 @@ def maximal_cliques_app() -> AppSpec:
 
     def compute(task, frontier):
         v = frontier[0]
-        universe = [v.id] + v.neighbor_ids()
-        idx = {u: i for i, u in enumerate(universe)}
-        n = len(universe)
-        rows = [0] * n
-        for w in v.neighbor_ids():
-            j = idx[w]
-            rows[0] |= 1 << j
-            rows[j] |= 1
-        p_mask = 0
-        x_mask = 0
-        for w in v.neighbor_ids():
-            if w > v.id:
-                p_mask |= 1 << idx[w]
-            else:
-                x_mask |= 1 << idx[w]
-        for f in frontier[1:]:
-            i = idx[f.id]
-            for w in f.neighbor_ids():
-                j = idx.get(w)
-                if j is not None:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+        nbrs = v.neighbor_ids()
+        universe = [v.id] + nbrs
+        rows = _ego_rows(universe, ((f.id, smaller_neighbor_ids(f))
+                                    for f in frontier))
+        # Universe slots 1..k hold the smaller neighbors, the rest the
+        # larger ones, so the excluded and candidate sets are two runs.
+        k = bisect_right(nbrs, v.id)
+        x_mask = (1 << (k + 1)) - 2
+        p_mask = (1 << len(universe)) - (1 << (k + 1))
         count = 0
-        for mask in maximal_cliques(n, rows, p_mask, x_mask):
-            members = sorted([v.id] + [universe[i] for i in _bits(mask)])
+        for mask in maximal_cliques(len(universe), rows, p_mask, x_mask):
+            # Every member is a larger neighbor, so the line is ascending.
+            members = [v.id] + [universe[i] for i in _bits(mask)]
             task.emit(" ".join(map(str, members)))
             count += 1
         task.aggregate(count)
@@ -142,8 +144,5 @@ def maximal_cliques_app() -> AppSpec:
         name="maximalcliques",
         seed=seed,
         compute=compute,
-        encode_context=encode_no_context,
-        decode_context=decode_no_context,
-        respond=None,
-        aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),
+        aggregator=SUM_AGGREGATOR,
     )

@@ -31,13 +31,7 @@ One pipeline serves every query, in BFS order from the start:
   of every matching at the seed.
 """
 
-from ..engine import (
-    AggregatorSpec,
-    AppSpec,
-    Task,
-    decode_no_context,
-    encode_no_context,
-)
+from ..engine import SUM_AGGREGATOR, AppSpec, Task
 from ..graph import GraphParseError, Subgraph, Vertex, parse_vertex_line
 
 
@@ -257,8 +251,6 @@ def gmatch_app(query: QueryGraph) -> AppSpec:
         name="gmatch",
         seed=seed,
         compute=compute,
-        encode_context=encode_no_context,
-        decode_context=decode_no_context,
         respond=respond,
-        aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),
+        aggregator=SUM_AGGREGATOR,
     )

@@ -65,13 +65,7 @@ only integers.
 from bisect import bisect_right
 from fractions import Fraction
 
-from ..engine import (
-    AggregatorSpec,
-    AppSpec,
-    Task,
-    decode_no_context,
-    encode_no_context,
-)
+from ..engine import SUM_AGGREGATOR, AppSpec, Task
 from ..graph import larger_neighbor_ids
 
 
@@ -261,8 +255,5 @@ def quasi_clique_app(gamma, min_size) -> AppSpec:
         name="quasiclique",
         seed=seed,
         compute=compute,
-        encode_context=encode_no_context,
-        decode_context=decode_no_context,
-        respond=None,
-        aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),
+        aggregator=SUM_AGGREGATOR,
     )

@@ -11,7 +11,7 @@ which is all the membership test ever looks at.
 import struct
 from bisect import bisect_left
 
-from ..engine import AggregatorSpec, AppSpec, Task
+from ..engine import SUM_AGGREGATOR, AppSpec, Task
 from ..graph import larger_neighbor_ids, respond_larger
 from ..kernels import count_closing_pairs
 
@@ -59,5 +59,5 @@ def triangle_app(emit_triangles=False) -> AppSpec:
         encode_context=_CTX.pack,
         decode_context=_decode_ctx,
         respond=respond_larger,
-        aggregator=AggregatorSpec(zero=int, merge=lambda a, b: a + b),
+        aggregator=SUM_AGGREGATOR,
     )

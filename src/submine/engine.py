@@ -46,6 +46,7 @@ threads.  A worker checks the job's stop flag between tasks, so a peer's
 failure ends even a long seed phase within a task.
 """
 
+import operator
 import os
 import shutil
 import tempfile
@@ -129,6 +130,10 @@ class AggregatorSpec:
     merge: Callable
 
 
+# The aggregator of every app whose value is a count.
+SUM_AGGREGATOR = AggregatorSpec(zero=int, merge=operator.add)
+
+
 class SharedAggregator:
     def __init__(self, spec: AggregatorSpec, num_workers):
         self.spec = spec
@@ -148,19 +153,6 @@ class SharedAggregator:
         return self._snapshot
 
 
-@dataclass
-class AppSpec:
-    """A mining application: seeding, compute, and serialization hooks."""
-
-    name: str
-    seed: Callable                 # (Vertex) -> iterable of Task
-    compute: Callable              # (Task, frontier: list[Vertex]) -> bool
-    encode_context: Callable       # (ctx) -> bytes
-    decode_context: Callable       # (bytes) -> ctx
-    respond: Optional[Callable] = None   # (Vertex) -> Vertex | None
-    aggregator: Optional[AggregatorSpec] = None
-
-
 def encode_no_context(_ctx):
     """encode_context for apps whose tasks carry no context."""
     return b""
@@ -168,6 +160,19 @@ def encode_no_context(_ctx):
 
 def decode_no_context(_data):
     return None
+
+
+@dataclass
+class AppSpec:
+    """A mining application: seeding, compute, and serialization hooks."""
+
+    name: str
+    seed: Callable                 # (Vertex) -> iterable of Task
+    compute: Callable              # (Task, frontier: list[Vertex]) -> bool
+    encode_context: Callable = encode_no_context   # (ctx) -> bytes
+    decode_context: Callable = decode_no_context   # (bytes) -> ctx
+    respond: Optional[Callable] = None   # (Vertex) -> Vertex | None
+    aggregator: Optional[AggregatorSpec] = None
 
 
 class Task:

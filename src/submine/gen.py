@@ -8,24 +8,26 @@ the matching app requires.
 
 import random
 
-from .graph import AdjItem, Graph, Vertex
+from .graph import Graph, Vertex
 
 LABEL_ALPHABET = "abcdefg"
 
 
 def _assemble(ids, edge_set, labels=None):
-    """Build a Graph from an edge set (pairs, either order)."""
+    """Build a Graph from an edge set (pairs, either order); each
+    neighbor's label is its adjacency attribute."""
     adj = {vid: [] for vid in ids}
     for a, b in edge_set:
-        la = labels.get(a) if labels else None
-        lb = labels.get(b) if labels else None
-        adj[a].append(AdjItem(b, lb))
-        adj[b].append(AdjItem(a, la))
+        adj[a].append(b)
+        adj[b].append(a)
     g = Graph()
     for vid in ids:
-        items = sorted(adj[vid])
-        lab = labels.get(vid) if labels else None
-        g.add(Vertex(vid, lab, items))
+        nbrs = sorted(adj[vid])
+        if labels:
+            g.add(Vertex.from_ids(vid, labels.get(vid), nbrs,
+                                  [labels.get(w) for w in nbrs]))
+        else:
+            g.add(Vertex.from_ids(vid, None, nbrs))
     return g
 
 

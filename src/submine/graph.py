@@ -118,6 +118,13 @@ def larger_neighbor_ids(v: Vertex) -> list:
     return ids[bisect_right(ids, v.id):]
 
 
+def smaller_neighbor_ids(v: Vertex) -> list:
+    """The ids in v's adjacency that are less than v.id, ascending: the
+    slice `larger_neighbor_ids` leaves out."""
+    ids = v.neighbor_ids()
+    return ids[:bisect_right(ids, v.id)]
+
+
 def respond_larger(v: Vertex) -> Vertex:
     """A respond hook: a copy of v holding only its larger neighbors,
     for apps that never look below a pulled vertex's own id."""

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from submine.apps import APP_NAMES, make_app
-from submine.apps.cliques import _bits
+from submine.apps import APP_NAMES, cliques, make_app
+from submine.apps.cliques import _bits, _ego_rows
 from submine.apps.gmatch import QueryGraph, fig4_query, parse_query_file
 from submine.engine import ComputeError, RunConfig, run_job
 from submine.gen import (
@@ -149,6 +149,119 @@ def test_maxclique_unpruned_agrees():
 
 
 # -- maximal cliques ----------------------------------------------------------------
+
+
+def _rows_bf(members, adj, scanned=None):
+    """Ego-net rows read straight off each member's full neighbor set;
+    given `scanned`, an edge counts only when one of its ends is in it."""
+    pos = {u: i for i, u in enumerate(members)}
+    rows = []
+    for a in members:
+        row = 0
+        for b in adj[a]:
+            if b in pos and (scanned is None or a in scanned or b in scanned):
+                row |= 1 << pos[b]
+        rows.append(row)
+    return rows
+
+
+def _random_adjacency(rng, ids, p):
+    adj = {u: set() for u in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if rng.random() < p:
+                adj[a].add(b)
+                adj[b].add(a)
+    return adj
+
+
+def _larger_scans(members, adj):
+    return [(u, sorted(w for w in adj[u] if w > u)) for u in members]
+
+
+def _smaller_scans(members, adj):
+    return [(u, sorted(w for w in adj[u] if w < u)) for u in members]
+
+
+def test_ego_rows_match_brute_force_on_random_nets():
+    rng = random.Random(23)
+    for _ in range(60):
+        ids = list({rng.getrandbits(64) for _ in range(rng.randint(1, 40))}
+                   | {0, 2 ** 64 - 1})
+        adj = _random_adjacency(rng, ids, rng.choice((0.05, 0.3, 0.8)))
+        members = rng.sample(ids, rng.randint(1, len(ids)))
+        want = _rows_bf(members, adj)
+        assert _ego_rows(members, _larger_scans(members, adj)) == want
+        assert _ego_rows(members, _smaller_scans(members, adj)) == want
+        full = [(u, sorted(adj[u])) for u in members]
+        assert _ego_rows(members, full) == want
+        # a net whose lists are only partly pulled
+        scanned = set(rng.sample(members, rng.randint(0, len(members))))
+        assert _ego_rows(members, [s for s in full if s[0] in scanned]) \
+            == _rows_bf(members, adj, scanned)
+
+
+def test_ego_rows_of_an_empty_frontier():
+    assert _ego_rows([], []) == []
+    assert _ego_rows([7, 9], []) == [0, 0]
+
+
+def test_ego_rows_match_brute_force_on_a_hub_net_wider_than_4096():
+    rng = random.Random(5)
+    members = sorted({rng.getrandbits(64) for _ in range(4500)})
+    adj = {u: set() for u in members}
+    for a in members:
+        for b in rng.sample(members, 3):
+            if a != b:
+                adj[a].add(b)
+                adj[b].add(a)
+    rows = _ego_rows(members, _larger_scans(members, adj))
+    assert rows == _rows_bf(members, adj)
+    assert max(rows).bit_length() > 4096
+
+
+def _per_neighbor_maximal_call(g, vid):
+    """maximalcliques' kernel arguments for the seed at vid, built with
+    one loop per neighbor as the app once did."""
+    v = g[vid]
+    universe = [v.id] + v.neighbor_ids()
+    idx = {u: i for i, u in enumerate(universe)}
+    rows = [0] * len(universe)
+    p_mask = x_mask = 0
+    for w in v.neighbor_ids():
+        rows[0] |= 1 << idx[w]
+        rows[idx[w]] |= 1
+        if w > v.id:
+            p_mask |= 1 << idx[w]
+        else:
+            x_mask |= 1 << idx[w]
+    for w in v.neighbor_ids():
+        if w > v.id:
+            for u in g[w].neighbor_ids():
+                if u in idx:
+                    rows[idx[w]] |= 1 << idx[u]
+                    rows[idx[u]] |= 1 << idx[w]
+    return len(universe), tuple(rows), p_mask, x_mask
+
+
+def test_maximal_masks_match_the_per_neighbor_loop(monkeypatch):
+    # 5 has neighbors on both sides, 1 only above, 9 only below
+    g = _graph_from_edges([(1, 2), (1, 5), (1, 8), (2, 3), (2, 5), (3, 5),
+                           (3, 9), (5, 8), (5, 9), (8, 9)], extra_ids=(4,))
+    assert [w < 5 for w in g[5].neighbor_ids()] == [True] * 3 + [False] * 2
+    assert min(g[1].neighbor_ids()) > 1 and max(g[9].neighbor_ids()) < 9
+    calls = []
+    kernel = cliques.maximal_cliques
+
+    def record(n, rows, p_mask, x_mask):
+        calls.append((n, tuple(rows), p_mask, x_mask))
+        return kernel(n, rows, p_mask, x_mask)
+
+    monkeypatch.setattr(cliques, "maximal_cliques", record)
+    res = _run(make_app("maximalcliques"), g, workers=2)
+    assert sorted(calls) == sorted(_per_neighbor_maximal_call(g, v)
+                                   for v in g.ids())
+    assert _result_sets(res) == maximal_cliques_bf(g)
 
 
 def test_clique_bits_match_a_reference_on_wide_masks():

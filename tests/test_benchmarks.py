@@ -20,6 +20,7 @@ SRC = str(Path(submine.__file__).resolve().parent.parent)
     ("bench_cache.py", ["--repeat", "1"]),
     ("bench_kernels.py", ["--repeat", "1"]),
     ("bench_gmatch.py", ["--repeat", "1"]),
+    ("bench_cliques.py", ["--repeat", "1"]),
 ])
 def test_bench_script_runs(script, args):
     env = dict(os.environ)

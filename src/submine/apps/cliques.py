@@ -20,13 +20,19 @@ neighbors that can be extended by some smaller vertex is not maximal
 neighbors.  The task never pulls their lists, so an edge between one of
 them and a larger neighbor is seen only in the larger one's list, below
 its id; this app therefore scans the neighbors below each frontier
-vertex's id.
+vertex's id, and its respond hook sends a pulled vertex with only
+those.
 """
 
 from bisect import bisect_right
 
 from ..engine import SUM_AGGREGATOR, AggregatorSpec, AppSpec, Task
-from ..graph import larger_neighbor_ids, respond_larger, smaller_neighbor_ids
+from ..graph import (
+    larger_neighbor_ids,
+    respond_larger,
+    respond_smaller,
+    smaller_neighbor_ids,
+)
 from ..kernels import max_clique, maximal_cliques
 
 
@@ -110,9 +116,10 @@ def max_clique_app() -> AppSpec:
 def maximal_cliques_app() -> AppSpec:
     """Enumerate all maximal cliques, each emitted by its minimum vertex.
 
-    Responses are not pruned to larger neighbors here: the rows come
-    from each pulled vertex's smaller neighbors (they decide whether a
-    clique extends below the seed).
+    The rows come from each pulled vertex's smaller neighbors (they
+    decide whether a clique extends below the seed), so responses are
+    pruned to those.  The seed is local and keeps its full list, which
+    gives the candidate and excluded sets.
     """
 
     def seed(v):
@@ -144,5 +151,6 @@ def maximal_cliques_app() -> AppSpec:
         name="maximalcliques",
         seed=seed,
         compute=compute,
+        respond=respond_smaller,
         aggregator=SUM_AGGREGATOR,
     )

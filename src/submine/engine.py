@@ -66,12 +66,7 @@ from .graph import (
 from .minhash import TaskKey, check_ell, derive_seeds, minhash_signature
 from .serialize import TaskWire, decode_task, encode_task, encode_vertex, vertex_from_bytes
 from .store import VertexCache, VertexStore, check_cache_capacity
-from .taskqueue import (
-    TaskRecord,
-    check_queue_capacities,
-    check_stream_capacities,
-    make_queue,
-)
+from .taskqueue import TaskRecord, check_queue_capacities, make_queue
 from .transport import SHUTDOWN, InProcTransport, PullResponse
 
 
@@ -113,8 +108,6 @@ class RunConfig:
         check_ell(self.ell)
         check_queue_capacities(self.file_capacity, self.buffer_capacity)
         check_cache_capacity(self.cache_capacity)
-        if self.queue_kind == "stream":
-            check_stream_capacities(self.file_capacity, self.buffer_capacity)
 
 
 @dataclass
@@ -267,8 +260,9 @@ class Worker:
             file_capacity=cfg.file_capacity,
             buffer_capacity=cfg.buffer_capacity,
         )
-        # The FIFO queue never reads keys, so its keys carry no signatures
-        # (and its spill files say ell 0).
+        # The queue kind is only this key rule: a stream key carries no
+        # signature, just the sequence number, so the queue serves it in
+        # enqueue order (and its spill files say ell 0).
         self.minhash_seeds = seeds if cfg.queue_kind == "lsh" else None
         self.local_value = app.aggregator.zero() if app.aggregator else None
         self.emitted = []
@@ -670,6 +664,9 @@ def _run_workers(cfg, app, tables, seeds, agg, workdir):
             t.join(timeout=5.0)
 
     if errors:
+        # A failed job leaves no spill file, also in a kept workdir.
+        for w in workers:
+            w.queue.discard()
         raise next((e for e in errors if not isinstance(e, JobAborted)), errors[0])
     return workers
 

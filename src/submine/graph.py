@@ -133,6 +133,14 @@ def respond_larger(v: Vertex) -> Vertex:
     return Vertex.from_ids(v.id, v.label, ids[k:], attrs and attrs[k:])
 
 
+def respond_smaller(v: Vertex) -> Vertex:
+    """A respond hook: a copy of v holding only its smaller neighbors,
+    for apps that never look above a pulled vertex's own id."""
+    ids, attrs = v.neighbor_ids(), v.neighbor_attrs()
+    k = bisect_right(ids, v.id)
+    return Vertex.from_ids(v.id, v.label, ids[:k], attrs and attrs[:k])
+
+
 def partition_owner(vid: int, num_workers: int) -> int:
     """Worker that owns vertex `vid` (deterministic multiplicative hash)."""
     return mix64(vid) % num_workers

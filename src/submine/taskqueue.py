@@ -1,29 +1,28 @@
-"""Disk-spilling task queues.
+"""The disk-spilling task queue.
 
-Both queue kinds share one buffering path, owned by the base class:
+Every task carries a TaskKey, and the queue serves low keys first:
 
 * enqueue appends to an in-memory input buffer of up to `buffer_capacity`
-  (B) tasks; when it fills, `merge_spill` moves it into a chain of spill
-  files of at most `file_capacity` (C) tasks, so disk traffic happens in
-  C-task units rather than per task;
+  (B) tasks; when it fills, `merge_spill` sorts it and merges it into a
+  chain of spill files, so disk traffic happens in file units rather than
+  per task.  Files hold between ceil(C/2) and C (`file_capacity`) tasks
+  over disjoint, ascending key ranges.  A merge reads, merges and
+  rewrites only the files whose range absorbs incoming keys, split into
+  balanced chunks on overflow, b-tree style; a batch of at least
+  ceil(C/2) tasks whose keys all sort above the chain is written as new
+  files after it, and no file is read;
 * fetch serves from an output buffer of at most C tasks, refilled from
-  the first file of the chain if there is one, else with up to C tasks
-  taken from the input buffer; consumed files are deleted.
+  the first file of the chain if there is one, else with the C lowest
+  keys of the input buffer; consumed files are deleted.
 
-The kinds differ in two decisions only:
+The queue kinds differ only in their keys (engine `Worker._key_for`).
+`lsh` keys lead with the MinHash signature of a task's pull set, so
+tasks that pull similar sets are served together.  `stream` keys hold
+only the enqueue sequence number, so key order is enqueue order: the
+queue is FIFO, and a spill of at least ceil(C/2) tasks is an append.
 
-* how a full input buffer joins the chain.  StreamTaskQueue (plain FIFO)
-  appends the buffer's oldest tasks as files of exactly C and keeps the
-  remainder.  LshTaskQueue keeps the chain sorted by minhash TaskKey:
-  files hold between ceil(C/2) and C tasks over disjoint, ascending key
-  ranges, and the sorted buffer is bulk-merged into it b-tree style,
-  reading, merging and rewriting only the files whose range absorbs
-  incoming keys, split into balanced chunks on overflow;
-* which buffered task is served first.  Stream takes the oldest; LSH
-  sorts the input buffer first and takes the lowest keys.
-
-io counters track file-granularity reads and writes for both kinds and
-always match what an external filesystem observer sees.
+io counters track file-granularity reads and writes and always match
+what an external filesystem observer sees.
 """
 
 import heapq
@@ -96,11 +95,8 @@ def check_queue_capacities(file_capacity, buffer_capacity):
         raise ValueError("buffer_capacity must be >= 1")
 
 
-class _TaskQueueBase:
-    """The shared buffering path; subclasses supply `merge_spill` and the
-    per-file checks, and may reorder the input buffer before a take."""
-
-    kind = "?"
+class TaskQueue:
+    """Key-ordered task queue with a b-tree-ish chain of spill files."""
 
     def __init__(self, dirpath, file_capacity=100, buffer_capacity=1000,
                  storage=None):
@@ -114,7 +110,7 @@ class _TaskQueueBase:
         self._file_seq = 0
         self._in = []          # input buffer, at most B tasks
         self._out = deque()    # output buffer, at most C tasks
-        self._files = []       # FileMeta of the spill chain, in fetch order
+        self._files = []       # FileMeta of the spill chain, in key order
 
     def __len__(self):
         return (
@@ -134,16 +130,19 @@ class _TaskQueueBase:
             self.merge_spill()
 
     def seed_bulk(self, records):
-        """Initial seeding: plain appends in the given order."""
-        for rec in records:
-            self.enqueue(rec)
+        """Bulk-load seed tasks: small loads stay in the input buffer and
+        never touch disk; a load larger than B spills in one merge."""
+        self._in.extend(records)
+        self.enqueued_total += len(records)
+        if len(self._in) > self.buffer_capacity:
+            self.merge_spill()
 
     def fetch(self):
         if not self._out:
             if self._files:
                 self._out.extend(self._load(self._files.pop(0)))
             elif self._in:
-                self._order_input()
+                self._in.sort(key=_rkey)
                 self._out.extend(self._in[:self.file_capacity])
                 del self._in[:self.file_capacity]
         if not self._out:
@@ -151,20 +150,75 @@ class _TaskQueueBase:
         self.fetched_total += 1
         return self._out.popleft()
 
-    def _order_input(self):
-        """Put the input buffer in serving order; FIFO keeps enqueue order."""
+    def merge_spill(self):
+        """Sort the input buffer and bulk-merge it into the file chain."""
+        batch = sorted(self._in, key=_rkey)
+        self._in = []
+        if not batch:
+            return
+        self.spill_count += 1
+        files = self._files
+        half = -(-self.file_capacity // 2)
+        if not files or (len(batch) >= half and files[-1].count >= half
+                         and batch[0].key > files[-1].key_hi):
+            # Into an empty chain, or after it when every key sorts
+            # above it: append, reading no file.  A lone underfull file
+            # takes the batch in instead, so it never ends up inside a
+            # longer chain.
+            files.extend(self._write_chain(batch))
+            return
+        los = [m.key_lo for m in files]
+        groups = {}
+        for rec in batch:
+            i = bisect_right(los, rec.key) - 1
+            if i < 0:
+                i = 0
+            groups.setdefault(i, []).append(rec)
+        new_files = []
+        prev = 0
+        for i in sorted(groups):
+            new_files.extend(files[prev:i])
+            existing = self._load(files[i])
+            merged = list(heapq.merge(existing, groups[i], key=_rkey))
+            new_files.extend(self._write_chain(merged))
+            prev = i + 1
+        new_files.extend(files[prev:])
+        self._files = new_files
+
+    def discard(self):
+        """Delete every spill file in the queue's directory, one whose
+        load failed after it left the chain included, and forget the
+        chain."""
+        for name in self.storage.listdir():
+            if name.endswith(".tasks"):
+                self.storage.delete(name)
+        self._files = []
 
     def io_counters(self):
         return (self.storage.files_read, self.storage.files_written)
 
-    def _next_name(self):
-        self._file_seq += 1
-        return f"f{self._file_seq:08d}.tasks"
+    def _write_chain(self, records):
+        """Write sorted records as balanced files of at most C tasks.
 
-    def _write_records(self, records):
-        name = self._next_name()
-        self.storage.write(name, encode_file(self.file_capacity, records))
-        return FileMeta(name, len(records), records[0].key, records[-1].key)
+        With k = ceil(n / C) files the balanced sizes stay >= ceil(C/2)
+        whenever k > 1, so splits never create underfull files; a single
+        file may be underfull only when the records themselves number
+        fewer than ceil(C/2).
+        """
+        n = len(records)
+        k = -(-n // self.file_capacity)
+        metas = []
+        base, extra = divmod(n, k)
+        off = 0
+        for j in range(k):
+            size = base + (1 if j < extra else 0)
+            chunk = records[off:off + size]
+            self._file_seq += 1
+            name = f"f{self._file_seq:08d}.tasks"
+            self.storage.write(name, encode_file(self.file_capacity, chunk))
+            metas.append(FileMeta(name, size, chunk[0].key, chunk[-1].key))
+            off += size
+        return metas
 
     def _load(self, meta, count=True, delete=True):
         data = self.storage.read(meta.name, count=count)
@@ -182,24 +236,33 @@ class _TaskQueueBase:
         return [TaskRecord(k, p) for k, p in raw]
 
     def check_invariants(self, deep=False):
-        """Buffer bounds, each file's shape (and with `deep` its on-disk
-        records, read without counting), and task conservation."""
+        """Buffer bounds, each file's size and key range (and with `deep`
+        its on-disk records, read without counting), and task
+        conservation."""
+        c = self.file_capacity
         if len(self._in) > self.buffer_capacity:
             raise QueueInvariantError("input buffer over capacity")
-        if len(self._out) > self.file_capacity:
+        if len(self._out) > c:
             raise QueueInvariantError("output buffer over capacity")
         for pos, m in enumerate(self._files):
-            self._check_file(pos, m)
+            if m.count > c:
+                raise QueueInvariantError(f"{m.name}: overfull ({m.count})")
+            if m.count < -(-c // 2) and len(self._files) > 1:
+                raise QueueInvariantError(f"{m.name}: underfull ({m.count})")
+            if m.key_lo > m.key_hi:
+                raise QueueInvariantError(f"{m.name}: inverted key range")
+            if pos > 0 and self._files[pos - 1].key_hi > m.key_lo:
+                raise QueueInvariantError(f"{m.name}: range overlaps previous file")
         if deep:
             for m in self._files:
-                self._check_records(m, self._load(m, count=False, delete=False))
+                keys = [r.key for r in self._load(m, count=False, delete=False)]
+                if keys != sorted(keys):
+                    raise QueueInvariantError(f"{m.name}: records unsorted")
+                if keys[0] != m.key_lo or keys[-1] != m.key_hi:
+                    raise QueueInvariantError(f"{m.name}: stale key range")
         if self.enqueued_total != self.fetched_total + len(self):
             raise QueueInvariantError("conservation violated")
         return True
-
-    def _check_records(self, meta, records):
-        """Kind-specific checks of one file's records (count is checked
-        by _load)."""
 
     def metrics(self):
         r, w = self.io_counters()
@@ -212,123 +275,8 @@ class _TaskQueueBase:
         }
 
 
-def check_stream_capacities(file_capacity, buffer_capacity):
-    """Only whole C-task files spill, so B < C would overfill the buffer."""
-    if buffer_capacity < file_capacity:
-        raise ValueError(f"stream queue: buffer_capacity {buffer_capacity}"
-                         f" < file_capacity {file_capacity}")
-
-
-class StreamTaskQueue(_TaskQueueBase):
-    """FIFO task queue: head reads, tail appends, files of exactly C."""
-
-    kind = "stream"
-
-    def __init__(self, dirpath, file_capacity=100, buffer_capacity=1000,
-                 storage=None):
-        check_stream_capacities(file_capacity, buffer_capacity)
-        super().__init__(dirpath, file_capacity, buffer_capacity, storage)
-
-    def merge_spill(self):
-        """Append the input buffer's oldest tasks as full C-task files."""
-        c = self.file_capacity
-        n = len(self._in) - len(self._in) % c
-        for off in range(0, n, c):
-            self._files.append(self._write_records(self._in[off:off + c]))
-            self.spill_count += 1
-        del self._in[:n]
-
-    def _check_file(self, pos, meta):
-        if meta.count != self.file_capacity:
-            raise QueueInvariantError(f"{meta.name}: stream file not full")
-
-
-class LshTaskQueue(_TaskQueueBase):
-    """Key-sorted task queue with a b-tree-ish file chain."""
-
-    kind = "lsh"
-
-    def seed_bulk(self, records):
-        """Bulk-load seed tasks: sort once, then either keep them in the
-        input buffer (small jobs never touch disk) or write them directly
-        as the initial file chain."""
-        records = sorted(records, key=_rkey)
-        self.enqueued_total += len(records)
-        if len(records) <= self.buffer_capacity:
-            self._in.extend(records)
-        else:
-            self._files = self._write_chain(records)
-            self.spill_count += 1
-
-    def _order_input(self):
-        self._in.sort(key=_rkey)
-
-    def merge_spill(self):
-        """Sort the input buffer and bulk-merge it into the file chain."""
-        batch = sorted(self._in, key=_rkey)
-        self._in = []
-        if not batch:
-            return
-        self.spill_count += 1
-        if not self._files:
-            self._files = self._write_chain(batch)
-            return
-        los = [m.key_lo for m in self._files]
-        groups = {}
-        for rec in batch:
-            i = bisect_right(los, rec.key) - 1
-            if i < 0:
-                i = 0
-            groups.setdefault(i, []).append(rec)
-        new_files = []
-        prev = 0
-        for i in sorted(groups):
-            new_files.extend(self._files[prev:i])
-            existing = self._load(self._files[i])
-            merged = list(heapq.merge(existing, groups[i], key=_rkey))
-            new_files.extend(self._write_chain(merged))
-            prev = i + 1
-        new_files.extend(self._files[prev:])
-        self._files = new_files
-
-    def _write_chain(self, records):
-        """Write sorted records as balanced files of at most C tasks.
-
-        With k = ceil(n / C) files the balanced sizes stay >= ceil(C/2)
-        whenever k > 1, so splits never create underfull files; a single
-        file may be underfull only when the records themselves number
-        fewer than ceil(C/2).
-        """
-        n = len(records)
-        k = -(-n // self.file_capacity)
-        metas = []
-        base, extra = divmod(n, k)
-        off = 0
-        for j in range(k):
-            size = base + (1 if j < extra else 0)
-            metas.append(self._write_records(records[off:off + size]))
-            off += size
-        return metas
-
-    def _check_file(self, pos, meta):
-        if meta.count > self.file_capacity:
-            raise QueueInvariantError(f"{meta.name}: overfull ({meta.count})")
-        if meta.count < -(-self.file_capacity // 2) and len(self._files) > 1:
-            raise QueueInvariantError(f"{meta.name}: underfull ({meta.count})")
-        if meta.key_lo > meta.key_hi:
-            raise QueueInvariantError(f"{meta.name}: inverted key range")
-        if pos > 0 and self._files[pos - 1].key_hi > meta.key_lo:
-            raise QueueInvariantError(f"{meta.name}: range overlaps previous file")
-
-    def _check_records(self, meta, records):
-        keys = [r.key for r in records]
-        if keys != sorted(keys):
-            raise QueueInvariantError(f"{meta.name}: records unsorted")
-        if keys[0] != meta.key_lo or keys[-1] != meta.key_hi:
-            raise QueueInvariantError(f"{meta.name}: stale key range")
-
-
-QUEUE_KINDS = {"stream": StreamTaskQueue, "lsh": LshTaskQueue}
+# Both kinds are one queue; the engine's key rule makes `stream` FIFO.
+QUEUE_KINDS = {"stream": TaskQueue, "lsh": TaskQueue}
 
 
 def make_queue(kind, dirpath, file_capacity=100, buffer_capacity=1000,

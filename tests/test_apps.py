@@ -264,6 +264,20 @@ def test_maximal_masks_match_the_per_neighbor_loop(monkeypatch):
     assert _result_sets(res) == maximal_cliques_bf(g)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_maximal_pruned_and_unpruned_agree(workers):
+    # responses keep only the smaller neighbors; the seed's own list is
+    # local and stays full
+    g = gnp_graph(40, 0.25, seed=23)
+    a = _run(make_app("maximalcliques"), g, workers=workers)
+    b = _run(dataclasses.replace(make_app("maximalcliques"), respond=None), g,
+             workers=workers)
+    assert a.metrics["vertices_served"] > 0
+    assert sorted(a.result_lines()) == sorted(b.result_lines())
+    assert _result_sets(a) == maximal_cliques_bf(g)
+    assert a.aggregate == b.aggregate == len(maximal_cliques_bf(g))
+
+
 def test_clique_bits_match_a_reference_on_wide_masks():
     rng = random.Random(11)
     assert _bits(0) == []

@@ -21,6 +21,7 @@ SRC = str(Path(submine.__file__).resolve().parent.parent)
     ("bench_kernels.py", ["--repeat", "1"]),
     ("bench_gmatch.py", ["--repeat", "1"]),
     ("bench_cliques.py", ["--repeat", "1"]),
+    ("bench_queue.py", ["--repeat", "1"]),
 ])
 def test_bench_script_runs(script, args):
     env = dict(os.environ)

@@ -10,7 +10,7 @@ import pytest
 from submine import __version__
 from submine.cli import main
 from submine.engine import RunConfig
-from submine.gen import complete_graph, fig4_data_graph
+from submine.gen import complete_graph, fig4_data_graph, gnp_graph
 from submine.graph import check_undirected, read_graph, write_graph
 
 from testkit import parse_trace
@@ -193,32 +193,28 @@ def test_run_rejects_non_utf8_input(tmp_path, capsys):
     assert err.startswith(f"error: {path}: not UTF-8")
 
 
-def test_run_rejects_stream_buffer_below_file_capacity(
+def test_run_accepts_stream_buffer_below_file_capacity(
         tmp_path, capsys, monkeypatch):
+    # a stream queue is the key-ordered queue with sequence-only keys, so
+    # it spills a buffer smaller than a file as the lsh queue does
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-    rc = main(["run", "--app", "triangle", "--input", _k4(tmp_path),
-               "--queue", "stream", "--buffer-capacity", "10",
-               "--file-capacity", "100", "--outdir", str(tmp_path / "out")])
-    assert rc == 1
-    assert "buffer_capacity 10 < file_capacity 100" in capsys.readouterr().err
+    data = tmp_path / "g.graph"
+    write_graph(gnp_graph(80, 0.15, seed=3), data)
+    answers = []
+    for queue in ("stream", "lsh"):
+        out = tmp_path / queue
+        rc = main(["run", "--app", "triangle", "--input", str(data),
+                   "--workers", "2", "--queue", queue, "--buffer-capacity",
+                   "10", "--file-capacity", "100", "--outdir", str(out)])
+        assert rc == 0
+        answers.append(capsys.readouterr().out)
+        metrics = dict(line.split("\t") for line in
+                       _read(out / "metrics.txt").splitlines())
+        assert int(metrics["queue_file_writes"]) > 0  # the buffer spilled
+    assert answers[0] == answers[1] and int(answers[0]) > 0
     assert list(tmp.glob("submine-run-*")) == []
-
-
-@pytest.mark.parametrize("command, queue", [
-    ("run", ["--queue", "stream"]),
-    ("bench-queues", []),  # runs a stream job after the lsh one
-])
-def test_bad_stream_capacities_fail_before_the_input_is_read(
-        tmp_path, capsys, command, queue):
-    # the config is checked first: a missing input is never reached
-    rc = main([command, "--app", "triangle",
-               "--input", str(tmp_path / "missing.graph"), *queue,
-               "--buffer-capacity", "10", "--file-capacity", "100"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err == "error: stream queue: buffer_capacity 10 < file_capacity 100\n"
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -696,6 +696,27 @@ def test_failed_job_leaves_no_temp_workdir(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
     assert _job_threads() == []
 
+    # a kept workdir keeps its directories but no spill file: the job
+    # fails with tasks still queued on disk
+    calls = []
+
+    def compute_then_fail(task, frontier):
+        calls.append(task.seed_id)
+        if len(calls) > 20:
+            raise ValueError("boom")
+        return False
+
+    kept = tmp_path / "kept"
+    with pytest.raises(ComputeError, match="boom"):
+        run_job(RunConfig(workers=2, queue_kind="stream", workdir=str(kept),
+                          buffer_capacity=4, file_capacity=2),
+                _spec("late", lambda v: [Task(v.id, pulls=v.neighbor_ids())],
+                      compute_then_fail),
+                graph=gnp_graph(60, 0.2, seed=4))
+    left = [f for w in ("w0", "w1") for f in os.listdir(kept / w / "queue")]
+    assert left == []
+    assert _job_threads() == []
+
 
 def test_validation_catches_asymmetry_first():
     g = Graph()

@@ -24,6 +24,7 @@ from submine.graph import (
     read_graph,
     read_graph_sha256,
     respond_larger,
+    respond_smaller,
     smaller_neighbor_ids,
     write_graph,
 )
@@ -144,17 +145,26 @@ def test_vertex_accessors_build_neither_representation():
 
 
 def test_respond_larger_keeps_the_representation():
-    plain = Vertex.from_ids(5, "a", [2, 7, 9])
-    pruned = respond_larger(plain)
-    assert pruned.neighbor_ids() == [7, 9] and pruned.label == "a"
-    assert pruned == Vertex.from_ids(5, "a", [7, 9])
-    assert plain.neighbor_ids() == [2, 7, 9]
-    labeled = Vertex(5, "a", [AdjItem(2, "x"), AdjItem(7, "y"), AdjItem(9)])
-    assert respond_larger(labeled).adj == [AdjItem(7, "y"), AdjItem(9)]
-    # a slice whose attributes are all None keeps the canonical form
-    pruned = respond_larger(Vertex(5, "a", [AdjItem(2, "x"), AdjItem(7), AdjItem(9)]))
-    assert pruned == Vertex.from_ids(5, "a", [7, 9])
-    assert pruned.neighbor_attrs() is None
+    # each hook keeps one side of the vertex's id; the last adjacency of
+    # a case carries attributes only on the side the hook drops
+    cases = (
+        (respond_larger, [7, 9], [AdjItem(7, "y"), AdjItem(9)],
+         [AdjItem(2, "x"), AdjItem(7), AdjItem(9)]),
+        (respond_smaller, [2], [AdjItem(2, "x")],
+         [AdjItem(2), AdjItem(7, "y"), AdjItem(9)]),
+    )
+    for hook, kept, kept_adj, bare_side in cases:
+        plain = Vertex.from_ids(5, "a", [2, 7, 9])
+        pruned = hook(plain)
+        assert pruned.neighbor_ids() == kept and pruned.label == "a"
+        assert pruned == Vertex.from_ids(5, "a", kept)
+        assert plain.neighbor_ids() == [2, 7, 9]
+        labeled = Vertex(5, "a", [AdjItem(2, "x"), AdjItem(7, "y"), AdjItem(9)])
+        assert hook(labeled).adj == kept_adj
+        # a slice whose attributes are all None keeps the canonical form
+        pruned = hook(Vertex(5, "a", bare_side))
+        assert pruned == Vertex.from_ids(5, "a", kept)
+        assert pruned.neighbor_attrs() is None
 
 
 def test_larger_neighbors_matches_filter_oracle():

@@ -8,11 +8,10 @@ from collections import Counter
 
 import pytest
 
-from submine.minhash import derive_seeds
+from submine.minhash import TaskKey, derive_seeds
 from submine.taskqueue import (
-    LshTaskQueue,
     QueueInvariantError,
-    StreamTaskQueue,
+    TaskQueue,
     TaskRecord,
     make_queue,
 )
@@ -33,6 +32,13 @@ def _records(seed, count, universe=300):
     return make_records(gen_pull_sets(seed, count, universe), 4, SEEDS)
 
 
+def _fifo_records(count, start=0, step=1):
+    """Records keyed the way the engine keys a stream queue's tasks: no
+    signature, only the sequence number."""
+    return [TaskRecord(TaskKey((), i), b"t%d" % i)
+            for i in range(start, start + count * step, step)]
+
+
 def _drain(q):
     out = []
     while True:
@@ -46,8 +52,9 @@ def _drain(q):
 
 
 def test_make_queue_kinds(tmp_path):
-    assert isinstance(make_queue("lsh", tmp_path / "a"), LshTaskQueue)
-    assert isinstance(make_queue("stream", tmp_path / "b"), StreamTaskQueue)
+    # the kinds differ only in the keys the engine gives their tasks
+    assert type(make_queue("lsh", tmp_path / "a")) is TaskQueue
+    assert type(make_queue("stream", tmp_path / "b")) is TaskQueue
     with pytest.raises(ValueError, match="unknown queue kind"):
         make_queue("nope", tmp_path / "c")
     with pytest.raises(ValueError):
@@ -98,41 +105,79 @@ def test_interleaved_workload_conserves(tmp_path, kind):
     q.check_invariants(deep=True)
 
 
-# -- stream specifics ---------------------------------------------------------
+# -- FIFO keys ---------------------------------------------------------------
 
 
 def test_stream_is_fifo_across_spills(tmp_path):
-    recs = _records(3, 500)
-    q = make_queue("stream", tmp_path / "s", file_capacity=10, buffer_capacity=25)
-    for r in recs:
-        q.enqueue(r)
-    assert _drain(q) == recs  # exact order preserved across spill files
+    # sequence-only keys sort in enqueue order, so the key-ordered queue
+    # serves them FIFO across spills, with B below, at and above C
+    for c, b in ((10, 4), (10, 10), (10, 25)):
+        rng = random.Random(c * 100 + b)
+        q = make_queue("stream", tmp_path / f"s{b}", file_capacity=c,
+                       buffer_capacity=b)
+        recs = _fifo_records(200)
+        out = []
+        for rec in recs:
+            q.enqueue(rec)
+            q.check_invariants(deep=True)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                got = q.fetch()
+                q.check_invariants(deep=True)
+                if got is not None:
+                    out.append(got)
+        while (got := q.fetch()) is not None:
+            out.append(got)
+            q.check_invariants(deep=True)
+        assert out == recs
+        assert q.io_counters()[1] > 0  # the chain was used
 
 
-def test_stream_rejects_buffer_below_file_capacity(tmp_path):
-    # a stream queue spills only whole C-task files, so with B < C its
-    # input buffer would grow past B before the first spill
-    with pytest.raises(ValueError, match="buffer_capacity 4 < file_capacity 16"):
-        make_queue("stream", tmp_path / "s", file_capacity=16, buffer_capacity=4)
-    # B == C is the smallest accepted buffer, and it keeps its bound
-    q = make_queue("stream", tmp_path / "s", file_capacity=16, buffer_capacity=16)
-    for r in _records(9, 40):
-        q.enqueue(r)
-        q.check_invariants()
-    # the LSH queue spills whatever its buffer holds, so B < C stays bounded
-    q = make_queue("lsh", tmp_path / "l", file_capacity=16, buffer_capacity=4)
-    for r in _records(9, 40):
-        q.enqueue(r)
-        q.check_invariants()
+def test_buffer_below_file_capacity_stays_bounded(tmp_path):
+    # a spill merges whatever the buffer holds, so B < C is accepted by
+    # both kinds and the buffer never grows past B
+    for kind, recs in (("stream", _fifo_records(40)), ("lsh", _records(9, 40))):
+        q = make_queue(kind, tmp_path / kind, file_capacity=16, buffer_capacity=4)
+        for r in recs:
+            q.enqueue(r)
+            q.check_invariants()
+        assert q.io_counters()[1] > 0
+        out = _drain(q)
+        assert [r.key for r in out] == sorted(r.key for r in recs)
+        assert Counter(out) == Counter(recs)
 
 
-def test_stream_files_hold_exactly_c(tmp_path):
-    q = make_queue("stream", tmp_path / "s", file_capacity=10, buffer_capacity=30)
-    for r in _records(5, 200):
+def test_spill_above_the_chain_appends_without_reading(tmp_path):
+    q = make_queue("stream", tmp_path / "s", file_capacity=10, buffer_capacity=5)
+    for r in _fifo_records(20, step=2):  # keys 0, 2, .., 38: four spills
         q.enqueue(r)
-        q.check_invariants()
-    for m in q._files:
-        assert m.count == q.file_capacity
+    assert q.io_counters() == (0, 4)
+    for r in _fifo_records(5, start=41):  # all above the chain: appended
+        q.enqueue(r)
+    assert q.io_counters() == (0, 5)
+    assert [m.count for m in q.index] == [5] * 5
+    for r in _fifo_records(5, start=1, step=2):  # keys 1..9 land in file 1
+        q.enqueue(r)
+    assert q.io_counters() == (1, 6)
+    q.check_invariants(deep=True)
+    # fewer than ceil(C/2) keys above the chain merge into its last file
+    for r in _fifo_records(2, start=50):
+        q.enqueue(r)
+    q.merge_spill()
+    assert q.io_counters() == (2, 7)
+    q.check_invariants(deep=True)
+    assert [r.key.tiebreak for r in _drain(q)] == sorted(
+        list(range(0, 39, 2)) + list(range(1, 10, 2)) + list(range(41, 46))
+        + [50, 51])
+    # a lone underfull file takes the batch in rather than staying
+    # underfull at the head of a longer chain
+    q = make_queue("stream", tmp_path / "u", file_capacity=10, buffer_capacity=5)
+    for r in _fifo_records(2):
+        q.enqueue(r)
+    q.merge_spill()
+    for r in _fifo_records(5, start=2):
+        q.enqueue(r)
+    assert q.io_counters() == (1, 2)
+    q.check_invariants(deep=True)
 
 
 # -- lsh specifics ------------------------------------------------------------

@@ -217,6 +217,23 @@ def test_run_accepts_stream_buffer_below_file_capacity(
     assert list(tmp.glob("submine-run-*")) == []
 
 
+@pytest.mark.parametrize("command, queue", [
+    ("run", ["--queue", "stream"]),
+    ("bench-queues", []),  # runs a stream job after the lsh one
+])
+def test_bad_stream_capacities_fail_before_the_input_is_read(
+        tmp_path, capsys, command, queue):
+    # the config is checked first: a missing input is never reached
+    for flag, value, message in [
+            ("--buffer-capacity", "0", "buffer_capacity must be >= 1"),
+            ("--file-capacity", "1", "file_capacity must be >= 2")]:
+        rc = main([command, "--app", "triangle",
+                   "--input", str(tmp_path / "missing.graph"), *queue,
+                   flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--ell", "0", "ell must be >= 1"),
     ("--file-capacity", "1", "file_capacity must be >= 2"),

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Task-queue traffic under FIFO keys and under MinHash keys.
 
-Drives `make_queue` the way a worker does: a bulk load of seed tasks,
+Drives `TaskQueue` the way a worker does: a bulk load of seed tasks,
 then fetches that each requeue 0-2 records (drawn from a fixed stream)
-until every record has been enqueued, then a drain.  FIFO records run
-through the `stream` queue keyed `TaskKey((), seq)`, as the engine keys
-them; MinHash records run through the `lsh` queue keyed by the
-signature of a random pull set.  Checks that every record comes back
-once and that FIFO keys come back in enqueue order, and prints one JSON
-line per kind: median seconds of N runs, file reads and file writes.
+until every record has been enqueued, then a drain.  `stream` records
+are keyed `TaskKey((), seq)`, as the engine keys a stream queue's tasks;
+`lsh` records are keyed by the MinHash signature of a random pull set.
+A third line, `buffered`, bulk-loads every FIFO record into an input
+buffer that holds them all, so no file is written, and drains it.
+Checks that every record comes back once and that FIFO keys come back
+in enqueue order, and prints one JSON line per case: median seconds of
+N runs, file reads and file writes.
 
     python3 benchmarks/bench_queue.py --repeat 5
 """
@@ -22,7 +24,7 @@ import tempfile
 import time
 
 from submine.minhash import TaskKey, derive_seeds, minhash_signature
-from submine.taskqueue import TaskRecord, make_queue
+from submine.taskqueue import TaskQueue, TaskRecord
 
 SEEDS, TOTAL = 5_000, 40_000
 BUFFER, FILE = 1000, 100
@@ -36,7 +38,7 @@ def make_records(kind):
     for seq in range(TOTAL):
         pulls = frozenset(rng.sample(range(UNIVERSE), PULLS))
         payload = b"%d:" % seq + b"".join(p.to_bytes(8, "little") for p in pulls)
-        sigs = () if kind == "stream" else minhash_signature(pulls, seeds)
+        sigs = minhash_signature(pulls, seeds) if kind == "lsh" else ()
         out.append(TaskRecord(TaskKey(sigs, seq), payload))
     return out
 
@@ -46,7 +48,7 @@ def run(kind, records, dirpath):
     writes, the records in fetch order)."""
     rng = random.Random(11)
     t0 = time.perf_counter()
-    q = make_queue(kind, dirpath, file_capacity=FILE, buffer_capacity=BUFFER)
+    q = TaskQueue(dirpath, file_capacity=FILE, buffer_capacity=BUFFER)
     q.seed_bulk(records[:SEEDS])
     nxt = SEEDS
     fetched = []
@@ -63,25 +65,42 @@ def run(kind, records, dirpath):
     return elapsed, reads, writes, fetched
 
 
+def run_buffered(records, dirpath):
+    """Bulk-load every record into a buffer above their count, then
+    drain; returns what `run` returns."""
+    t0 = time.perf_counter()
+    q = TaskQueue(dirpath, file_capacity=FILE, buffer_capacity=len(records) + 1)
+    q.seed_bulk(records)
+    fetched = []
+    while (rec := q.fetch()) is not None:
+        fetched.append(rec)
+    elapsed = time.perf_counter() - t0
+    reads, writes = q.io_counters()
+    return elapsed, reads, writes, fetched
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5,
                     help="timing repetitions; the median is reported")
     args = ap.parse_args(argv)
 
-    for kind in ("stream", "lsh"):
+    for kind in ("stream", "lsh", "buffered"):
         records = make_records(kind)
         times, io = [], set()
         for _ in range(args.repeat):
             with tempfile.TemporaryDirectory(prefix="bench-queue-") as d:
-                s, reads, writes, fetched = run(kind, records, d)
+                if kind == "buffered":
+                    s, reads, writes, fetched = run_buffered(records, d)
+                else:
+                    s, reads, writes, fetched = run(kind, records, d)
             times.append(s)
             io.add((reads, writes))
             if sorted(r.payload for r in fetched) != sorted(
                     r.payload for r in records):
                 sys.exit(f"{kind}: fetched records differ from enqueued ones")
-            if kind == "stream" and fetched != records:
-                sys.exit("stream: FIFO keys did not come back in enqueue order")
+            if kind != "lsh" and fetched != records:
+                sys.exit(f"{kind}: FIFO keys did not come back in enqueue order")
         if len(io) != 1:
             sys.exit(f"{kind}: file traffic differs between runs: {io}")
         (reads, writes), = io

@@ -22,10 +22,10 @@ from . import __version__
 from .apps import APP_NAMES, make_app, parse_query_file
 from .engine import RunConfig, run_job
 from .gen import (
-    GENERATORS,
     complete_graph,
     fig4_data_graph,
     gnp_graph,
+    graph_from_edges,
     hub_cluster_graph,
     labeled_gnp_graph,
     path_graph,
@@ -33,8 +33,6 @@ from .gen import (
 )
 from .graph import (
     MASK64,
-    Graph,
-    Vertex,
     read_graph,
     read_graph_sha256,
     write_graph,
@@ -234,25 +232,22 @@ def cmd_bench_queues(args):
     return 0
 
 
+# `gen --model` name -> its generator, called with the parsed arguments
+_MODELS = {
+    "gnp": lambda a: gnp_graph(a.n, a.p, a.seed),
+    "labeled-gnp": lambda a: labeled_gnp_graph(
+        a.n, a.p, a.seed, alphabet=_parse_labels(a.labels)),
+    "complete": lambda a: complete_graph(a.n, start_id=a.start_id),
+    "hub-cluster": lambda a: hub_cluster_graph(a.clusters, a.members, a.hubs,
+                                               a.seed),
+    "fig4": lambda a: fig4_data_graph(),
+    "star": lambda a: star_graph(a.n),
+    "path": lambda a: path_graph(a.n),
+}
+
+
 def cmd_gen(args):
-    model = args.model
-    if model == "gnp":
-        g = gnp_graph(args.n, args.p, args.seed)
-    elif model == "labeled-gnp":
-        g = labeled_gnp_graph(args.n, args.p, args.seed,
-                              alphabet=_parse_labels(args.labels))
-    elif model == "complete":
-        g = complete_graph(args.n, start_id=args.start_id)
-    elif model == "hub-cluster":
-        g = hub_cluster_graph(args.clusters, args.members, args.hubs, args.seed)
-    elif model == "fig4":
-        g = fig4_data_graph()
-    elif model == "star":
-        g = star_graph(args.n)
-    elif model == "path":
-        g = path_graph(args.n)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    g = _MODELS[args.model](args)
     write_graph(g, args.out)
     print(f"{args.out}: {g.num_vertices} vertices")
     return 0
@@ -291,13 +286,7 @@ def cmd_convert_edgelist(args):
             if a == b:
                 continue
             edges.add((min(a, b), max(a, b)))
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    g = Graph()
-    for vid in sorted(adj):
-        g.add(Vertex.from_ids(vid, None, sorted(adj[vid])))
+    g = graph_from_edges(sorted({vid for e in edges for vid in e}), edges)
     write_graph(g, args.out)
     print(f"{args.out}: {g.num_vertices} vertices, {len(edges)} edges")
     return 0
@@ -346,7 +335,7 @@ def build_parser():
     p_bench.set_defaults(func=cmd_bench_queues)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    p_gen.add_argument("--model", required=True, choices=sorted(GENERATORS))
+    p_gen.add_argument("--model", required=True, choices=sorted(_MODELS))
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--n", type=int, default=10)
     p_gen.add_argument("--p", type=float, default=0.1)

@@ -66,7 +66,7 @@ from .graph import (
 from .minhash import TaskKey, check_ell, derive_seeds, minhash_signature
 from .serialize import TaskWire, decode_task, encode_task, encode_vertex, vertex_from_bytes
 from .store import VertexCache, VertexStore, check_cache_capacity
-from .taskqueue import TaskRecord, check_queue_capacities, make_queue
+from .taskqueue import TaskQueue, TaskRecord, check_queue_capacities
 from .transport import SHUTDOWN, InProcTransport, PullResponse
 
 
@@ -255,14 +255,15 @@ class Worker:
             cfg.cache_capacity, is_local=table.__contains__, trace=trace_cb
         )
         self.store = VertexStore(table, self.cache)
-        self.queue = make_queue(
-            cfg.queue_kind, os.path.join(workdir, f"w{wid}", "queue"),
+        self.queue = TaskQueue(
+            os.path.join(workdir, f"w{wid}", "queue"),
             file_capacity=cfg.file_capacity,
             buffer_capacity=cfg.buffer_capacity,
         )
-        # The queue kind is only this key rule: a stream key carries no
-        # signature, just the sequence number, so the queue serves it in
-        # enqueue order (and its spill files say ell 0).
+        # The queue takes no kind; the kind is only this key rule
+        # (`_key_for`): a stream key carries no signature, just the
+        # sequence number, so the queue serves it in enqueue order (and
+        # its spill files say ell 0).
         self.minhash_seeds = seeds if cfg.queue_kind == "lsh" else None
         self.local_value = app.aggregator.zero() if app.aggregator else None
         self.emitted = []

@@ -13,7 +13,7 @@ from .graph import Graph, Vertex
 LABEL_ALPHABET = "abcdefg"
 
 
-def _assemble(ids, edge_set, labels=None):
+def graph_from_edges(ids, edge_set, labels=None):
     """Build a Graph from an edge set (pairs, either order); each
     neighbor's label is its adjacency attribute."""
     adj = {vid: [] for vid in ids}
@@ -34,7 +34,7 @@ def _assemble(ids, edge_set, labels=None):
 def complete_graph(n, start_id=1):
     ids = list(range(start_id, start_id + n))
     edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
-    return _assemble(ids, edges)
+    return graph_from_edges(ids, edges)
 
 
 def gnp_graph(n, p, seed, labels=False, alphabet=LABEL_ALPHABET):
@@ -49,7 +49,7 @@ def gnp_graph(n, p, seed, labels=False, alphabet=LABEL_ALPHABET):
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges.append((i, j))
-    return _assemble(ids, edges, label_map)
+    return graph_from_edges(ids, edges, label_map)
 
 
 def labeled_gnp_graph(n, p, seed, alphabet=LABEL_ALPHABET):
@@ -60,13 +60,13 @@ def star_graph(leaves, center=0):
     """A star: center plus `leaves` spokes, ids center..center+leaves."""
     ids = [center] + [center + 1 + i for i in range(leaves)]
     edges = [(center, v) for v in ids[1:]]
-    return _assemble(ids, edges)
+    return graph_from_edges(ids, edges)
 
 
 def path_graph(n, start_id=0):
     ids = list(range(start_id, start_id + n))
     edges = [(ids[i], ids[i + 1]) for i in range(n - 1)]
-    return _assemble(ids, edges)
+    return graph_from_edges(ids, edges)
 
 
 def hub_cluster_graph(clusters, members, hubs, seed):
@@ -93,22 +93,11 @@ def hub_cluster_graph(clusters, members, hubs, seed):
         for m in member_ids[c * members:(c + 1) * members]:
             for h in hub_ids:
                 edges.append((m, h))
-    return _assemble(ids, edges)
+    return graph_from_edges(ids, edges)
 
 
 def fig4_data_graph():
     """The small labeled data graph used by the matching examples."""
     labels = {1: "b", 2: "a", 4: "b", 5: "c", 7: "b", 8: "d"}
     edges = [(1, 2), (2, 4), (2, 5), (4, 5), (5, 7), (7, 8)]
-    return _assemble(sorted(labels), edges, labels)
-
-
-GENERATORS = {
-    "gnp": gnp_graph,
-    "labeled-gnp": labeled_gnp_graph,
-    "complete": complete_graph,
-    "hub-cluster": hub_cluster_graph,
-    "fig4": fig4_data_graph,
-    "star": star_graph,
-    "path": path_graph,
-}
+    return graph_from_edges(sorted(labels), edges, labels)

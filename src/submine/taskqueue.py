@@ -2,7 +2,7 @@
 
 Every task carries a TaskKey, and the queue serves low keys first:
 
-* enqueue appends to an in-memory input buffer of up to `buffer_capacity`
+* enqueue pushes onto an in-memory input heap of up to `buffer_capacity`
   (B) tasks; when it fills, `merge_spill` sorts it and merges it into a
   chain of spill files, so disk traffic happens in file units rather than
   per task.  Files hold between ceil(C/2) and C (`file_capacity`) tasks
@@ -12,14 +12,15 @@ Every task carries a TaskKey, and the queue serves low keys first:
   ceil(C/2) tasks whose keys all sort above the chain is written as new
   files after it, and no file is read;
 * fetch serves from an output buffer of at most C tasks, refilled from
-  the first file of the chain if there is one, else with the C lowest
-  keys of the input buffer; consumed files are deleted.
+  the first file of the chain if there is one, else by popping the C
+  lowest keys off the input heap, so draining n buffered tasks costs
+  O(n log n); consumed files are deleted.
 
-The queue kinds differ only in their keys (engine `Worker._key_for`).
-`lsh` keys lead with the MinHash signature of a task's pull set, so
-tasks that pull similar sets are served together.  `stream` keys hold
-only the enqueue sequence number, so key order is enqueue order: the
-queue is FIFO, and a spill of at least ceil(C/2) tasks is an append.
+The queue takes no kind: the engine's key rule (`Worker._key_for`) makes
+the order.  `lsh` keys lead with the MinHash signature of a task's pull
+set, so tasks that pull similar sets are served together.  `stream` keys
+hold only the enqueue sequence number, so key order is enqueue order:
+the queue is FIFO, and a spill of at least ceil(C/2) tasks is an append.
 
 io counters track file-granularity reads and writes and always match
 what an external filesystem observer sees.
@@ -108,7 +109,10 @@ class TaskQueue:
         self.fetched_total = 0
         self.spill_count = 0
         self._file_seq = 0
-        self._in = []          # input buffer, at most B tasks
+        # Input buffer, a heap of at most B tasks.  Keys are unique per
+        # queue (the engine's sequence number ends each), so the heap
+        # orders records by key alone and never compares payloads.
+        self._in = []
         self._out = deque()    # output buffer, at most C tasks
         self._files = []       # FileMeta of the spill chain, in key order
 
@@ -124,7 +128,7 @@ class TaskQueue:
         return list(self._files)
 
     def enqueue(self, rec: TaskRecord):
-        self._in.append(rec)
+        heapq.heappush(self._in, rec)
         self.enqueued_total += 1
         if len(self._in) >= self.buffer_capacity:
             self.merge_spill()
@@ -136,15 +140,18 @@ class TaskQueue:
         self.enqueued_total += len(records)
         if len(self._in) > self.buffer_capacity:
             self.merge_spill()
+        else:
+            heapq.heapify(self._in)
 
     def fetch(self):
         if not self._out:
             if self._files:
                 self._out.extend(self._load(self._files.pop(0)))
-            elif self._in:
-                self._in.sort(key=_rkey)
-                self._out.extend(self._in[:self.file_capacity])
-                del self._in[:self.file_capacity]
+            else:
+                # Refill by C, not one pop per fetch: a key enqueued
+                # meanwhile waits for the next refill, as from a file.
+                take = min(self.file_capacity, len(self._in))
+                self._out.extend(heapq.heappop(self._in) for _ in range(take))
         if not self._out:
             return None
         self.fetched_total += 1
@@ -275,15 +282,6 @@ class TaskQueue:
         }
 
 
-# Both kinds are one queue; the engine's key rule makes `stream` FIFO.
+# The engine's queue kinds, read only by the benchmark harness
+# (`perfbench/job.py:install_spans`) and its tests; the queue takes no kind.
 QUEUE_KINDS = {"stream": TaskQueue, "lsh": TaskQueue}
-
-
-def make_queue(kind, dirpath, file_capacity=100, buffer_capacity=1000,
-               storage=None):
-    try:
-        cls = QUEUE_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown queue kind {kind!r}") from None
-    return cls(dirpath, file_capacity=file_capacity,
-               buffer_capacity=buffer_capacity, storage=storage)

@@ -34,7 +34,7 @@ from submine.gen import (
 from submine.graph import AdjItem, Graph, Vertex, read_graph
 from submine.minhash import derive_seeds, minhash_signature
 from submine.serialize import decode_file
-from submine.taskqueue import make_queue
+from submine.taskqueue import TaskQueue
 
 from testkit import (
     assert_cache_bound,
@@ -210,8 +210,8 @@ def test_criterion_08_lsh_queue_structure(tmp_path):
         assert n_enq >= 10_000
         pulls = gen_pull_sets(32, n_enq, universe=600)
         recs = make_records(pulls, 4, derive_seeds(7, 4))
-        q = make_queue("lsh", str(tmp_path / "q"), file_capacity=16,
-                       buffer_capacity=200)
+        q = TaskQueue(str(tmp_path / "q"), file_capacity=16,
+                      buffer_capacity=200)
         merges = 0
         real_merge = q.merge_spill
 

@@ -9,12 +9,7 @@ from collections import Counter
 import pytest
 
 from submine.minhash import TaskKey, derive_seeds
-from submine.taskqueue import (
-    QueueInvariantError,
-    TaskQueue,
-    TaskRecord,
-    make_queue,
-)
+from submine.taskqueue import QueueInvariantError, TaskQueue, TaskRecord
 from submine.serialize import CorruptData
 
 from testkit import (
@@ -39,6 +34,16 @@ def _fifo_records(count, start=0, step=1):
             for i in range(start, start + count * step, step)]
 
 
+# The two key shapes the engine makes (`Worker._key_for`), named by the
+# queue kind that makes them: `stream` keys hold only the sequence number,
+# so key order is enqueue order; `lsh` keys lead with a MinHash signature.
+KEY_SHAPES = pytest.mark.parametrize("shape", ["stream", "lsh"])
+
+
+def _shaped(shape, seed, count):
+    return _fifo_records(count) if shape == "stream" else _records(seed, count)
+
+
 def _drain(q):
     out = []
     while True:
@@ -51,22 +56,20 @@ def _drain(q):
 # -- construction ------------------------------------------------------------
 
 
-def test_make_queue_kinds(tmp_path):
-    # the kinds differ only in the keys the engine gives their tasks
-    assert type(make_queue("lsh", tmp_path / "a")) is TaskQueue
-    assert type(make_queue("stream", tmp_path / "b")) is TaskQueue
-    with pytest.raises(ValueError, match="unknown queue kind"):
-        make_queue("nope", tmp_path / "c")
-    with pytest.raises(ValueError):
-        make_queue("lsh", tmp_path / "d", file_capacity=1)
-    with pytest.raises(ValueError):
-        make_queue("lsh", tmp_path / "e", buffer_capacity=0)
+def test_queue_rejects_bad_capacities(tmp_path):
+    # the queue takes no kind; RunConfig rejects an unknown one
+    # (tests/test_engine.py::test_config_validation)
+    with pytest.raises(ValueError, match="file_capacity"):
+        TaskQueue(tmp_path / "d", file_capacity=1)
+    with pytest.raises(ValueError, match="buffer_capacity"):
+        TaskQueue(tmp_path / "e", buffer_capacity=0)
+    TaskQueue(tmp_path / "f", file_capacity=2, buffer_capacity=1)
 
 
-@pytest.mark.parametrize("kind", ["stream", "lsh"])
-def test_single_task_round_trip(tmp_path, kind):
-    q = make_queue(kind, tmp_path / kind)
-    rec = _records(1, 1)[0]
+@KEY_SHAPES
+def test_single_task_round_trip(tmp_path, shape):
+    q = TaskQueue(tmp_path / shape)
+    rec = _shaped(shape, 1, 1)[0]
     q.enqueue(rec)
     assert len(q) == 1
     assert q.fetch() == rec
@@ -74,23 +77,25 @@ def test_single_task_round_trip(tmp_path, kind):
     assert q.io_counters() == (0, 0)  # never touched disk
 
 
-@pytest.mark.parametrize("kind", ["stream", "lsh"])
-def test_multiset_conservation(tmp_path, kind):
-    recs = _records(7, 1000)
-    q = make_queue(kind, tmp_path / kind, file_capacity=8, buffer_capacity=20)
+@KEY_SHAPES
+def test_multiset_conservation(tmp_path, shape):
+    recs = _shaped(shape, 7, 1000)
+    q = TaskQueue(tmp_path / shape, file_capacity=8, buffer_capacity=20)
     for r in recs:
         q.enqueue(r)
     out = _drain(q)
     assert Counter(out) == Counter(recs)
+    if shape == "stream":
+        assert out == recs
     assert q.enqueued_total == q.fetched_total == 1000
     q.check_invariants(deep=True)
 
 
-@pytest.mark.parametrize("kind", ["stream", "lsh"])
-def test_interleaved_workload_conserves(tmp_path, kind):
-    recs = _records(13, 4000)
+@KEY_SHAPES
+def test_interleaved_workload_conserves(tmp_path, shape):
+    recs = _shaped(shape, 13, 4000)
     ops = gen_queue_ops(99, 4000)
-    q = make_queue(kind, tmp_path / kind, file_capacity=16, buffer_capacity=50)
+    q = TaskQueue(tmp_path / shape, file_capacity=16, buffer_capacity=50)
     fetched = []
     it = iter(recs)
     for op in ops:
@@ -101,7 +106,10 @@ def test_interleaved_workload_conserves(tmp_path, kind):
             if rec is not None:
                 fetched.append(rec)
     fetched.extend(_drain(q))
-    assert Counter(fetched) == Counter(recs[: sum(1 for o in ops if o[0] == "enqueue")])
+    enqueued = recs[: sum(1 for o in ops if o[0] == "enqueue")]
+    assert Counter(fetched) == Counter(enqueued)
+    if shape == "stream":
+        assert fetched == enqueued
     q.check_invariants(deep=True)
 
 
@@ -113,8 +121,7 @@ def test_stream_is_fifo_across_spills(tmp_path):
     # serves them FIFO across spills, with B below, at and above C
     for c, b in ((10, 4), (10, 10), (10, 25)):
         rng = random.Random(c * 100 + b)
-        q = make_queue("stream", tmp_path / f"s{b}", file_capacity=c,
-                       buffer_capacity=b)
+        q = TaskQueue(tmp_path / f"s{b}", file_capacity=c, buffer_capacity=b)
         recs = _fifo_records(200)
         out = []
         for rec in recs:
@@ -133,10 +140,11 @@ def test_stream_is_fifo_across_spills(tmp_path):
 
 
 def test_buffer_below_file_capacity_stays_bounded(tmp_path):
-    # a spill merges whatever the buffer holds, so B < C is accepted by
-    # both kinds and the buffer never grows past B
-    for kind, recs in (("stream", _fifo_records(40)), ("lsh", _records(9, 40))):
-        q = make_queue(kind, tmp_path / kind, file_capacity=16, buffer_capacity=4)
+    # a spill merges whatever the buffer holds, so B < C is accepted
+    # under both key shapes and the buffer never grows past B
+    for shape in ("stream", "lsh"):
+        recs = _shaped(shape, 9, 40)
+        q = TaskQueue(tmp_path / shape, file_capacity=16, buffer_capacity=4)
         for r in recs:
             q.enqueue(r)
             q.check_invariants()
@@ -147,7 +155,7 @@ def test_buffer_below_file_capacity_stays_bounded(tmp_path):
 
 
 def test_spill_above_the_chain_appends_without_reading(tmp_path):
-    q = make_queue("stream", tmp_path / "s", file_capacity=10, buffer_capacity=5)
+    q = TaskQueue(tmp_path / "s", file_capacity=10, buffer_capacity=5)
     for r in _fifo_records(20, step=2):  # keys 0, 2, .., 38: four spills
         q.enqueue(r)
     assert q.io_counters() == (0, 4)
@@ -170,7 +178,7 @@ def test_spill_above_the_chain_appends_without_reading(tmp_path):
         + [50, 51])
     # a lone underfull file takes the batch in rather than staying
     # underfull at the head of a longer chain
-    q = make_queue("stream", tmp_path / "u", file_capacity=10, buffer_capacity=5)
+    q = TaskQueue(tmp_path / "u", file_capacity=10, buffer_capacity=5)
     for r in _fifo_records(2):
         q.enqueue(r)
     q.merge_spill()
@@ -180,12 +188,78 @@ def test_spill_above_the_chain_appends_without_reading(tmp_path):
     q.check_invariants(deep=True)
 
 
+# -- input buffer --------------------------------------------------------------
+
+
+class _CountingKey(TaskKey):
+    """A TaskKey that counts its `<` calls; sorting keys and heap-ordering
+    records both compare through it."""
+
+    __slots__ = ()
+    calls = 0
+
+    def __lt__(self, other):
+        _CountingKey.calls += 1
+        return TaskKey.__lt__(self, other)
+
+
+def _drain_comparisons(path, shape, n, interleaved):
+    """Key comparisons made draining n records from the input buffer (B
+    above every count, so no file is written).  Interleaved, each fetch
+    also enqueues 0-2 of n more records."""
+    recs = [TaskRecord(_CountingKey(*r.key), r.payload)
+            for r in _shaped(shape, 3, 2 * n)]
+    if not interleaved:
+        recs = recs[:n]
+    q = TaskQueue(path, file_capacity=10, buffer_capacity=4 * n)
+    rng = random.Random(n)
+    _CountingKey.calls = 0
+    for r in recs[:n]:
+        q.enqueue(r)
+    nxt = n
+    out = []
+    while (rec := q.fetch()) is not None:
+        out.append(rec)
+        for _ in range(rng.randint(0, 2)):
+            if nxt < len(recs):
+                q.enqueue(recs[nxt])
+                nxt += 1
+    calls = _CountingKey.calls
+    assert q.io_counters() == (0, 0)
+    assert Counter(out) == Counter(recs)
+    if shape == "stream":
+        assert out == recs
+    return calls
+
+
+@KEY_SHAPES
+@pytest.mark.parametrize("interleaved", [False, True],
+                         ids=["drain", "interleaved"])
+def test_buffered_drain_is_n_log_n(tmp_path, shape, interleaved):
+    # a refill that sorts the whole buffer again costs O(n^2 / C) over a
+    # drain, so doubling n would about quadruple the comparisons
+    small = _drain_comparisons(tmp_path / "n", shape, 1000, interleaved)
+    large = _drain_comparisons(tmp_path / "2n", shape, 2000, interleaved)
+    assert large < 3 * small, (small, large)
+
+
+def test_key_enqueued_between_refills_waits_for_the_next(tmp_path):
+    # a refill takes the C lowest keys at once, so a lower key enqueued
+    # meanwhile is served after them, as it would be behind a file
+    q = TaskQueue(tmp_path / "q", file_capacity=4, buffer_capacity=100)
+    for r in _fifo_records(8, start=10):
+        q.enqueue(r)
+    assert q.fetch().key.tiebreak == 10  # the refill took 10..13
+    q.enqueue(_fifo_records(1)[0])
+    assert [r.key.tiebreak for r in _drain(q)] == [11, 12, 13, 0, 14, 15, 16, 17]
+
+
 # -- lsh specifics ------------------------------------------------------------
 
 
 def test_lsh_drains_sorted_when_fully_spilled(tmp_path):
     recs = _records(21, 600)
-    q = make_queue("lsh", tmp_path / "l", file_capacity=8, buffer_capacity=40)
+    q = TaskQueue(tmp_path / "l", file_capacity=8, buffer_capacity=40)
     for r in recs:
         q.enqueue(r)
     q.merge_spill()  # push the residue out so everything lives in files
@@ -197,7 +271,7 @@ def test_lsh_drains_sorted_when_fully_spilled(tmp_path):
 
 def test_lsh_seed_bulk_small_stays_in_memory(tmp_path):
     recs = _records(8, 30)
-    q = make_queue("lsh", tmp_path / "l", file_capacity=8, buffer_capacity=100)
+    q = TaskQueue(tmp_path / "l", file_capacity=8, buffer_capacity=100)
     q.seed_bulk(recs)
     assert q.io_counters() == (0, 0)
     out = _drain(q)
@@ -206,7 +280,7 @@ def test_lsh_seed_bulk_small_stays_in_memory(tmp_path):
 
 def test_lsh_seed_bulk_large_builds_chain(tmp_path):
     recs = _records(9, 500)
-    q = make_queue("lsh", tmp_path / "l", file_capacity=16, buffer_capacity=100)
+    q = TaskQueue(tmp_path / "l", file_capacity=16, buffer_capacity=100)
     q.seed_bulk(recs)
     assert q.io_counters()[1] > 0
     q.check_invariants(deep=True)
@@ -222,7 +296,7 @@ def test_lsh_equal_keys_drain_adjacently(tmp_path):
     same = [TaskRecord(minhash_key((5, 6, 7), 4, seeds, tiebreak=i), b"s%d" % i)
             for i in range(20)]
     other = _records(33, 300)
-    q = make_queue("lsh", tmp_path / "l", file_capacity=8, buffer_capacity=30)
+    q = TaskQueue(tmp_path / "l", file_capacity=8, buffer_capacity=30)
     rng = random.Random(0)
     mixed = same + other
     rng.shuffle(mixed)
@@ -239,7 +313,7 @@ def test_lsh_equal_keys_drain_adjacently(tmp_path):
 def test_lsh_invariants_after_every_merge(tmp_path):
     """Structural scan after each merge_spill on a moderate workload."""
     recs = _records(17, 2000)
-    q = make_queue("lsh", tmp_path / "l", file_capacity=8, buffer_capacity=25)
+    q = TaskQueue(tmp_path / "l", file_capacity=8, buffer_capacity=25)
 
     real_merge = q.merge_spill
     merges = [0]
@@ -266,7 +340,7 @@ def test_lsh_invariants_after_every_merge(tmp_path):
 def test_lsh_single_underfull_tail_allowed(tmp_path):
     # fewer than ceil(C/2) tasks in total: one small file is legal
     recs = _records(2, 3)
-    q = make_queue("lsh", tmp_path / "l", file_capacity=10, buffer_capacity=3)
+    q = TaskQueue(tmp_path / "l", file_capacity=10, buffer_capacity=3)
     for r in recs:
         q.enqueue(r)  # third enqueue trips merge_spill at capacity 3
     q.check_invariants(deep=True)
@@ -275,7 +349,7 @@ def test_lsh_single_underfull_tail_allowed(tmp_path):
 
 
 def test_lsh_range_disjointness_violation_detected(tmp_path):
-    q = make_queue("lsh", tmp_path / "l", file_capacity=4, buffer_capacity=10)
+    q = TaskQueue(tmp_path / "l", file_capacity=4, buffer_capacity=10)
     q.seed_bulk(_records(4, 40))
     # sabotage the in-memory index: swap two files out of order
     assert len(q._files) >= 2
@@ -288,14 +362,14 @@ def test_lsh_range_disjointness_violation_detected(tmp_path):
 
 
 def test_fresh_queue_counters_zero(tmp_path):
-    q = make_queue("lsh", tmp_path / "l")
+    q = TaskQueue(tmp_path / "l")
     assert q.io_counters() == (0, 0)
     m = q.metrics()
     assert m["queue_file_reads"] == 0 and m["queue_file_writes"] == 0
 
 
 def test_one_spill_one_load(tmp_path):
-    q = make_queue("stream", tmp_path / "s", file_capacity=4, buffer_capacity=4)
+    q = TaskQueue(tmp_path / "s", file_capacity=4, buffer_capacity=4)
     for r in _records(6, 4):
         q.enqueue(r)  # 4th enqueue spills one full file
     assert q.io_counters() == (0, 1)
@@ -303,22 +377,25 @@ def test_one_spill_one_load(tmp_path):
     assert q.io_counters() == (1, 1)
 
 
-@pytest.mark.parametrize("kind", ["stream", "lsh"])
-def test_counters_match_filesystem_shim(tmp_path, kind):
-    store = CountingStorage(str(tmp_path / kind))
-    q = make_queue(kind, tmp_path / kind, file_capacity=8, buffer_capacity=20,
-                   storage=store)
-    recs = _records(55, 800)
+@KEY_SHAPES
+def test_counters_match_filesystem_shim(tmp_path, shape):
+    store = CountingStorage(str(tmp_path / shape))
+    q = TaskQueue(tmp_path / shape, file_capacity=8, buffer_capacity=20,
+                  storage=store)
+    recs = _shaped(shape, 55, 800)
     it = iter(recs)
+    fetched = []
     for op in gen_queue_ops(5, 800, enqueue_bias=0.7):
         if op[0] == "enqueue":
             try:
                 q.enqueue(next(it))
             except StopIteration:
                 break
-        else:
-            q.fetch()
-    _drain(q)
+        elif (rec := q.fetch()) is not None:
+            fetched.append(rec)
+    fetched.extend(_drain(q))
+    if shape == "stream":
+        assert fetched == recs[:len(fetched)]
     reads, writes = q.io_counters()
     assert reads == store.phys_reads
     assert writes == store.phys_writes
@@ -328,7 +405,7 @@ def test_counters_match_filesystem_shim(tmp_path, kind):
 
 
 def test_deep_scan_reads_not_counted(tmp_path):
-    q = make_queue("lsh", tmp_path / "l", file_capacity=4, buffer_capacity=8)
+    q = TaskQueue(tmp_path / "l", file_capacity=4, buffer_capacity=8)
     for r in _records(2, 50):
         q.enqueue(r)
     before = q.io_counters()
@@ -336,10 +413,10 @@ def test_deep_scan_reads_not_counted(tmp_path):
     assert q.io_counters() == before
 
 
-@pytest.mark.parametrize("kind", ["stream", "lsh"])
-def test_flipped_payload_byte_names_the_spill_file(tmp_path, kind):
-    q = make_queue(kind, tmp_path / kind, file_capacity=4, buffer_capacity=4)
-    for r in _records(8, 4):
+@KEY_SHAPES
+def test_flipped_payload_byte_names_the_spill_file(tmp_path, shape):
+    q = TaskQueue(tmp_path / shape, file_capacity=4, buffer_capacity=4)
+    for r in _shaped(shape, 8, 4):
         q.enqueue(r)
     (meta,) = q.index
     path = os.path.join(q.storage.dir, meta.name)

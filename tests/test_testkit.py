@@ -19,7 +19,7 @@ from submine.gen import (
 )
 from submine.graph import check_undirected, write_graph
 from submine.minhash import derive_seeds
-from submine.taskqueue import make_queue
+from submine.taskqueue import TaskQueue
 
 from testkit import (
     CountingStorage,
@@ -173,8 +173,8 @@ def test_counting_storage_tallies(tmp_path):
 
 def test_counting_storage_under_queue(tmp_path):
     st = CountingStorage(str(tmp_path / "q"))
-    q = make_queue("stream", str(tmp_path / "q"), file_capacity=4,
-                   buffer_capacity=4, storage=st)
+    q = TaskQueue(str(tmp_path / "q"), file_capacity=4, buffer_capacity=4,
+                  storage=st)
     seeds = derive_seeds(1, 4)
     recs = make_records(gen_pull_sets(3, 40, 100), 4, seeds)
     for r in recs:

@@ -6,24 +6,26 @@ fields:
 
     vid <TAB> label <TAB> nb1[:attr1] nb2[:attr2] ...
 
-The label field may be empty.  Neighbor attributes are short opaque
-strings; by convention in labeled graphs the first character of an
-attribute is the neighbor's vertex label (apps that match on labels rely
-on this).  Adjacency lists are sorted by neighbor id at load; duplicate
-neighbors and self-loops are rejected.  A vertex holds its sorted
-neighbor ids plus a parallel attribute list that is None whenever no
-neighbor carries an attribute (see Vertex), so an attribute-free line
-loads as one plain id list.
+The label field may be empty, and holds no tab or line break.  Neighbor
+attributes are short opaque strings without whitespace; by convention in
+labeled graphs the first character of an attribute is the neighbor's
+vertex label (apps that match on labels rely on this).  write_graph
+refuses a vertex whose line would not read back as that vertex.
+Adjacency lists are sorted by neighbor id at load; duplicate neighbors
+and self-loops are rejected.  A vertex holds its sorted neighbor ids
+plus a parallel attribute list that is None whenever no neighbor
+carries an attribute (see Vertex), so an attribute-free line loads as
+one plain id list.
 """
 
 import hashlib
 import io
 from bisect import bisect_right
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import lt
 from typing import NamedTuple, Optional
 
-from .kernels import edges_symmetric, mix64
+from .kernels import edges_symmetric, mix64, parse_id_lines
 from .kernels.pure import MASK64
 
 
@@ -53,9 +55,12 @@ class Vertex:
     pairs.
 
     Treated as immutable once a graph is loaded; workers may share Vertex
-    objects freely between tasks.  Responders may build pruned copies
-    (shorter adjacency) to answer pull requests, so code receiving a
-    pulled vertex must not assume its list is the full neighborhood.
+    objects freely between tasks.  The id lists the compiled loader
+    builds are not tracked by the cyclic garbage collector, which is
+    sound only while they hold nothing but ints.  Responders may build
+    pruned copies (shorter adjacency) to answer pull requests, so code
+    receiving a pulled vertex must not assume its list is the full
+    neighborhood.
     """
 
     __slots__ = ("id", "label", "_ids", "_attrs")
@@ -192,35 +197,32 @@ def parse_vertex_line(line: str, lineno=None) -> Vertex:
     return Vertex(vid, label, adj)
 
 
-def _parse_ids_line(line: str):
-    """parse_vertex_line for a line with no `:` in its neighbor field,
-    in bulk: one int() map, one sort and one set.  Returns the Vertex,
-    or None when the line has attributes or fails any check that
-    parse_vertex_line makes; that parser then words the error."""
-    parts = line.split("\t")
-    if len(parts) != 3 or ":" in parts[2]:
-        return None
-    try:
-        vid = int(parts[0])
-        ids = list(map(int, parts[2].split()))
-    except ValueError:
-        return None
-    if not 0 <= vid <= MASK64:
-        return None
-    if ids:
-        ids.sort()
-        seen = set(ids)
-        if (ids[0] < 0 or ids[-1] > MASK64 or len(seen) != len(ids)
-                or vid in seen):
-            return None
-    return Vertex.from_ids(vid, parts[1] or None, ids)
-
-
 def format_vertex_line(v: Vertex) -> str:
-    attrs = v.neighbor_attrs() or repeat(None)
-    toks = [f"{nb}:{a}" if a is not None else str(nb)
-            for nb, a in zip(v.neighbor_ids(), attrs)]
-    return f"{v.id}\t{v.label or ''}\t{' '.join(toks)}"
+    """The canonical text line of v, without its newline.
+
+    Raises GraphDataError, naming the vertex, when the line would not
+    read back as v: a label holding a tab or a line break, or a neighbor
+    attribute that is empty or holds whitespace.
+    """
+    label = v.label or ""
+    if "\t" in label or "\n" in label or "\r" in label:
+        raise GraphDataError(
+            f"vertex {v.id}: label {label!r} holds a tab or a line break")
+    attrs = v.neighbor_attrs()
+    if attrs is None:
+        toks = map(str, v.neighbor_ids())
+    else:
+        toks = []
+        for nb, a in zip(v.neighbor_ids(), attrs):
+            if a is None:
+                toks.append(str(nb))
+            elif a.split() == [a]:
+                toks.append(f"{nb}:{a}")
+            else:
+                raise GraphDataError(
+                    f"vertex {v.id}: attribute {a!r} of neighbor {nb} is "
+                    f"empty or holds whitespace")
+    return f"{v.id}\t{label}\t{' '.join(toks)}"
 
 
 class Graph:
@@ -283,49 +285,82 @@ def read_graph_sha256(path):
     Duplicate vertex ids across lines are an error, and every neighbor
     id must itself appear as a vertex line (dangling references would
     otherwise surface later as protocol errors between workers).  Every
-    error names the file and the line.  A line without attributes is
-    parsed in bulk (`_parse_ids_line`); any other line, and any line
-    that fails a check, goes through parse_vertex_line.
+    error names the file and the line, and it is the first error in file
+    order.
+
+    One kernel call (kernels.parse_id_lines) parses every line without
+    attributes whose ids are plain ASCII digits and whose id no earlier
+    such line has; on the compiled backend, equal ids in the loaded graph
+    are one shared int object.  Every other line goes through
+    parse_vertex_line, in file order.
     """
-    g = Graph()
-    vertices = g.vertices
     with open(path, "rb", buffering=0) as raw:
         hashing = _Sha256Reader(raw)
         text = io.TextIOWrapper(io.BufferedReader(hashing, 1 << 16),
                                 encoding="utf-8")
         try:
-            for lineno, line in enumerate(text, 1):
-                if line.isspace() or line.startswith("#"):
-                    continue
-                v = _parse_ids_line(line) or parse_vertex_line(line, lineno)
-                if v.id in vertices:
-                    raise GraphParseError(
-                        f"line {lineno}: duplicate vertex id {v.id}")
-                vertices[v.id] = v
-        except GraphParseError as e:
-            raise GraphParseError(f"{path}: {e}") from None
+            vids, labels, rows, slow, missing = parse_id_lines(text.read())
         except UnicodeDecodeError as e:
             raise GraphParseError(f"{path}: not UTF-8 text: {e.reason}") from None
+    g = Graph()
+    vertices = g.vertices
+    slow_ids = set()
+    at = 0
+    for lineno, line, k in slow:
+        _add_rows(path, vertices, slow_ids,
+                  vids[at:k], labels[at:k], rows[at:k])
+        at = k
+        try:
+            v = parse_vertex_line(line, lineno)
+        except GraphParseError as e:
+            raise GraphParseError(f"{path}: {e}") from None
+        if v.id in vertices:
+            raise GraphParseError(
+                f"{path}: line {lineno}: duplicate vertex id {v.id}")
+        vertices[v.id] = v
+        slow_ids.add(v.id)
+    if at:
+        vids, labels, rows = vids[at:], labels[at:], rows[at:]
+    _add_rows(path, vertices, slow_ids, vids, labels, rows)
     contains = vertices.__contains__
-    for v in g:
-        if not all(map(contains, v.neighbor_ids())):
-            nb = next(nb for nb in v.neighbor_ids() if nb not in vertices)
-            raise GraphDataError(
-                f"{path}: line {_line_of_vertex(path, v.id)}: vertex "
-                f"{v.id} references missing vertex {nb}"
-            )
+    slow_nbs = chain.from_iterable(
+        vertices[vid].neighbor_ids() for vid in slow_ids)
+    if not (all(map(contains, missing)) and all(map(contains, slow_nbs))):
+        _raise_dangling(path, vertices)
     return g, hashing.sha256.hexdigest()
 
 
-def _line_of_vertex(path, vid):
-    """The number of the line that defines `vid`; a second read of the
-    file, made only to word an error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip() and not line.startswith("#"):
-                if int(line.split("\t", 1)[0]) == vid:
-                    return lineno
-    return "?"
+def _add_rows(path, vertices, slow_ids, vids, labels, rows):
+    """Add the vertices of rows from parse_id_lines that follow the
+    len(vertices) vertex lines read so far.  Their ids differ from each
+    other, but one may repeat the id of a line parse_vertex_line read."""
+    if slow_ids and not slow_ids.isdisjoint(vids):
+        j = next(j for j, vid in enumerate(vids) if vid in slow_ids)
+        raise GraphParseError(
+            f"{path}: line {_vertex_lineno(path, len(vertices) + j)}: "
+            f"duplicate vertex id {vids[j]}")
+    vertices.update(zip(vids, map(Vertex.from_ids, vids, labels, rows)))
+
+
+def _raise_dangling(path, vertices):
+    """Name the first vertex, in file order, with a neighbor that is not
+    a vertex, and its smallest such neighbor."""
+    for index, v in enumerate(vertices.values()):
+        for nb in v.neighbor_ids():
+            if nb not in vertices:
+                raise GraphDataError(
+                    f"{path}: line {_vertex_lineno(path, index)}: vertex "
+                    f"{v.id} references missing vertex {nb}")
+
+
+def _vertex_lineno(path, index):
+    """The number of the line holding the file's vertex line number
+    `index` (from 0); a second read of the file, made only to word an
+    error."""
+    with open(path, encoding="utf-8") as fh:
+        linenos = (lineno for lineno, line in enumerate(fh, 1)
+                   if not (line.isspace() or line.startswith("#")))
+        return next(islice(linenos, index, None))
 
 
 def write_graph(g: Graph, path):

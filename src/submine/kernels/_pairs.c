@@ -1,6 +1,7 @@
-/* Compiled twins of kernels.pure.count_closing_pairs and
- * kernels.pure.edges_symmetric, the two kernels that read adjacency
- * lists, written by hand against the CPython API.
+/* Compiled twins of kernels.pure.count_closing_pairs,
+ * kernels.pure.edges_symmetric and kernels.pure.parse_id_lines, the
+ * kernels that read or build adjacency lists, written by hand against
+ * the CPython API.
  *
  * count_closing_pairs: for row i the pairs it may close are the
  * neighbours of ids[i] above ids[i] that are also later candidates, so
@@ -15,11 +16,16 @@
  * edges_symmetric: one pass over the vertices in ascending id order,
  * with a cursor into each vertex's down-prefix (its neighbours below
  * its own id); see the comment above it.
+ *
+ * parse_id_lines: one pass over the text of a graph file, interning
+ * ids in a table local to the call; see the comment above it.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* items[k] as an id.  Returns -1 with OverflowError (negative or
  * >= 2**64) or TypeError (not an int) set. */
@@ -340,6 +346,387 @@ done:
     return result;
 }
 
+/* parse_id_lines(text): the bulk parse behind graph.read_graph_sha256.
+ * It reads the whole decoded text of a graph file once.  A line with
+ * three tab-separated fields, whose id and neighbour tokens are ASCII
+ * digits below 2**64, with no repeated neighbour, no self-loop and an id
+ * no earlier accepted line has, becomes a row; every other line that is
+ * neither blank nor a comment goes to the slow list, for
+ * graph.parse_vertex_line to parse or to word its error.
+ *
+ * Ids are interned in an open-addressing table local to the call: each
+ * distinct id gets one int object, shared by every row that holds it.
+ * The same table marks which ids a row defines, so the ids the rows
+ * reference and never define fall out of one pass over it. */
+
+/* Character classes of the ASCII text: what str.split() and
+ * str.isspace() take as whitespace, and the digits. */
+enum { CH_OTHER, CH_DIGIT, CH_SPACE };
+static unsigned char char_class[128];
+
+static void
+init_char_class(void)
+{
+    const char *spaces = " \t\n\v\f\r\x1c\x1d\x1e\x1f";
+    int c;
+    for (c = '0'; c <= '9'; c++)
+        char_class[c] = CH_DIGIT;
+    for (; *spaces; spaces++)
+        char_class[(unsigned char)*spaces] = CH_SPACE;
+}
+
+/* [s, e) as a decimal id: 1 when it is a nonempty run of digits below
+ * 2**64, else 0. */
+static int
+parse_u64(const char *s, const char *e, uint64_t *out)
+{
+    uint64_t v = 0;
+    unsigned d;
+    if (s == e)
+        return 0;
+    for (; s < e; s++) {
+        d = (unsigned)(unsigned char)*s - '0';
+        if (d > 9)
+            return 0;
+        if (v > UINT64_MAX / 10 || (v == UINT64_MAX / 10 && d > UINT64_MAX % 10))
+            return 0;
+        v = v * 10 + d;
+    }
+    *out = v;
+    return 1;
+}
+
+static int
+cmp_u64(const void *a, const void *b)
+{
+    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The id table: `cap` slots (a power of two), a slot is empty while its
+ * object is NULL, and `defined[k]` says whether a row has slot k's id as
+ * its own. */
+typedef struct {
+    uint64_t key;
+    PyObject *obj;
+} id_slot;
+
+typedef struct {
+    id_slot *slots;
+    unsigned char *defined;
+    size_t cap, used;
+} id_table;
+
+static inline size_t
+slot_of(uint64_t x, size_t mask)
+{
+    /* the splitmix64 finalizer, as mix64 in _hash.c */
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return (size_t)x & mask;
+}
+
+static int
+table_init(id_table *t, size_t hint)
+{
+    t->cap = 16;
+    while (t->cap < 2 * hint)
+        t->cap *= 2;
+    t->used = 0;
+    t->slots = PyMem_Calloc(t->cap, sizeof(id_slot));
+    t->defined = PyMem_Calloc(t->cap, 1);
+    if (t->slots == NULL || t->defined == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static void
+table_free(id_table *t)
+{
+    size_t k;
+    if (t->slots != NULL) {
+        for (k = 0; k < t->cap; k++)
+            Py_XDECREF(t->slots[k].obj);
+    }
+    PyMem_Free(t->slots);
+    PyMem_Free(t->defined);
+}
+
+/* The slot holding x, or the empty slot where it would go. */
+static inline size_t
+table_find(const id_table *t, uint64_t x)
+{
+    size_t mask = t->cap - 1, k = slot_of(x, mask);
+    while (t->slots[k].obj != NULL && t->slots[k].key != x)
+        k = (k + 1) & mask;
+    return k;
+}
+
+/* Doubles the table once half of it is used. */
+static int
+table_grow(id_table *t)
+{
+    id_table bigger;
+    size_t k, j;
+    if (table_init(&bigger, t->cap) < 0) {
+        PyMem_Free(bigger.slots);
+        PyMem_Free(bigger.defined);
+        return -1;
+    }
+    for (k = 0; k < t->cap; k++) {
+        if (t->slots[k].obj != NULL) {
+            j = table_find(&bigger, t->slots[k].key);
+            bigger.slots[j] = t->slots[k];
+            bigger.defined[j] = t->defined[k];
+        }
+    }
+    bigger.used = t->used;
+    PyMem_Free(t->slots);
+    PyMem_Free(t->defined);
+    *t = bigger;
+    return 0;
+}
+
+/* The slot of x, inserting x with a new int object if it is not there.
+ * Returns (size_t)-1 with an exception set. */
+static size_t
+table_intern(id_table *t, uint64_t x)
+{
+    size_t k = table_find(t, x);
+    if (t->slots[k].obj != NULL)
+        return k;
+    if (2 * (t->used + 1) > t->cap) {
+        if (table_grow(t) < 0)
+            return (size_t)-1;
+        k = table_find(t, x);
+    }
+    t->slots[k].obj = PyLong_FromUnsignedLongLong(x);
+    if (t->slots[k].obj == NULL)
+        return (size_t)-1;
+    t->slots[k].key = x;
+    t->used++;
+    return k;
+}
+
+/* Parses the line [s, e) into nbs (grown as needed) and, when it is a
+ * row, returns 1 with *vid, the label's span and *n set; 0 when it goes
+ * to the slow list; -1 on a memory error. */
+static int
+parse_row(const char *s, const char *e, const id_table *t, uint64_t *vid,
+          const char **label, const char **label_end, uint64_t **nbs,
+          Py_ssize_t *nbs_cap, Py_ssize_t *n)
+{
+    const char *tab1, *tab2, *p, *tok;
+    Py_ssize_t k, cnt = 0;
+    int sorted = 1;
+    uint64_t x;
+
+    tab1 = memchr(s, '\t', e - s);
+    if (tab1 == NULL)
+        return 0;
+    tab2 = memchr(tab1 + 1, '\t', e - tab1 - 1);
+    if (tab2 == NULL || memchr(tab2 + 1, '\t', e - tab2 - 1) != NULL)
+        return 0;
+    if (!parse_u64(s, tab1, vid))
+        return 0;
+    k = table_find(t, *vid);
+    if (t->slots[k].obj != NULL && t->defined[k])
+        return 0;  /* an earlier row has this id */
+    p = tab2 + 1;
+    while (p < e) {
+        while (p < e && char_class[(unsigned char)*p] == CH_SPACE)
+            p++;
+        if (p == e)
+            break;
+        tok = p;
+        while (p < e && char_class[(unsigned char)*p] == CH_DIGIT)
+            p++;
+        if (p < e && char_class[(unsigned char)*p] != CH_SPACE)
+            return 0;  /* a `:`, a sign or any other character */
+        if (!parse_u64(tok, p, &x))
+            return 0;
+        if (cnt == *nbs_cap) {
+            Py_ssize_t want = *nbs_cap ? 2 * *nbs_cap : 64;
+            uint64_t *grown = PyMem_Resize(*nbs, uint64_t, want);
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            *nbs = grown;
+            *nbs_cap = want;
+        }
+        if (cnt > 0 && x <= (*nbs)[cnt - 1])
+            sorted = 0;
+        (*nbs)[cnt++] = x;
+    }
+    if (!sorted)
+        qsort(*nbs, (size_t)cnt, sizeof(uint64_t), cmp_u64);
+    for (k = 0; k < cnt; k++) {
+        if ((*nbs)[k] == *vid || (k > 0 && (*nbs)[k] == (*nbs)[k - 1]))
+            return 0;  /* a self-loop or a repeated neighbour */
+    }
+    *label = tab1 + 1;
+    *label_end = tab2;
+    *n = cnt;
+    return 1;
+}
+
+/* Appends item to list and drops the caller's reference to it. */
+static int
+append_steal(PyObject *list, PyObject *item)
+{
+    int rc;
+    if (item == NULL)
+        return -1;
+    rc = PyList_Append(list, item);
+    Py_DECREF(item);
+    return rc;
+}
+
+/* The ids the table holds that no row defines, ascending. */
+static PyObject *
+undefined_ids(const id_table *t)
+{
+    PyObject *out;
+    uint64_t *keys;
+    size_t k, m = 0;
+    Py_ssize_t i;
+
+    keys = PyMem_New(uint64_t, t->used + 1);
+    if (keys == NULL)
+        return PyErr_NoMemory();
+    for (k = 0; k < t->cap; k++) {
+        if (t->slots[k].obj != NULL && !t->defined[k])
+            keys[m++] = t->slots[k].key;
+    }
+    qsort(keys, m, sizeof(uint64_t), cmp_u64);
+    out = PyList_New((Py_ssize_t)m);
+    if (out != NULL) {
+        for (i = 0; i < (Py_ssize_t)m; i++)
+            PyList_SET_ITEM(out, i,
+                            Py_NewRef(t->slots[table_find(t, keys[i])].obj));
+    }
+    PyMem_Free(keys);
+    return out;
+}
+
+/* Hands text that is not ASCII to the pure twin. */
+static PyObject *
+parse_id_lines_pure(PyObject *text)
+{
+    PyObject *pure, *out;
+    pure = PyImport_ImportModule("submine.kernels.pure");
+    if (pure == NULL)
+        return NULL;
+    out = PyObject_CallMethod(pure, "parse_id_lines", "O", text);
+    Py_DECREF(pure);
+    return out;
+}
+
+PyDoc_STRVAR(parse_id_lines_doc,
+"parse_id_lines(text)\n--\n\n"
+"See kernels.pure.parse_id_lines.  Text that is not ASCII is handed to\n"
+"that twin.  Equal ids in the result are one int object.");
+
+static PyObject *
+parse_id_lines(PyObject *Py_UNUSED(module), PyObject *text)
+{
+    PyObject *vids = NULL, *labels = NULL, *rows = NULL, *slow = NULL;
+    PyObject *missing = NULL, *result = NULL, *row, *label_obj;
+    const char *data, *s, *e, *p, *end, *label, *label_end;
+    uint64_t *nbs = NULL, vid;
+    Py_ssize_t len, nbs_cap = 0, n, i, lineno = 0, lines = 1;
+    id_table table = {NULL, NULL, 0, 0};
+    size_t k;
+    int rc;
+
+    if (!PyUnicode_Check(text)) {
+        PyErr_SetString(PyExc_TypeError, "parse_id_lines expects a str");
+        return NULL;
+    }
+    if (!PyUnicode_IS_ASCII(text))
+        return parse_id_lines_pure(text);
+    data = (const char *)PyUnicode_DATA(text);
+    len = PyUnicode_GET_LENGTH(text);
+    end = data + len;
+    for (s = data; (s = memchr(s, '\n', end - s)) != NULL; s++)
+        lines++;
+    vids = PyList_New(0);
+    labels = PyList_New(0);
+    rows = PyList_New(0);
+    slow = PyList_New(0);
+    if (vids == NULL || labels == NULL || rows == NULL || slow == NULL
+            || table_init(&table, (size_t)lines) < 0)
+        goto done;
+
+    for (s = data; s < end; s = e + 1) {
+        e = memchr(s, '\n', end - s);
+        if (e == NULL)
+            e = end;
+        lineno++;
+        for (p = s; p < e && char_class[(unsigned char)*p] == CH_SPACE; p++)
+            ;
+        if (p == e || *s == '#')
+            continue;  /* blank, or a comment */
+        rc = parse_row(s, e, &table, &vid, &label, &label_end, &nbs,
+                       &nbs_cap, &n);
+        if (rc < 0)
+            goto done;
+        if (rc == 0) {
+            if (append_steal(slow, Py_BuildValue(
+                    "(nNn)", lineno,
+                    PyUnicode_Substring(text, s - data, e - data),
+                    PyList_GET_SIZE(vids))) < 0)
+                goto done;
+            continue;
+        }
+        row = PyList_New(n);
+        if (row == NULL)
+            goto done;
+        for (i = 0; i < n; i++) {
+            k = table_intern(&table, nbs[i]);
+            if (k == (size_t)-1) {
+                Py_DECREF(row);
+                goto done;
+            }
+            PyList_SET_ITEM(row, i, Py_NewRef(table.slots[k].obj));
+        }
+        PyObject_GC_UnTrack(row);
+        if (append_steal(rows, row) < 0)
+            goto done;
+        k = table_intern(&table, vid);
+        if (k == (size_t)-1)
+            goto done;
+        table.defined[k] = 1;
+        if (PyList_Append(vids, table.slots[k].obj) < 0)
+            goto done;
+        if (label == label_end)
+            label_obj = Py_NewRef(Py_None);
+        else
+            label_obj = PyUnicode_Substring(text, label - data,
+                                            label_end - data);
+        if (append_steal(labels, label_obj) < 0)
+            goto done;
+    }
+    missing = undefined_ids(&table);
+    if (missing != NULL)
+        result = PyTuple_Pack(5, vids, labels, rows, slow, missing);
+done:
+    table_free(&table);
+    PyMem_Free(nbs);
+    Py_XDECREF(missing);
+    Py_XDECREF(slow);
+    Py_XDECREF(rows);
+    Py_XDECREF(labels);
+    Py_XDECREF(vids);
+    return result;
+}
+
 static PyMethodDef pairs_methods[] = {
     {"count_closing_pairs", (PyCFunction)(void (*)(void))count_closing_pairs,
      METH_FASTCALL,
@@ -347,14 +734,15 @@ static PyMethodDef pairs_methods[] = {
     {"edges_symmetric", (PyCFunction)(void (*)(void))edges_symmetric,
      METH_FASTCALL,
      edges_symmetric_doc},
+    {"parse_id_lines", parse_id_lines, METH_O, parse_id_lines_doc},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef pairs_module = {
     PyModuleDef_HEAD_INIT,
     "_pairs",
-    "Compiled twins of kernels.pure.count_closing_pairs and\n"
-    "kernels.pure.edges_symmetric.",
+    "Compiled twins of kernels.pure.count_closing_pairs,\n"
+    "kernels.pure.edges_symmetric and kernels.pure.parse_id_lines.",
     -1,
     pairs_methods
 };
@@ -362,5 +750,6 @@ static struct PyModuleDef pairs_module = {
 PyMODINIT_FUNC
 PyInit__pairs(void)
 {
+    init_char_class();
     return PyModule_Create(&pairs_module);
 }

@@ -1,6 +1,6 @@
 """Pure-python reference implementations of the hot kernels: the id
-hashes behind partitioning and MinHash keys, the load's symmetry check,
-and the search kernels.
+hashes behind partitioning and MinHash keys, the load's bulk parse and
+symmetry check, and the search kernels.
 
 These are the import-time fallback when the compiled extensions are
 not available.  Both backends implement the same algorithms (the clique
@@ -15,7 +15,7 @@ run the same search over those.
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import lt
 
 MASK64 = (1 << 64) - 1
@@ -135,6 +135,51 @@ def edges_symmetric(ids, rows):
                 return False
             cursor[j] = d + 1
     return True
+
+
+def parse_id_lines(text):
+    """The bulk parse behind graph.read_graph_sha256: split the decoded
+    text of a graph file into the lines it can take as they are and the
+    rest.  Lines end at "\n" (the text is read with universal newlines).
+
+    A line is a row when it has three tab-separated fields, its id and
+    every neighbor token (split on whitespace) are ASCII digits with a
+    value below 2**64, no neighbor repeats or equals the id, and no
+    earlier row has the same id.  Returns five lists:
+    - vids, labels, rows, parallel, one entry per row in file order: the
+      id, the label (None when empty) and the ascending neighbor ids;
+    - slow: (lineno, line, k) for every other line that is neither blank
+      nor a comment (starting with "#"): its number from 1, its text
+      without the newline, and the number of rows before it;
+    - missing: the ids the rows reference and no row defines, ascending.
+    """
+    vids, labels, rows, slow = [], [], [], []
+    defined = set()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line or line.isspace() or line[0] == "#":
+            continue
+        parts = line.split("\t")
+        if len(parts) == 3:
+            vid_s, label, nbs_s = parts
+            toks = nbs_s.split()
+            digits = "".join(toks)
+            if (vid_s.isdigit() and vid_s.isascii() and digits.isascii()
+                    and (digits.isdigit() or not digits)):
+                vid = int(vid_s)
+                ids = sorted(map(int, toks))
+                seen = set(ids)
+                if (vid <= MASK64 and vid not in defined and vid not in seen
+                        and len(seen) == len(ids)
+                        and (not ids or ids[-1] <= MASK64)):
+                    defined.add(vid)
+                    vids.append(vid)
+                    labels.append(label or None)
+                    rows.append(ids)
+                    continue
+        slow.append((lineno, line, len(vids)))
+    missing = set(chain.from_iterable(rows))
+    missing -= defined
+    return vids, labels, rows, slow, sorted(missing)
 
 
 def _color_order(pmask, rows):

@@ -2,8 +2,10 @@
 
 import hashlib
 import random
+import re
 
 import pytest
+from testkit import model_graphs
 
 from submine import graph as graph_module
 from submine.graph import (
@@ -54,21 +56,21 @@ def test_parse_sorts_adjacency():
     assert v.neighbor_ids() == [2, 7, 9]
 
 
-@pytest.mark.parametrize(
-    "line,frag",
-    [
-        ("1\tx", "3 tab-separated fields"),
-        ("1\tx\ty\tz", "3 tab-separated fields"),
-        ("zzz\t\t1", "bad vertex id"),
-        ("-2\t\t1", "negative vertex id"),
-        ("1\t\t1", "self-loop"),
-        ("1\t\t2 2", "duplicate neighbor"),
-        ("1\t\t2 x7", "bad neighbor token"),
-        ("1\t\t-3", "negative neighbor id"),
-        (f"{2**64}\t\t1", f"vertex id {2**64} does not fit in 64 bits"),
-        (f"1\t\t{2**64 + 5}", f"neighbor id {2**64 + 5} does not fit"),
-    ],
-)
+_PARSE_ERRORS = [
+    ("1\tx", "3 tab-separated fields"),
+    ("1\tx\ty\tz", "3 tab-separated fields"),
+    ("zzz\t\t1", "bad vertex id"),
+    ("-2\t\t1", "negative vertex id"),
+    ("1\t\t1", "self-loop"),
+    ("1\t\t2 2", "duplicate neighbor"),
+    ("1\t\t2 x7", "bad neighbor token"),
+    ("1\t\t-3", "negative neighbor id"),
+    (f"{2**64}\t\t1", f"vertex id {2**64} does not fit in 64 bits"),
+    (f"1\t\t{2**64 + 5}", f"neighbor id {2**64 + 5} does not fit"),
+]
+
+
+@pytest.mark.parametrize("line,frag", _PARSE_ERRORS)
 def test_parse_errors(line, frag):
     with pytest.raises(GraphParseError, match=frag):
         parse_vertex_line(line, lineno=12)
@@ -246,6 +248,44 @@ def test_read_write_round_trip(tmp_path):
         assert g2[vid] == g[vid]
 
 
+def _pair_graph(label=None, attr=None):
+    """Vertices 1 and 2, adjacent; vertex 1 has the label, and the
+    attribute on its neighbor 2."""
+    return Graph({1: Vertex.from_ids(1, label, [2], [attr]),
+                  2: Vertex.from_ids(2, None, [1])})
+
+
+@pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb", "\r"])
+def test_write_graph_rejects_a_label_that_breaks_the_line(tmp_path, label):
+    with pytest.raises(GraphDataError) as e:
+        write_graph(_pair_graph(label=label), tmp_path / "g.txt")
+    assert str(e.value) == (
+        f"vertex 1: label {label!r} holds a tab or a line break")
+
+
+@pytest.mark.parametrize("attr", ["", " 3", "3 ", "a b", "a\tb", "a\nb",
+                                  "\u2003"])
+def test_write_graph_rejects_an_attribute_that_splits(tmp_path, attr):
+    # " 3" would write `1\t\t2: 3`, which reads back as neighbors 2 and 3
+    with pytest.raises(GraphDataError) as e:
+        write_graph(_pair_graph(attr=attr), tmp_path / "g.txt")
+    assert str(e.value) == (f"vertex 1: attribute {attr!r} of neighbor 2 "
+                            f"is empty or holds whitespace")
+
+
+def test_write_graph_round_trips_what_it_accepts(tmp_path):
+    g = Graph()
+    g.add(Vertex.from_ids(1, "a b:c", [2, 3], ["x:y", None]))
+    g.add(Vertex.from_ids(2, "\u00e9 \x0c#", [1, 3], ["\u00e9", "::"]))
+    g.add(Vertex.from_ids(3, None, [1, 2]))
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    g2 = read_graph(path)
+    assert list(g2.vertices) == [1, 2, 3]
+    for v in g:
+        assert g2[v.id] == v
+
+
 def test_read_graph_skips_comments_and_blanks(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# header\n\n1\t\t2\n2\t\t1\n")
@@ -274,6 +314,7 @@ _ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                         "\u0665\u0666\u0667\u0668\u0669")
 _FULLWIDTH = str.maketrans("0123456789", "".join(
     chr(0xFF10 + d) for d in range(10)))
+_ASCII_DIGITS = re.compile("[0-9]+")
 _MUTATIONS = (
     "neg_nb", "neg_vid", "huge_nb", "huge_vid", "max_nb", "dup", "self",
     "empty", "two_fields", "bad_token", "bad_vid", "empty_attr", "attrs",
@@ -336,9 +377,12 @@ def _fuzz_line(rng, vid, mutation):
 def _reference_load(path):
     """What read_graph must give, through parse_vertex_line alone: the
     vertices or the error message, and how many of the lines read up to
-    there read_graph must hand to parse_vertex_line (every line that
-    fails, and every valid one with a `:`; the rest take the bulk path)."""
+    there read_graph must hand to parse_vertex_line: every line that
+    fails, and every valid one the bulk parse does not take (one with a
+    `:`, an id spelled other than in ASCII digits, or the id of an
+    earlier line it took)."""
     vertices = {}
+    bulk_ids = set()
     slow = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -348,7 +392,12 @@ def _reference_load(path):
                 v = parse_vertex_line(line, lineno=lineno)
             except GraphParseError as e:
                 return f"{path}: {e}", slow + 1
-            slow += ":" in line.split("\t")[2]
+            vid_s, _, nbs_s = line.rstrip("\n").split("\t")
+            if (all(map(_ASCII_DIGITS.fullmatch, [vid_s, *nbs_s.split()]))
+                    and v.id not in bulk_ids):
+                bulk_ids.add(v.id)
+            else:
+                slow += 1
             if v.id in vertices:
                 return (f"{path}: line {lineno}: duplicate vertex id {v.id}",
                         slow)
@@ -393,7 +442,7 @@ def test_bulk_parse_matches_parse_vertex_line(tmp_path, monkeypatch):
             assert list(g.vertices) == list(want)
             for vid, v in want.items():
                 assert g[vid] == v
-        # the valid lines without `:` took the bulk path, and only they
+        # the lines the bulk parse takes took it, and only they
         assert len(calls) == slow
         for m in set(mutated.values()):
             outcomes[m].add(isinstance(want, str))
@@ -403,6 +452,145 @@ def test_bulk_parse_matches_parse_vertex_line(tmp_path, monkeypatch):
               "two_fields", "bad_token", "bad_vid"):
         assert outcomes[m] == {True}, m
     assert False in outcomes["max_nb"] and False in outcomes["empty"]
+
+
+# -- read_graph on both kernel backends ---------------------------------------
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def id_parser(request, monkeypatch):
+    """read_graph with the bulk parse of one backend."""
+    kernel = pure_kernels.parse_id_lines
+    if request.param == "compiled":
+        kernel = request.getfixturevalue("compiled")["_pairs"].parse_id_lines
+    monkeypatch.setattr(graph_module, "parse_id_lines", kernel)
+    return request.param
+
+
+def _line_by_line_read(path):
+    """read_graph as a loop over the lines through parse_vertex_line:
+    the vertices in file order and the digest, or the type and message
+    of the first error."""
+    vertices, linenos = {}, {}
+    try:
+        with open(path, encoding="utf-8") as text:
+            for lineno, line in enumerate(text, 1):
+                if line.isspace() or line.startswith("#"):
+                    continue
+                try:
+                    v = parse_vertex_line(line, lineno)
+                except GraphParseError as e:
+                    return GraphParseError, f"{path}: {e}"
+                if v.id in vertices:
+                    return (GraphParseError, f"{path}: line {lineno}: "
+                            f"duplicate vertex id {v.id}")
+                vertices[v.id] = v
+                linenos[v.id] = lineno
+    except UnicodeDecodeError as e:
+        return GraphParseError, f"{path}: not UTF-8 text: {e.reason}"
+    for v in vertices.values():
+        for nb in v.neighbor_ids():
+            if nb not in vertices:
+                return GraphDataError, (
+                    f"{path}: line {linenos[v.id]}: vertex {v.id} "
+                    f"references missing vertex {nb}")
+    return vertices, hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _assert_reads_line_by_line(path):
+    want = _line_by_line_read(path)
+    if not isinstance(want[0], dict):
+        error, message = want
+        with pytest.raises(error) as e:
+            read_graph_sha256(path)
+        assert str(e.value) == message
+        return
+    g, digest = read_graph_sha256(path)
+    assert digest == want[1]
+    assert list(g.vertices) == list(want[0])
+    for vid, v in want[0].items():
+        assert g[vid] == v
+
+
+def _write_with_eols(tmp_path, name, text):
+    """text as a file with each of the three line ends."""
+    paths = []
+    for tag, eol in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}-{tag}.txt"
+        path.write_bytes(text.replace("\n", eol).encode("utf-8"))
+        paths.append(path)
+    return paths
+
+
+_TOP_ID = 2**64 - 1
+_ODD_GRAPH = "\n".join([
+    "# header", "", "   \t ", "#\t1\t2",
+    f"0\t\t{_TOP_ID} 7",              # the range's ends take the bulk path
+    f"{_TOP_ID}\t\t0",
+    "7\ta label\t12 0 9",              # unsorted, a label with spaces
+    "+9\t\t 7",                        # these ids take parse_vertex_line
+    " 12\tlab\t7",
+    "5_0\t\t",
+    "51\tx\t",                         # an empty neighbor field
+    "52\t\t 51\x0b  50\x1c",
+]) + "\n"
+
+
+def test_read_graph_matches_line_by_line_on_both_backends(tmp_path, id_parser):
+    texts = {f"model{i}": "".join(format_vertex_line(g[vid]) + "\n"
+                                  for vid in g.ids())
+             for i, g in enumerate(model_graphs())}
+    texts["odd"] = _ODD_GRAPH
+    texts["odd-non-ascii"] = _ODD_GRAPH + "60\t\u00e9\t9 \u0667\n"
+    texts["no-final-newline"] = "1\t\t2\n2\ta\t1"
+    for name, text in texts.items():
+        for path in _write_with_eols(tmp_path, name, text):
+            _assert_reads_line_by_line(path)
+
+
+@pytest.mark.parametrize("text", [
+    *(f"1\t\t2\n2\t\t1\n{line}\n3\t\t1\n" for line, _ in _PARSE_ERRORS),
+    "1\t\t2\n2\t\t1\n1\t\t2\n",           # a repeated id, both bulk
+    "1\t\t2\n2\t\t1\n01\t\t2\n",          # the same, spelled otherwise
+    "1\t\t2:a\n2\t\t1\n1\t\t2:b\n",       # both through parse_vertex_line
+    "1\t\t2\n2\t\t1\n1\tx\t2:a\n",        # bulk, then parse_vertex_line
+    "1\t\t2:a\n2\t\t1\n1\t\t2\n",         # the other way: line 3 is named
+    "1\t\t2:a\n2\t\t1\n1\t\t2\nzzz\t\t1\n",  # the repeat comes first
+    "1\t\t2\nzzz\t\t1\n1\t\t2\n",         # the bad line comes first
+    "1\t\t2 9\n2\t\t1\n",                  # dangling, from a bulk line
+    "1\t\t2:a 9\n2\t\t1\n",                # from a parse_vertex_line line
+    "# c\n\n2\t\t1:x\n1\t\t2 9\n",          # named by its line
+    "2\t\t1 8\n1\t\t2:a 9\n",               # the first in file order
+    "1\t\u00e9\t2 9\n2\t\t1\n",              # text for the pure twin
+    "1\t\t2\n2\t\t1 \u0663\n",
+])
+def test_read_graph_errors_match_line_by_line(tmp_path, id_parser, text):
+    for path in _write_with_eols(tmp_path, "g", text):
+        _assert_reads_line_by_line(path)
+
+
+def test_read_graph_rejects_non_utf8_before_parsing(tmp_path, id_parser):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"1\t\t2\n2\t\xff\t1\n")
+    _assert_reads_line_by_line(path)
+    # the whole text is decoded before any line is parsed, so a file that
+    # is not UTF-8 reads as such even when an earlier line is bad
+    path.write_bytes(b"zzz\t\t1\n\xc3")
+    with pytest.raises(GraphParseError) as e:
+        read_graph(path)
+    assert str(e.value) == f"{path}: not UTF-8 text: unexpected end of data"
+
+
+def test_read_graph_shares_id_objects(tmp_path, monkeypatch, compiled):
+    monkeypatch.setattr(graph_module, "parse_id_lines",
+                        compiled["_pairs"].parse_id_lines)
+    for i, g in enumerate(model_graphs()):
+        path = tmp_path / f"g{i}.txt"
+        write_graph(g, path)
+        seen = {}
+        for v in read_graph(path):
+            for x in (v.id, *v.neighbor_ids()):
+                assert seen.setdefault(x, x) is x
 
 
 def test_check_undirected():

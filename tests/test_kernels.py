@@ -6,6 +6,7 @@ extension from its shipped C file into a temp dir when they are not
 importable, and skips only when no C compiler is found.
 """
 
+import gc
 import os
 import random
 import subprocess
@@ -13,10 +14,12 @@ import sys
 import sysconfig
 import time
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from conftest import EXTENSIONS, _c_compiler
+from testkit import model_graphs
 
 import submine.engine
 import submine.graph
@@ -74,13 +77,14 @@ def test_backend_matches_built_extension():
     here = os.listdir(os.path.dirname(kernels.__file__))
     built = all(any(f.startswith(name) and f.endswith(".so") for f in here)
                 for name in EXTENSIONS)
-    names = ("count_closing_pairs", "edges_symmetric", "minhash_signature",
-             "mix64", "max_clique", "maximal_cliques")
+    names = ("count_closing_pairs", "edges_symmetric", "parse_id_lines",
+             "minhash_signature", "mix64", "max_clique", "maximal_cliques")
     bound = [getattr(kernels, name) for name in names]
     if built and os.environ.get("SUBMINE_PURE_KERNELS") != "1":
         assert kernels.BACKEND == "compiled"
         assert bound == [kernels._pairs.count_closing_pairs,
                          kernels._pairs.edges_symmetric,
+                         kernels._pairs.parse_id_lines,
                          kernels._hash.minhash_signature,
                          kernels._hash.mix64,
                          kernels._cliques.max_clique,
@@ -88,7 +92,9 @@ def test_backend_matches_built_extension():
     else:
         assert kernels.BACKEND == "pure"
         assert bound == [getattr(pure, name) for name in names]
-    # the partitioner and the engine's keys call what the backend binds
+    # the loader, the partitioner and the engine's keys call what the
+    # backend binds
+    assert submine.graph.parse_id_lines is kernels.parse_id_lines
     assert submine.graph.mix64 is kernels.mix64
     assert submine.minhash.minhash_signature is kernels.minhash_signature
     assert submine.engine.minhash_signature is kernels.minhash_signature
@@ -513,6 +519,118 @@ def test_edges_symmetric_failures_free_their_memory(symmetric):
         fail_all(100)
         before = tracemalloc.get_traced_memory()[0]
         fail_all(10_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_000
+
+
+# -- parse_id_lines ------------------------------------------------------------
+
+
+def _model_texts():
+    """The canonical text of a graph from every submine.gen model."""
+    return ["".join(submine.graph.format_vertex_line(g[vid]) + "\n"
+                    for vid in g.ids()) for g in model_graphs()]
+
+
+_PARSE_TEXTS = [
+    "", "\n\n", "# only a comment", "#\t\t\n \t\x0b\x0c\x1c\x1f\n",
+    f"0\t\t{_TOP}\n{_TOP}\t\t0\n",                   # the id range's ends
+    "5\t\t9 2 7\n2\t\t5\n7\t\t5\n9\t\t5\n",              # an unsorted list
+    "7\t\t\n8\tq\t  \n",                              # empty neighbor fields
+    "1\ta label\t2\x0b3\x1c 4\x1f\x0c5\n",               # ASCII whitespace
+    "1\t\u00e9\t2 3\n2\t\t\u0663\n3\t\t1\u20032\n",        # not ASCII
+    f"{2**64}\t\t1\n+5\t\t1\n 5\t\t1\n5_0\t\t1\n5 \t\t1\n",  # slow ids
+    f"1\t\t{2**64}\n1\t\t+5\n1\t\t5_0\n1\t\t-5\n1\t\t2:a 3\n",  # slow nbs
+    "1\t\t1\n1\t\t2 2\n1\tx\n1\tx\ty\tz\n1\t\t2\n01\t\t2\n1\t\t3\n",
+    " # not a comment\n\t#\n",
+]
+
+
+def _random_parse_text(rng):
+    """Lines of ASCII tokens that are rows, or fail one check or another."""
+    pool = ["0", "1", "2", "3", "17", "007", str(_TOP), str(2**64), "+3",
+            "-1", "3:a", "x", "1_0", ""]
+    spaces = [" ", "  ", "\x0b", "\x0c", "\x1c", "\x1f"]
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        fields = [rng.choice(pool), rng.choice(["", "a", "b c", "#"]),
+                  rng.choice(spaces).join(rng.choice(pool)
+                                          for _ in range(rng.randint(0, 6)))]
+        if rng.random() < 0.1:  # one, two, three or four fields
+            fields = (fields[:rng.randint(1, 2)]
+                      + fields[2:] * rng.randint(0, 2))
+        lines.append("\t".join(fields))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "  ", "# note", "\t"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def test_parse_id_lines_backend_parity(pairs):
+    rng = random.Random(41)
+    texts = _model_texts() + _PARSE_TEXTS
+    texts += [_random_parse_text(rng) for _ in range(400)]
+    outcomes = set()
+    for text in texts:
+        want = pure.parse_id_lines(text)
+        got = pairs.parse_id_lines(text)
+        assert got == want, text
+        vids, labels, rows, slow, missing = got
+        outcomes.add((bool(vids), bool(slow), bool(missing)))
+        if text.isascii():
+            # one int object per distinct id, and rows the collector
+            # does not walk: they hold nothing but ints
+            seen = {}
+            for x in chain(vids, chain.from_iterable(rows), missing):
+                assert seen.setdefault(x, x) is x
+            assert not any(map(gc.is_tracked, rows))
+    # rows, slow lines and missing ids each present and absent (missing
+    # ids come only from rows)
+    assert len(outcomes) == 6, outcomes
+
+
+def test_parse_id_lines_reports_each_part(pairs):
+    for label in ("e", "\u00e9"):  # ASCII, and text for the pure twin
+        text = ("# c\n5\tlab el\t9 2\n\n2\t\t5 3\n9\t\t5:x\n5\t\t2\n"
+                f"3\t{label}\t\n")
+        for parse in (pure.parse_id_lines, pairs.parse_id_lines):
+            assert parse(text) == (
+                [5, 2, 3], ["lab el", None, label], [[2, 9], [3, 5], []],
+                [(5, "9\t\t5:x", 2), (6, "5\t\t2", 2)], [9])
+
+
+def test_parse_id_lines_frees_what_it_does_not_return(pairs):
+    # rows of 100 ids above the small-int cache, so a leaked reference
+    # keeps new int objects alive; lines that fail after the neighbor
+    # buffer has grown; a text that goes to the pure twin; bad arguments
+    big = 2**40
+    rows = [f"{big + i}\t\t" + " ".join(str(big + j) for j in range(100)
+                                          if j != i) for i in range(3)]
+    texts = ["\n".join(rows),
+             "\n".join(rows + [rows[0]]),                  # a repeated id
+             "\n".join(rows + [rows[1] + f" {big}:a"]),
+             "\n".join(rows + [rows[2] + f" {2**64}"]),
+             "\n".join(rows + [rows[2] + f" {big + 2}"]),  # a self-loop
+             "\n".join(rows + ["1\t\u00e9\t2"])]
+
+    def run(times):
+        for _ in range(times):
+            for text in texts:
+                pairs.parse_id_lines(text)
+            for bad in (texts[0].encode(), None, 5):
+                try:
+                    pairs.parse_id_lines(bad)
+                except TypeError:
+                    pass
+                else:
+                    raise AssertionError("expected a TypeError")
+
+    tracemalloc.start()
+    try:
+        run(50)
+        before = tracemalloc.get_traced_memory()[0]
+        run(500)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

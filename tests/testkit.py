@@ -10,6 +10,7 @@ random-IO tallies the queues report.
 
 import random
 
+from submine import gen
 from submine.minhash import TaskKey, minhash_signature
 from submine.taskqueue import QueueStorage, TaskRecord
 
@@ -123,6 +124,15 @@ class CountingStorage(QueueStorage):
 
 
 # -- workload generators -------------------------------------------------
+
+
+def model_graphs():
+    """A small graph from every submine.gen model, labeled ones included."""
+    return [gen.complete_graph(6), gen.gnp_graph(40, 0.2, seed=3),
+            gen.gnp_graph(40, 0.2, seed=4, labels=True),
+            gen.labeled_gnp_graph(30, 0.3, seed=5), gen.star_graph(12),
+            gen.path_graph(9, start_id=1000),
+            gen.hub_cluster_graph(3, 8, 2, seed=6), gen.fig4_data_graph()]
 
 
 def gen_pull_sets(seed, count, universe, lo=1, hi=12):

@@ -3,17 +3,14 @@
 check_undirected.
 
 Writes perfbench's `uniform_graph(n, m, seed=1)` as canonical text for
-each size (by default (n, m) = (50k, 250k) and (200k, 1M)), loads each
-file N times, each time in a fresh Python process, and prints one JSON
-line: the kernel backend and, per size, the best read and check
-seconds, the vertex count, and the largest peak RSS of a loading
-process twice: right after the read (`read_max_rss_mb`) and after the
-check (`max_rss_mb`).  The peak is VmHWM from /proc/self/status, which
-exec resets, so it is the load's own and not this script's (ru_maxrss,
-the fallback off Linux, keeps the parent's high-water mark across exec).
+(n, m) = (50k, 250k) and (200k, 1M), loads each file N times, each time
+in a fresh Python process, and prints one JSON line: per size, the best
+read and check seconds, the vertex count, and the largest peak RSS of a
+loading process.  The peak is VmHWM from /proc/self/status, which exec
+resets, so it is the load's own and not this script's (ru_maxrss, the
+fallback off Linux, keeps the parent's high-water mark across exec).
 
     PYTHONPATH=src python3 benchmarks/bench_load.py --repeat 3
-    PYTHONPATH=src python3 benchmarks/bench_load.py --sizes 50000:250000
 """
 
 import argparse
@@ -51,27 +48,14 @@ def _write(n, m, path):
 
 def _load(path):
     from submine.graph import check_undirected, read_graph_sha256
-    from submine.kernels import BACKEND
 
     t0 = time.perf_counter()
     g, _ = read_graph_sha256(path)
     t1 = time.perf_counter()
-    read_rss = _peak_rss_mb()
     check_undirected(g)
     t2 = time.perf_counter()
-    print(json.dumps({"backend": BACKEND, "read_s": t1 - t0,
-                      "check_s": t2 - t1, "vertices": len(g),
-                      "read_max_rss_mb": read_rss,
-                      "max_rss_mb": _peak_rss_mb()}))
-
-
-def _size(text):
-    n, _, m = text.partition(":")
-    try:
-        return int(n), int(m)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected vertices:edges, got {text!r}") from None
+    print(json.dumps({"read_s": t1 - t0, "check_s": t2 - t1,
+                      "vertices": len(g), "max_rss_mb": _peak_rss_mb()}))
 
 
 def _child(*args):
@@ -84,9 +68,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3,
                     help="loads per size; best time and largest RSS reported")
-    ap.add_argument("--sizes", nargs="+", type=_size, default=SIZES,
-                    metavar="N:M", help="graph sizes, as vertices:edges "
-                    "(default: 50000:250000 200000:1000000)")
     ap.add_argument("--write", nargs=3, help=argparse.SUPPRESS)
     ap.add_argument("--load", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -100,17 +81,16 @@ def main(argv=None):
 
     out = {"model": "uniform", "seed": 1}
     with tempfile.TemporaryDirectory(prefix="bench_load-") as tmp:
-        for n, m in args.sizes:
+        for n, m in SIZES:
             path = os.path.join(tmp, f"uniform-{n}-{m}.txt")
             _child("--write", str(n), str(m), path)
             runs = [json.loads(_child("--load", path))
                     for _ in range(args.repeat)]
-            out["backend"] = runs[0]["backend"]
             tag = f"n{n}_m{m}"
             out[f"{tag}_read_s"] = round(min(r["read_s"] for r in runs), 3)
             out[f"{tag}_check_s"] = round(min(r["check_s"] for r in runs), 3)
-            for peak in ("read_max_rss_mb", "max_rss_mb"):
-                out[f"{tag}_{peak}"] = round(max(r[peak] for r in runs), 1)
+            out[f"{tag}_max_rss_mb"] = round(
+                max(r["max_rss_mb"] for r in runs), 1)
             out[f"{tag}_vertices"] = runs[0]["vertices"]
             os.remove(path)
     print(json.dumps(out))

@@ -284,31 +284,34 @@ def read_graph_sha256(path):
 
     Duplicate vertex ids across lines are an error, and every neighbor
     id must itself appear as a vertex line (dangling references would
-    otherwise surface later as protocol errors between workers).  Every
-    error names the file and the line, and it is the first error in file
-    order.
+    otherwise surface later as protocol errors between workers).  A file
+    that is not UTF-8 is rejected as such, whatever else is wrong with
+    it; otherwise every error names the file and the line, and it is the
+    first error in file order.
 
-    One kernel call (kernels.parse_id_lines) parses every line without
-    attributes whose ids are plain ASCII digits and whose id no earlier
-    such line has; on the compiled backend, equal ids in the loaded graph
-    are one shared int object.  Every other line goes through
-    parse_vertex_line, in file order.
+    One kernel call (kernels.parse_id_lines), fed the text in pieces of
+    whole lines, parses every line without attributes whose ids are
+    plain ASCII digits; on the compiled backend, equal ids in the loaded
+    graph are one shared int object.  Every other line goes through
+    parse_vertex_line, in file order, and is dropped once parsed.
     """
     with open(path, "rb", buffering=0) as raw:
         hashing = _Sha256Reader(raw)
         text = io.TextIOWrapper(io.BufferedReader(hashing, 1 << 16),
                                 encoding="utf-8")
         try:
-            vids, labels, rows, slow, missing = parse_id_lines(text.read())
+            vids, labels, rows, slow, missing = parse_id_lines(
+                _pieces(text))
         except UnicodeDecodeError as e:
             raise GraphParseError(f"{path}: not UTF-8 text: {e.reason}") from None
     g = Graph()
     vertices = g.vertices
-    slow_ids = set()
+    slow_vertices = []
     at = 0
-    for lineno, line, k in slow:
-        _add_rows(path, vertices, slow_ids,
-                  vids[at:k], labels[at:k], rows[at:k])
+    slow.reverse()
+    while slow:
+        lineno, line, k = slow.pop()
+        _add_rows(path, vertices, vids[at:k], labels[at:k], rows[at:k])
         at = k
         try:
             v = parse_vertex_line(line, lineno)
@@ -318,28 +321,41 @@ def read_graph_sha256(path):
             raise GraphParseError(
                 f"{path}: line {lineno}: duplicate vertex id {v.id}")
         vertices[v.id] = v
-        slow_ids.add(v.id)
+        slow_vertices.append(v)
     if at:
         vids, labels, rows = vids[at:], labels[at:], rows[at:]
-    _add_rows(path, vertices, slow_ids, vids, labels, rows)
+    _add_rows(path, vertices, vids, labels, rows)
     contains = vertices.__contains__
-    slow_nbs = chain.from_iterable(
-        vertices[vid].neighbor_ids() for vid in slow_ids)
+    slow_nbs = chain.from_iterable(v.neighbor_ids() for v in slow_vertices)
     if not (all(map(contains, missing)) and all(map(contains, slow_nbs))):
         _raise_dangling(path, vertices)
     return g, hashing.sha256.hexdigest()
 
 
-def _add_rows(path, vertices, slow_ids, vids, labels, rows):
+PIECE_CHARS = 1 << 16
+
+
+def _pieces(text):
+    """The text of a file in pieces of whole lines, about PIECE_CHARS
+    characters each, so that the whole text is never held at once."""
+    while piece := text.read(PIECE_CHARS):
+        yield piece + text.readline()
+
+
+def _add_rows(path, vertices, vids, labels, rows):
     """Add the vertices of rows from parse_id_lines that follow the
-    len(vertices) vertex lines read so far.  Their ids differ from each
-    other, but one may repeat the id of a line parse_vertex_line read."""
-    if slow_ids and not slow_ids.isdisjoint(vids):
-        j = next(j for j, vid in enumerate(vids) if vid in slow_ids)
-        raise GraphParseError(
-            f"{path}: line {_vertex_lineno(path, len(vertices) + j)}: "
-            f"duplicate vertex id {vids[j]}")
+    len(vertices) vertex lines read so far; a repeated id is an error
+    that names the first line holding one."""
+    before = len(vertices)
     vertices.update(zip(vids, map(Vertex.from_ids, vids, labels, rows)))
+    if len(vertices) - before != len(vids):
+        seen = set(islice(vertices, before))  # the ids defined before
+        for j, vid in enumerate(vids):
+            if vid in seen:
+                raise GraphParseError(
+                    f"{path}: line {_vertex_lineno(path, before + j)}: "
+                    f"duplicate vertex id {vid}")
+            seen.add(vid)
 
 
 def _raise_dangling(path, vertices):

@@ -9,7 +9,7 @@ CPython API, built by `setup.py` (on install, or in place by
   adjacency lists: count_closing_pairs (the triangle app),
   edges_symmetric (graph.check_undirected, before a job starts) and
   parse_id_lines (graph.read_graph's bulk parse of the lines without
-  attributes, which hands text that is not ASCII to its pure twin);
+  attributes, fed the file's text in pieces of whole lines);
 - _hash, from _hash.c, holds the id hashes mix64 (behind
   graph.partition_owner) and minhash_signature (the lsh queue's keys).
 BACKEND is "compiled" only when all three import, and then every kernel

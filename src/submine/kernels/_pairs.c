@@ -346,23 +346,28 @@ done:
     return result;
 }
 
-/* parse_id_lines(text): the bulk parse behind graph.read_graph_sha256.
- * It reads the whole decoded text of a graph file once.  A line with
- * three tab-separated fields, whose id and neighbour tokens are ASCII
- * digits below 2**64, with no repeated neighbour, no self-loop and an id
- * no earlier accepted line has, becomes a row; every other line that is
+/* parse_id_lines(pieces): the bulk parse behind graph.read_graph_sha256.
+ * It reads the decoded text of a graph file once, one piece of whole
+ * lines at a time, through each piece's UTF-8 form (for ASCII text, the
+ * piece's own buffer).  A line with three tab-separated fields, whose
+ * id and neighbour tokens are ASCII digits below 2**64, with no repeated
+ * neighbour and no self-loop, becomes a row; every other line that is
  * neither blank nor a comment goes to the slow list, for
- * graph.parse_vertex_line to parse or to word its error.
+ * graph.parse_vertex_line to parse or to word its error.  Any byte of a
+ * multi-byte character is neither a digit nor ASCII whitespace, so a
+ * token holding one sends its line to the slow list, while a label may
+ * hold any character but a tab.
  *
  * Ids are interned in an open-addressing table local to the call: each
  * distinct id gets one int object, shared by every row that holds it.
  * The same table marks which ids a row defines, so the ids the rows
  * reference and never define fall out of one pass over it. */
 
-/* Character classes of the ASCII text: what str.split() and
- * str.isspace() take as whitespace, and the digits. */
+/* Character classes of the UTF-8 bytes: the ASCII whitespace that
+ * str.split() and str.isspace() take, and the digits; every byte of a
+ * multi-byte character is CH_OTHER. */
 enum { CH_OTHER, CH_DIGIT, CH_SPACE };
-static unsigned char char_class[128];
+static unsigned char char_class[256];
 
 static void
 init_char_class(void)
@@ -517,9 +522,9 @@ table_intern(id_table *t, uint64_t x)
  * row, returns 1 with *vid, the label's span and *n set; 0 when it goes
  * to the slow list; -1 on a memory error. */
 static int
-parse_row(const char *s, const char *e, const id_table *t, uint64_t *vid,
-          const char **label, const char **label_end, uint64_t **nbs,
-          Py_ssize_t *nbs_cap, Py_ssize_t *n)
+parse_row(const char *s, const char *e, uint64_t *vid, const char **label,
+          const char **label_end, uint64_t **nbs, Py_ssize_t *nbs_cap,
+          Py_ssize_t *n)
 {
     const char *tab1, *tab2, *p, *tok;
     Py_ssize_t k, cnt = 0;
@@ -534,9 +539,6 @@ parse_row(const char *s, const char *e, const id_table *t, uint64_t *vid,
         return 0;
     if (!parse_u64(s, tab1, vid))
         return 0;
-    k = table_find(t, *vid);
-    if (t->slots[k].obj != NULL && t->defined[k])
-        return 0;  /* an earlier row has this id */
     p = tab2 + 1;
     while (p < e) {
         while (p < e && char_class[(unsigned char)*p] == CH_SPACE)
@@ -615,115 +617,172 @@ undefined_ids(const id_table *t)
     return out;
 }
 
-/* Hands text that is not ASCII to the pure twin. */
-static PyObject *
-parse_id_lines_pure(PyObject *text)
+/* Whether the line [s, e) is blank as str.isspace() sees it: 1 or 0,
+ * -1 with an exception set.  Only a line that holds nothing but ASCII
+ * whitespace and multi-byte characters asks str.isspace(). */
+static int
+line_is_blank(const char *s, const char *e)
 {
-    PyObject *pure, *out;
-    pure = PyImport_ImportModule("submine.kernels.pure");
-    if (pure == NULL)
-        return NULL;
-    out = PyObject_CallMethod(pure, "parse_id_lines", "O", text);
-    Py_DECREF(pure);
-    return out;
+    PyObject *line, *blank;
+    const char *p;
+    int wide = 0, rc;
+
+    for (p = s; p < e; p++) {
+        if ((unsigned char)*p >= 0x80)
+            wide = 1;
+        else if (char_class[(unsigned char)*p] != CH_SPACE)
+            return 0;
+    }
+    if (!wide)
+        return 1;
+    line = PyUnicode_DecodeUTF8(s, e - s, NULL);
+    if (line == NULL)
+        return -1;
+    blank = PyObject_CallMethod(line, "isspace", NULL);
+    Py_DECREF(line);
+    if (blank == NULL)
+        return -1;
+    rc = PyObject_IsTrue(blank);
+    Py_DECREF(blank);
+    return rc;
 }
 
-PyDoc_STRVAR(parse_id_lines_doc,
-"parse_id_lines(text)\n--\n\n"
-"See kernels.pure.parse_id_lines.  Text that is not ASCII is handed to\n"
-"that twin.  Equal ids in the result are one int object.");
-
+/* The str of the UTF-8 bytes [s, e) of text, whose buffer starts at
+ * data: a plain slice when the text is ASCII. */
 static PyObject *
-parse_id_lines(PyObject *Py_UNUSED(module), PyObject *text)
+text_span(PyObject *text, const char *data, const char *s, const char *e)
 {
-    PyObject *vids = NULL, *labels = NULL, *rows = NULL, *slow = NULL;
-    PyObject *missing = NULL, *result = NULL, *row, *label_obj;
-    const char *data, *s, *e, *p, *end, *label, *label_end;
-    uint64_t *nbs = NULL, vid;
-    Py_ssize_t len, nbs_cap = 0, n, i, lineno = 0, lines = 1;
-    id_table table = {NULL, NULL, 0, 0};
+    if (PyUnicode_IS_ASCII(text))
+        return PyUnicode_Substring(text, s - data, e - data);
+    return PyUnicode_DecodeUTF8(s, e - s, NULL);
+}
+
+/* What parse_id_lines has built so far. */
+typedef struct {
+    PyObject *vids, *labels, *rows, *slow;
+    id_table table;
+    uint64_t *nbs;
+    Py_ssize_t nbs_cap, lineno;
+} parse_state;
+
+/* Parses the lines of one piece into st.  Returns -1 with an exception
+ * set. */
+static int
+parse_piece(parse_state *st, PyObject *text)
+{
+    PyObject *row, *label_obj;
+    const char *data, *s, *e, *end, *label, *label_end;
+    uint64_t vid;
+    Py_ssize_t len, n, i;
     size_t k;
-    int rc;
+    int rc, blank;
 
     if (!PyUnicode_Check(text)) {
-        PyErr_SetString(PyExc_TypeError, "parse_id_lines expects a str");
-        return NULL;
+        PyErr_SetString(PyExc_TypeError, "parse_id_lines expects str pieces");
+        return -1;
     }
-    if (!PyUnicode_IS_ASCII(text))
-        return parse_id_lines_pure(text);
-    data = (const char *)PyUnicode_DATA(text);
-    len = PyUnicode_GET_LENGTH(text);
+    data = PyUnicode_AsUTF8AndSize(text, &len);
+    if (data == NULL)
+        return -1;
     end = data + len;
-    for (s = data; (s = memchr(s, '\n', end - s)) != NULL; s++)
-        lines++;
-    vids = PyList_New(0);
-    labels = PyList_New(0);
-    rows = PyList_New(0);
-    slow = PyList_New(0);
-    if (vids == NULL || labels == NULL || rows == NULL || slow == NULL
-            || table_init(&table, (size_t)lines) < 0)
-        goto done;
-
     for (s = data; s < end; s = e + 1) {
         e = memchr(s, '\n', end - s);
         if (e == NULL)
             e = end;
-        lineno++;
-        for (p = s; p < e && char_class[(unsigned char)*p] == CH_SPACE; p++)
-            ;
-        if (p == e || *s == '#')
-            continue;  /* blank, or a comment */
-        rc = parse_row(s, e, &table, &vid, &label, &label_end, &nbs,
-                       &nbs_cap, &n);
+        st->lineno++;
+        if (*s == '#')
+            continue;  /* a comment */
+        rc = parse_row(s, e, &vid, &label, &label_end, &st->nbs,
+                       &st->nbs_cap, &n);
         if (rc < 0)
-            goto done;
+            return -1;
         if (rc == 0) {
-            if (append_steal(slow, Py_BuildValue(
-                    "(nNn)", lineno,
-                    PyUnicode_Substring(text, s - data, e - data),
-                    PyList_GET_SIZE(vids))) < 0)
-                goto done;
+            blank = line_is_blank(s, e);
+            if (blank < 0 || (!blank && append_steal(st->slow, Py_BuildValue(
+                    "(nNn)", st->lineno, text_span(text, data, s, e),
+                    PyList_GET_SIZE(st->vids))) < 0))
+                return -1;
             continue;
         }
         row = PyList_New(n);
         if (row == NULL)
-            goto done;
+            return -1;
         for (i = 0; i < n; i++) {
-            k = table_intern(&table, nbs[i]);
+            k = table_intern(&st->table, st->nbs[i]);
             if (k == (size_t)-1) {
                 Py_DECREF(row);
-                goto done;
+                return -1;
             }
-            PyList_SET_ITEM(row, i, Py_NewRef(table.slots[k].obj));
+            PyList_SET_ITEM(row, i, Py_NewRef(st->table.slots[k].obj));
         }
         PyObject_GC_UnTrack(row);
-        if (append_steal(rows, row) < 0)
-            goto done;
-        k = table_intern(&table, vid);
+        if (append_steal(st->rows, row) < 0)
+            return -1;
+        k = table_intern(&st->table, vid);
         if (k == (size_t)-1)
-            goto done;
-        table.defined[k] = 1;
-        if (PyList_Append(vids, table.slots[k].obj) < 0)
-            goto done;
+            return -1;
+        st->table.defined[k] = 1;
+        if (PyList_Append(st->vids, st->table.slots[k].obj) < 0)
+            return -1;
         if (label == label_end)
             label_obj = Py_NewRef(Py_None);
         else
-            label_obj = PyUnicode_Substring(text, label - data,
-                                            label_end - data);
-        if (append_steal(labels, label_obj) < 0)
+            label_obj = text_span(text, data, label, label_end);
+        if (append_steal(st->labels, label_obj) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(parse_id_lines_doc,
+"parse_id_lines(pieces)\n--\n\n"
+"See kernels.pure.parse_id_lines.  Equal ids in the result are one int\n"
+"object.  A piece with a lone surrogate, which no file decodes to,\n"
+"raises UnicodeEncodeError.");
+
+static PyObject *
+parse_id_lines(PyObject *Py_UNUSED(module), PyObject *pieces)
+{
+    parse_state st = {NULL, NULL, NULL, NULL, {NULL, NULL, 0, 0}, NULL, 0, 0};
+    PyObject *it, *piece, *missing = NULL, *result = NULL;
+    int rc;
+
+    if (PyUnicode_Check(pieces)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "parse_id_lines expects str pieces, not a str");
+        return NULL;
+    }
+    it = PyObject_GetIter(pieces);
+    if (it == NULL)
+        return NULL;
+    st.vids = PyList_New(0);
+    st.labels = PyList_New(0);
+    st.rows = PyList_New(0);
+    st.slow = PyList_New(0);
+    if (st.vids == NULL || st.labels == NULL || st.rows == NULL
+            || st.slow == NULL || table_init(&st.table, 0) < 0)
+        goto done;
+    while ((piece = PyIter_Next(it)) != NULL) {
+        rc = parse_piece(&st, piece);
+        Py_DECREF(piece);
+        if (rc < 0)
             goto done;
     }
-    missing = undefined_ids(&table);
+    if (PyErr_Occurred())
+        goto done;
+    missing = undefined_ids(&st.table);
     if (missing != NULL)
-        result = PyTuple_Pack(5, vids, labels, rows, slow, missing);
+        result = PyTuple_Pack(5, st.vids, st.labels, st.rows, st.slow,
+                              missing);
 done:
-    table_free(&table);
-    PyMem_Free(nbs);
+    table_free(&st.table);
+    PyMem_Free(st.nbs);
     Py_XDECREF(missing);
-    Py_XDECREF(slow);
-    Py_XDECREF(rows);
-    Py_XDECREF(labels);
-    Py_XDECREF(vids);
+    Py_XDECREF(st.slow);
+    Py_XDECREF(st.rows);
+    Py_XDECREF(st.labels);
+    Py_XDECREF(st.vids);
+    Py_DECREF(it);
     return result;
 }
 

@@ -15,7 +15,7 @@ run the same search over those.
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import lt
 
 MASK64 = (1 << 64) - 1
@@ -137,15 +137,31 @@ def edges_symmetric(ids, rows):
     return True
 
 
-def parse_id_lines(text):
-    """The bulk parse behind graph.read_graph_sha256: split the decoded
-    text of a graph file into the lines it can take as they are and the
-    rest.  Lines end at "\n" (the text is read with universal newlines).
+def _lines(pieces):
+    """The lines of the pieces, one at a time and without their "\n"; a
+    line ends at a "\n" or at the end of its piece."""
+    for piece in pieces:
+        if not isinstance(piece, str):
+            raise TypeError("parse_id_lines expects str pieces")
+        start = 0
+        while (end := piece.find("\n", start)) >= 0:
+            yield piece[start:end]
+            start = end + 1
+        if start < len(piece):
+            yield piece[start:]
 
-    A line is a row when it has three tab-separated fields, its id and
-    every neighbor token (split on whitespace) are ASCII digits with a
-    value below 2**64, no neighbor repeats or equals the id, and no
-    earlier row has the same id.  Returns five lists:
+
+def parse_id_lines(pieces):
+    """The bulk parse behind graph.read_graph_sha256: split the decoded
+    text of a graph file, given as str pieces that each hold whole lines,
+    into the lines it can take as they are and the rest.  Lines end at
+    "\n" (the text is read with universal newlines).
+
+    A line is a row when it has three tab-separated fields, its id field
+    is ASCII digits and its neighbor field ASCII digits and whitespace,
+    every id has a value below 2**64, and no neighbor repeats or equals
+    the id.  Rows may repeat an id; graph.read_graph_sha256 rejects that.
+    Returns five lists:
     - vids, labels, rows, parallel, one entry per row in file order: the
       id, the label (None when empty) and the ascending neighbor ids;
     - slow: (lineno, line, k) for every other line that is neither blank
@@ -153,9 +169,10 @@ def parse_id_lines(text):
       without the newline, and the number of rows before it;
     - missing: the ids the rows reference and no row defines, ascending.
     """
+    if isinstance(pieces, str):
+        raise TypeError("parse_id_lines expects str pieces, not a str")
     vids, labels, rows, slow = [], [], [], []
-    defined = set()
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(_lines(pieces), 1):
         if not line or line.isspace() or line[0] == "#":
             continue
         parts = line.split("\t")
@@ -163,22 +180,21 @@ def parse_id_lines(text):
             vid_s, label, nbs_s = parts
             toks = nbs_s.split()
             digits = "".join(toks)
-            if (vid_s.isdigit() and vid_s.isascii() and digits.isascii()
+            if (vid_s.isdigit() and vid_s.isascii() and nbs_s.isascii()
                     and (digits.isdigit() or not digits)):
                 vid = int(vid_s)
                 ids = sorted(map(int, toks))
                 seen = set(ids)
-                if (vid <= MASK64 and vid not in defined and vid not in seen
+                if (vid <= MASK64 and vid not in seen
                         and len(seen) == len(ids)
                         and (not ids or ids[-1] <= MASK64)):
-                    defined.add(vid)
                     vids.append(vid)
                     labels.append(label or None)
                     rows.append(ids)
                     continue
         slow.append((lineno, line, len(vids)))
-    missing = set(chain.from_iterable(rows))
-    missing -= defined
+    defined = set(vids)
+    missing = {nb for row in rows for nb in row if nb not in defined}
     return vids, labels, rows, slow, sorted(missing)
 
 

@@ -22,7 +22,6 @@ SRC = str(Path(submine.__file__).resolve().parent.parent)
     ("bench_gmatch.py", ["--repeat", "1"]),
     ("bench_cliques.py", ["--repeat", "1"]),
     ("bench_queue.py", ["--repeat", "1"]),
-    ("bench_load.py", ["--repeat", "1", "--sizes", "50000:250000"]),
 ])
 def test_bench_script_runs(script, args):
     env = dict(os.environ)

@@ -379,10 +379,9 @@ def _reference_load(path):
     vertices or the error message, and how many of the lines read up to
     there read_graph must hand to parse_vertex_line: every line that
     fails, and every valid one the bulk parse does not take (one with a
-    `:`, an id spelled other than in ASCII digits, or the id of an
-    earlier line it took)."""
+    `:`, an id spelled other than in ASCII digits, or a character that
+    is not ASCII in its neighbor field)."""
     vertices = {}
-    bulk_ids = set()
     slow = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -393,10 +392,8 @@ def _reference_load(path):
             except GraphParseError as e:
                 return f"{path}: {e}", slow + 1
             vid_s, _, nbs_s = line.rstrip("\n").split("\t")
-            if (all(map(_ASCII_DIGITS.fullmatch, [vid_s, *nbs_s.split()]))
-                    and v.id not in bulk_ids):
-                bulk_ids.add(v.id)
-            else:
+            if not (nbs_s.isascii() and all(
+                    map(_ASCII_DIGITS.fullmatch, [vid_s, *nbs_s.split()]))):
                 slow += 1
             if v.id in vertices:
                 return (f"{path}: line {lineno}: duplicate vertex id {v.id}",
@@ -548,6 +545,22 @@ def test_read_graph_matches_line_by_line_on_both_backends(tmp_path, id_parser):
             _assert_reads_line_by_line(path)
 
 
+def test_read_graph_reads_in_pieces_of_whole_lines(tmp_path, monkeypatch,
+                                                  id_parser):
+    # pieces of a few characters end inside lines and between the \r and
+    # the \n of a CRLF; readline() finishes each line
+    monkeypatch.setattr(graph_module, "PIECE_CHARS", 3)
+    texts = {f"model{i}": "".join(format_vertex_line(g[vid]) + "\n"
+                                  for vid in g.ids())
+             for i, g in enumerate(model_graphs()[1:4])}
+    texts.update({
+        "odd": _ODD_GRAPH + "60\t\u00e9\t9 \u0667\n",
+        "error": "1\t\t2\n2\t\t1\n\n1\tx\t2\n"})
+    for name, text in texts.items():
+        for path in _write_with_eols(tmp_path, name, text):
+            _assert_reads_line_by_line(path)
+
+
 @pytest.mark.parametrize("text", [
     *(f"1\t\t2\n2\t\t1\n{line}\n3\t\t1\n" for line, _ in _PARSE_ERRORS),
     "1\t\t2\n2\t\t1\n1\t\t2\n",           # a repeated id, both bulk
@@ -561,7 +574,7 @@ def test_read_graph_matches_line_by_line_on_both_backends(tmp_path, id_parser):
     "1\t\t2:a 9\n2\t\t1\n",                # from a parse_vertex_line line
     "# c\n\n2\t\t1:x\n1\t\t2 9\n",          # named by its line
     "2\t\t1 8\n1\t\t2:a 9\n",               # the first in file order
-    "1\t\u00e9\t2 9\n2\t\t1\n",              # text for the pure twin
+    "1\t\u00e9\t2 9\n2\t\t1\n",              # text that is not ASCII
     "1\t\t2\n2\t\t1 \u0663\n",
 ])
 def test_read_graph_errors_match_line_by_line(tmp_path, id_parser, text):
@@ -573,12 +586,16 @@ def test_read_graph_rejects_non_utf8_before_parsing(tmp_path, id_parser):
     path = tmp_path / "bad.graph"
     path.write_bytes(b"1\t\t2\n2\t\xff\t1\n")
     _assert_reads_line_by_line(path)
-    # the whole text is decoded before any line is parsed, so a file that
-    # is not UTF-8 reads as such even when an earlier line is bad
-    path.write_bytes(b"zzz\t\t1\n\xc3")
-    with pytest.raises(GraphParseError) as e:
-        read_graph(path)
-    assert str(e.value) == f"{path}: not UTF-8 text: unexpected end of data"
+    # no line's error is raised before the whole text has decoded, so a
+    # file that is not UTF-8 reads as such even when an earlier line, in
+    # the same piece of text or in an earlier one, is bad
+    filler = "".join(f"{i}\t\t\n" for i in range(10, 20_000)).encode()
+    for data in (b"zzz\t\t1\n\xc3", b"zzz\t\t1\n" + filler + b"\xc3"):
+        path.write_bytes(data)
+        with pytest.raises(GraphParseError) as e:
+            read_graph(path)
+        assert str(e.value) == (
+            f"{path}: not UTF-8 text: unexpected end of data")
 
 
 def test_read_graph_shares_id_objects(tmp_path, monkeypatch, compiled):

@@ -541,6 +541,8 @@ _PARSE_TEXTS = [
     "7\t\t\n8\tq\t  \n",                              # empty neighbor fields
     "1\ta label\t2\x0b3\x1c 4\x1f\x0c5\n",               # ASCII whitespace
     "1\t\u00e9\t2 3\n2\t\t\u0663\n3\t\t1\u20032\n",        # not ASCII
+    "\u00a0\n \u3000\t\n\x85\n1\t\u2028\U0001f600\t2\n\u00e9\n",  # blank or not
+    "2\t\u00e9\t1\n1\t\t\u00a02\n1\t\t2\x85\n",
     f"{2**64}\t\t1\n+5\t\t1\n 5\t\t1\n5_0\t\t1\n5 \t\t1\n",  # slow ids
     f"1\t\t{2**64}\n1\t\t+5\n1\t\t5_0\n1\t\t-5\n1\t\t2:a 3\n",  # slow nbs
     "1\t\t1\n1\t\t2 2\n1\tx\n1\tx\ty\tz\n1\t\t2\n01\t\t2\n1\t\t3\n",
@@ -567,43 +569,66 @@ def _random_parse_text(rng):
     return "\n".join(lines) + rng.choice(["", "\n"])
 
 
+def _pieces(rng, text):
+    """text cut at random line ends, each piece keeping its "\n"."""
+    cuts = [i + 1 for i, ch in enumerate(text) if ch == "\n"
+            and rng.random() < 0.3]
+    return [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
+
+
 def test_parse_id_lines_backend_parity(pairs):
     rng = random.Random(41)
     texts = _model_texts() + _PARSE_TEXTS
     texts += [_random_parse_text(rng) for _ in range(400)]
     outcomes = set()
     for text in texts:
-        want = pure.parse_id_lines(text)
-        got = pairs.parse_id_lines(text)
+        want = pure.parse_id_lines([text])
+        got = pairs.parse_id_lines([text])
         assert got == want, text
+        # the lines and their numbers do not depend on where the pieces end
+        pieces = _pieces(rng, text)
+        assert pure.parse_id_lines(pieces) == want, pieces
+        assert pairs.parse_id_lines(iter(pieces)) == want, pieces
         vids, labels, rows, slow, missing = got
         outcomes.add((bool(vids), bool(slow), bool(missing)))
-        if text.isascii():
-            # one int object per distinct id, and rows the collector
-            # does not walk: they hold nothing but ints
-            seen = {}
-            for x in chain(vids, chain.from_iterable(rows), missing):
-                assert seen.setdefault(x, x) is x
-            assert not any(map(gc.is_tracked, rows))
+        # one int object per distinct id, and rows the collector does
+        # not walk: they hold nothing but ints
+        seen = {}
+        for x in chain(vids, chain.from_iterable(rows), missing):
+            assert seen.setdefault(x, x) is x
+        assert not any(map(gc.is_tracked, rows))
     # rows, slow lines and missing ids each present and absent (missing
     # ids come only from rows)
     assert len(outcomes) == 6, outcomes
 
 
 def test_parse_id_lines_reports_each_part(pairs):
-    for label in ("e", "\u00e9"):  # ASCII, and text for the pure twin
+    for label in ("e", "\u00e9"):  # ASCII text, and text that is not
         text = ("# c\n5\tlab el\t9 2\n\n2\t\t5 3\n9\t\t5:x\n5\t\t2\n"
                 f"3\t{label}\t\n")
         for parse in (pure.parse_id_lines, pairs.parse_id_lines):
-            assert parse(text) == (
-                [5, 2, 3], ["lab el", None, label], [[2, 9], [3, 5], []],
-                [(5, "9\t\t5:x", 2), (6, "5\t\t2", 2)], [9])
+            # a repeated id is still a row: read_graph rejects it
+            assert parse([text]) == (
+                [5, 2, 5, 3], ["lab el", None, None, label],
+                [[2, 9], [3, 5], [2], []], [(5, "9\t\t5:x", 2)], [9])
+
+
+def test_parse_id_lines_takes_pieces_not_a_str(pairs):
+    for parse in (pure.parse_id_lines, pairs.parse_id_lines):
+        assert parse([]) == parse([""]) == ([], [], [], [], [])
+        assert parse(["1\t\t2", "2\t\t1\n", "\n3\t\t4"]) == (
+            [1, 2, 3], [None] * 3, [[2], [1], [4]], [], [4])
+        for bad in ("1\t\t2\n", [b"1\t\t2\n"], ["1\t\t2\n", None], 5):
+            with pytest.raises(TypeError):
+                parse(bad)
 
 
 def test_parse_id_lines_frees_what_it_does_not_return(pairs):
     # rows of 100 ids above the small-int cache, so a leaked reference
     # keeps new int objects alive; lines that fail after the neighbor
-    # buffer has grown; a text that goes to the pure twin; bad arguments
+    # buffer has grown; text that is not ASCII, with a line that is
+    # blank only as str.isspace() sees it; bad arguments, and a read that
+    # fails after its first piece
     big = 2**40
     rows = [f"{big + i}\t\t" + " ".join(str(big + j) for j in range(100)
                                           if j != i) for i in range(3)]
@@ -612,19 +637,25 @@ def test_parse_id_lines_frees_what_it_does_not_return(pairs):
              "\n".join(rows + [rows[1] + f" {big}:a"]),
              "\n".join(rows + [rows[2] + f" {2**64}"]),
              "\n".join(rows + [rows[2] + f" {big + 2}"]),  # a self-loop
-             "\n".join(rows + ["1\t\u00e9\t2"])]
+             "\n".join(rows + ["1\t\u00e9\t2", "\u00a0 ", "\u00e9"])]
+
+    def failing_read():
+        yield texts[0] + "\n"
+        raise ValueError("read failed")
 
     def run(times):
         for _ in range(times):
             for text in texts:
-                pairs.parse_id_lines(text)
-            for bad in (texts[0].encode(), None, 5):
+                pairs.parse_id_lines([text])
+            for bad in (texts[0], [texts[0].encode()], None, 5,
+                        [texts[0] + "\n", 5], ["1\t\t2\n\ud800"],
+                        failing_read()):
                 try:
                     pairs.parse_id_lines(bad)
-                except TypeError:
+                except (TypeError, UnicodeEncodeError, ValueError):
                     pass
                 else:
-                    raise AssertionError("expected a TypeError")
+                    raise AssertionError("expected an error")
 
     tracemalloc.start()
     try:

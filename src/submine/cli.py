@@ -161,14 +161,11 @@ def _write_metrics(path, result):
                 fh.write(f"w{wid}.{key}\t{m[key]}\n")
 
 
-def _write_results(outdir, result, workers):
-    per_worker = {w: [] for w in range(workers)}
-    for wid, _seed, line in result.emitted:
-        per_worker[wid].append(line)
-    for wid in range(workers):
+def _write_results(outdir, result):
+    for wid, lines in enumerate(result.lines):
         path = os.path.join(outdir, f"results-w{wid}.txt")
         with open(path, "w", encoding="utf-8") as fh:
-            for line in per_worker[wid]:
+            for line in lines:
                 fh.write(line + "\n")
 
 
@@ -191,7 +188,7 @@ def cmd_run(args):
     os.makedirs(outdir, exist_ok=True)
     _write_manifest(os.path.join(outdir, "manifest.txt"), args, eff, input_sha)
     _write_metrics(os.path.join(outdir, "metrics.txt"), result)
-    _write_results(outdir, result, cfg.workers)
+    _write_results(outdir, result)
     if args.trace and result.traces is not None:
         for wid, tr in enumerate(result.traces):
             with open(os.path.join(outdir, f"trace-w{wid}.txt"), "w",

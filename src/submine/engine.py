@@ -240,6 +240,10 @@ class _RespStats:
 
 
 class Worker:
+    """One worker: a partition's table, cache and task queue, and the
+    compute loop over them (`run`).  Each emitted line is held once, in
+    `lines`, with its task's seed id at the same index of `line_seeds`."""
+
     def __init__(self, wid, cfg, app, table, transport, agg, stop, seeds,
                  workdir):
         self.wid = wid
@@ -266,7 +270,8 @@ class Worker:
         # its spill files say ell 0).
         self.minhash_seeds = seeds if cfg.queue_kind == "lsh" else None
         self.local_value = app.aggregator.zero() if app.aggregator else None
-        self.emitted = []
+        self.lines = []
+        self.line_seeds = []
         self.resp_stats = _RespStats()
         self.round_no = 0
         self.metrics = {k: 0 for k in _METRIC_KEYS}
@@ -338,7 +343,8 @@ class Worker:
         return t
 
     def _emit(self, seed_id, line):
-        self.emitted.append((seed_id, line))
+        self.lines.append(line)
+        self.line_seeds.append(seed_id)
 
     def _aggregate(self, value):
         if self.app.aggregator is None:
@@ -602,16 +608,25 @@ def _responder_loop(wid, table, app, transport, fail, stats):
 
 @dataclass
 class JobResult:
+    """A finished job.  `lines` and `line_seeds` are the workers' own
+    lists, not copies; `emitted` and `result_lines()` derive from them."""
     aggregate: object
-    emitted: list          # (worker, seed_id, line)
+    lines: list            # per worker: its emitted lines, in emit order
+    line_seeds: list       # per worker: the seed id of each of its lines
     metrics: dict          # summed over workers
     per_worker: list       # one metrics dict per worker
     traces: Optional[list] # per-worker event lists when collect_trace
     elapsed: float
     config: RunConfig
 
+    @property
+    def emitted(self):
+        """Every line as a (worker, seed_id, line) triple, in emit order."""
+        return [(wid, seed, line) for wid, seeds in enumerate(self.line_seeds)
+                for seed, line in zip(seeds, self.lines[wid])]
+
     def result_lines(self):
-        return [line for _w, _s, line in self.emitted]
+        return [line for lines in self.lines for line in lines]
 
     def cache_hit_rate(self):
         h = self.metrics["cache_hits"]
@@ -700,12 +715,10 @@ def run_job(cfg: RunConfig, app: AppSpec, graph: Graph) -> JobResult:
                 f"exactly-once violated: {created} tasks created, "
                 f"{totals['tasks_completed']} completed"
             )
-        emitted = [
-            (w.wid, seed, line) for w in workers for seed, line in w.emitted
-        ]
         return JobResult(
             aggregate=agg.snapshot() if agg else None,
-            emitted=emitted,
+            lines=[w.lines for w in workers],
+            line_seeds=[w.line_seeds for w in workers],
             metrics=totals,
             per_worker=per_worker,
             traces=[w.trace for w in workers] if cfg.collect_trace else None,

@@ -22,6 +22,8 @@ SRC = str(Path(submine.__file__).resolve().parent.parent)
     ("bench_gmatch.py", ["--repeat", "1"]),
     ("bench_cliques.py", ["--repeat", "1"]),
     ("bench_queue.py", ["--repeat", "1"]),
+    ("bench_load.py", ["--sizes", "50000:250000", "--repeat", "1"]),
+    ("bench_results.py", ["--sizes", "5000:25000", "--repeat", "1"]),
 ])
 def test_bench_script_runs(script, args):
     env = dict(os.environ)

@@ -9,7 +9,8 @@ import pytest
 
 from submine import __version__
 from submine.cli import main
-from submine.engine import RunConfig
+from submine.apps import make_app
+from submine.engine import RunConfig, run_job
 from submine.gen import complete_graph, fig4_data_graph, gnp_graph
 from submine.graph import check_undirected, read_graph, write_graph
 
@@ -80,6 +81,27 @@ def test_run_emit_triangles_results_files(tmp_path, capsys):
     for w in range(3):
         lines += _read(out / f"results-w{w}.txt").splitlines()
     assert sorted(lines) == ["1 2 3", "1 2 4", "1 3 4", "2 3 4"]
+
+
+def test_run_results_files_are_each_workers_lines_in_emit_order(
+        tmp_path, capsys):
+    g = gnp_graph(150, 0.08, seed=3)
+    data = tmp_path / "g.graph"
+    write_graph(g, data)
+    out = tmp_path / "out"
+    rc = main(["run", "--app", "maximalcliques", "--input", str(data),
+               "--workers", "3", "--cache-capacity", "30",
+               "--buffer-capacity", "16", "--file-capacity", "4",
+               "--outdir", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    res = run_job(RunConfig(workers=3, cache_capacity=30, buffer_capacity=16,
+                            file_capacity=4),
+                  make_app("maximalcliques"), graph=g)
+    assert all(res.lines)  # every worker emitted
+    for k in range(3):
+        assert _read(out / f"results-w{k}.txt").splitlines() == [
+            line for w, _s, line in res.emitted if w == k]
 
 
 def test_run_metrics_file(tmp_path, capsys):

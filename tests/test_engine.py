@@ -1,12 +1,15 @@
 """Worker runtime: rounds, pulls, dedup, overflow, children, errors,
 aggregation, termination, determinism."""
 
+import gc
 import hashlib
 import os
 import pickle
+import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -806,6 +809,27 @@ def test_emitted_attribution_matches_partition():
     for wid, seed_id, line in res.emitted:
         assert partition_owner(seed_id, 4) == wid
         assert int(line.split()[0]) == seed_id
+
+
+def test_finished_job_holds_each_line_once():
+    # The JobResult holds each worker's list of lines and its parallel
+    # list of seed ids as they are, so beyond its string a line costs
+    # about two list slots (16 B plus over-allocation).
+    g = gnp_graph(400, 0.12, seed=1)
+    app = make_app("triangle", emit_triangles=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run_job(RunConfig(workers=2), app, graph=g)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    lines = res.result_lines()
+    assert len(lines) == res.aggregate > 10_000
+    extra = held - sum(map(sys.getsizeof, lines))
+    assert extra / len(lines) < 32
 
 
 def test_workdir_is_kept_when_asked(tmp_path):

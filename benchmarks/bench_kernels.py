@@ -4,10 +4,8 @@
 Times the hot kernels on generated workloads, checks that both backends
 return identical answers while doing so, and prints a table.  The
 compiled column times what the package calls (`submine.kernels` with its
-compiled backend: _pairs for count_closing_pairs and edges_symmetric,
-_cliques for the clique kernels, _hash for minhash_signature and
-mix64).  Runs fine without the extensions built (compiled column shows
-"-").
+compiled backend, every kernel from the one module _compiled).  Runs
+fine without the extension built (compiled column shows "-").
 The last row times the clique apps' pure-Python bit readout on a wide
 mask; it has no compiled twin.
 

@@ -67,6 +67,7 @@ from fractions import Fraction
 
 from ..engine import SUM_AGGREGATOR, AppSpec, Task
 from ..graph import larger_neighbor_ids
+from .cliques import _bits, _ego_rows
 
 
 def _as_fraction(gamma):
@@ -176,21 +177,12 @@ def quasi_clique_app(gamma, min_size) -> AppSpec:
         g = task.subgraph
         universe = g.vertices_sorted()  # seed first: everything else is larger
         n = len(universe)
-        idx = {u: i for i, u in enumerate(universe)}
-        rows = [0] * n
-        for u, nbrs in g.adj.items():
-            r = 0
-            for w in nbrs:
-                r |= 1 << idx[w]
-            rows[idx[u]] = r
+        rows = _ego_rows(universe, g.adj.items())
         rows2 = []    # vertices within 2 hops
         for r in rows:
             r2 = r
-            rest = r
-            while rest:
-                bit = rest & -rest
-                r2 |= rows[bit.bit_length() - 1]
-                rest ^= bit
+            for b in _bits(r):
+                r2 |= rows[b]
             rows2.append(r2)
         thr = [threshold(k) for k in range(max(n, min_size) + 2)]
         found = 0

@@ -2,7 +2,7 @@
 hashes behind partitioning and MinHash keys, the load's bulk parse and
 symmetry check, and the search kernels.
 
-These are the import-time fallback when the compiled extensions are
+These are the import-time fallback when the compiled extension is
 not available.  Both backends implement the same algorithms (the clique
 kernels with the same visit order and tie-breaking), so their outputs
 are bit-identical; the test suite checks the two against each other on
@@ -10,7 +10,7 @@ random inputs.
 
 The clique kernels take an ego net as bitmasks: `rows[i]` is an int
 whose bit j is set iff vertices i and j are adjacent.  The compiled
-twins in _cliques.c copy each mask into an array of 64-bit words and
+twins in _compiled.c copy each mask into an array of 64-bit words and
 run the same search over those.
 """
 

@@ -7,7 +7,7 @@ so sorting tasks by key places tasks that want the same vertices next to
 each other -- that is the whole locality story of the disk queue.
 
 Signature k is the minimum of mix64(v ^ seeds[k]) over the pull ids v.
-`minhash_signature` is the kernels backend's: hand-written C (_hash.c)
+`minhash_signature` is the kernels backend's: hand-written C (_compiled.c)
 when the compiled kernels are built, else the pure twin in
 kernels.pure, which gives the same tuples bit for bit.
 

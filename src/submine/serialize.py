@@ -265,6 +265,11 @@ def decode_task(data: bytes) -> TaskWire:
 # -- records and spill files -----------------------------------------------
 
 
+class TaskRecord(NamedTuple):
+    key: TaskKey
+    payload: bytes
+
+
 def _record_struct(ell):
     return struct.Struct(f"<H{ell + 1}QI")
 
@@ -297,7 +302,7 @@ def _records_at(data, off, ell, count):
             raise CorruptData(f"record carries {f[0]} signatures, expected {ell}")
         off = end + f[-1]
         _need(data, off)
-        out.append((TaskKey(f[1:-2], f[-2]), data[end:off]))
+        out.append(TaskRecord(TaskKey(f[1:-2], f[-2]), data[end:off]))
     return out, off
 
 

@@ -33,16 +33,11 @@ from collections import deque
 from typing import NamedTuple
 
 from .minhash import TaskKey
-from .serialize import CorruptData, decode_file, encode_file
+from .serialize import CorruptData, TaskRecord, decode_file, encode_file
 
 
 class QueueInvariantError(RuntimeError):
     pass
-
-
-class TaskRecord(NamedTuple):
-    key: TaskKey
-    payload: bytes
 
 
 class FileMeta(NamedTuple):
@@ -230,17 +225,17 @@ class TaskQueue:
     def _load(self, meta, count=True, delete=True):
         data = self.storage.read(meta.name, count=count)
         try:
-            _, _, raw = decode_file(data)
+            _, _, records = decode_file(data)
         except CorruptData as e:
             path = os.path.join(self.storage.dir, meta.name)
             raise CorruptData(f"spill file {path}: {e}") from e
-        if len(raw) != meta.count:
+        if len(records) != meta.count:
             raise QueueInvariantError(
-                f"{meta.name}: holds {len(raw)} records, index says {meta.count}"
+                f"{meta.name}: holds {len(records)} records, index says {meta.count}"
             )
         if delete:
             self.storage.delete(meta.name)
-        return [TaskRecord(k, p) for k, p in raw]
+        return records
 
     def check_invariants(self, deep=False):
         """Buffer bounds, each file's size and key range (and with `deep`

@@ -4,8 +4,8 @@ The acceptance tests record one verdict line per criterion here; the
 terminal-summary hook replays them after capture ends so the verdicts
 are visible in every run, not just on failure.
 
-The `compiled` fixture hands the kernel tests the compiled modules,
-building them from their C files when they are not built in place.
+The `compiled` fixture hands the kernel tests the compiled module,
+building it from its C file when it is not built in place.
 """
 
 import importlib
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-EXTENSIONS = ("_cliques", "_pairs", "_hash")
+EXTENSION = "submine.kernels._compiled"
 ACCEPTANCE_VERDICTS = []
 
 
@@ -39,11 +39,9 @@ def _c_compiler():
 
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
-    """The compiled kernel modules by name, built from their C files if
-    need be."""
+    """The compiled kernel module, built from its C file if need be."""
     try:
-        return {name: importlib.import_module("submine.kernels." + name)
-                for name in EXTENSIONS}
+        return importlib.import_module(EXTENSION)
     except ImportError:
         pass
     if _c_compiler() is None:
@@ -54,16 +52,13 @@ def compiled(tmp_path_factory):
          "--build-temp", str(out / "temp")],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    mods = {}
-    for name in EXTENSIONS:
-        built = list((out / "submine" / "kernels").glob(name + "*" + suffix))
-        if build.returncode != 0 or not built:
-            # setup.py marks the extensions optional, so a failed compile
-            # still exits 0: the missing module is the signal
-            pytest.fail(f"building {name} failed:\n" + build.stdout
-                        + build.stderr)
-        spec = importlib.util.spec_from_file_location(
-            "submine.kernels." + name, built[0])
-        mods[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mods[name])
-    return mods
+    built = list((out / "submine" / "kernels").glob("_compiled*" + suffix))
+    if build.returncode != 0 or not built:
+        # setup.py marks the extension optional, so a failed compile
+        # still exits 0: the missing module is the signal
+        pytest.fail("building _compiled failed:\n" + build.stdout
+                    + build.stderr)
+    spec = importlib.util.spec_from_file_location(EXTENSION, built[0])
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod

@@ -45,6 +45,7 @@ from submine.graph import (
 from submine.apps import make_app
 from submine.kernels import pure
 from submine.serialize import decode_file
+from submine.store import VertexCache
 
 from testkit import assert_cache_bound, assert_dedup
 
@@ -344,6 +345,37 @@ def test_eviction_sequence_is_unchanged():
     m = res.metrics
     assert (m["cache_hits"], m["cache_misses"], m["cache_evictions"]) == (
         136, 158, 118)
+
+
+def test_each_cache_is_used_only_by_its_workers_compute_thread(monkeypatch):
+    # store.py's VertexCache takes its lock for map mutations but relies
+    # on one thread, its worker's compute thread, for everything else:
+    # a responder or a peer's thread touching it would break that.
+    seen = {}
+    lock = threading.Lock()
+
+    def watch(name):
+        real = getattr(VertexCache, name)
+
+        def wrapper(self, *args, **kwargs):
+            with lock:
+                seen.setdefault(id(self), set()).add(
+                    threading.current_thread().name)
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(VertexCache, name, wrapper)
+
+    for name in ("reserve", "insert_pulled", "unpin_batch", "get",
+                 "has_data", "enter_overflow", "exit_overflow"):
+        watch(name)
+    res = run_job(RunConfig(workers=3, cache_capacity=5),
+                  make_app("triangle"), graph=gnp_graph(120, 0.1, seed=1))
+    assert res.aggregate == 289
+    assert res.metrics["cache_evictions"] > 0
+    assert res.metrics["overflow_episodes"] > 0
+    assert len(seen) == 3
+    threads = [names.pop() for names in seen.values() if len(names) == 1]
+    assert len(threads) == 3, seen
+    assert sorted(threads) == ["worker-0", "worker-1", "worker-2"]
 
 
 @pytest.mark.parametrize("queue_kind,ell", [("stream", 0), ("lsh", 4)])

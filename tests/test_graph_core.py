@@ -459,7 +459,7 @@ def id_parser(request, monkeypatch):
     """read_graph with the bulk parse of one backend."""
     kernel = pure_kernels.parse_id_lines
     if request.param == "compiled":
-        kernel = request.getfixturevalue("compiled")["_pairs"].parse_id_lines
+        kernel = request.getfixturevalue("compiled").parse_id_lines
     monkeypatch.setattr(graph_module, "parse_id_lines", kernel)
     return request.param
 
@@ -600,7 +600,7 @@ def test_read_graph_rejects_non_utf8_before_parsing(tmp_path, id_parser):
 
 def test_read_graph_shares_id_objects(tmp_path, monkeypatch, compiled):
     monkeypatch.setattr(graph_module, "parse_id_lines",
-                        compiled["_pairs"].parse_id_lines)
+                        compiled.parse_id_lines)
     for i, g in enumerate(model_graphs()):
         path = tmp_path / f"g{i}.txt"
         write_graph(g, path)
@@ -669,7 +669,7 @@ def symmetry_kernel(request, monkeypatch):
     if request.param == "pure":
         kernel = pure_kernels.edges_symmetric
     else:
-        kernel = request.getfixturevalue("compiled")["_pairs"].edges_symmetric
+        kernel = request.getfixturevalue("compiled").edges_symmetric
     monkeypatch.setattr(graph_module, "edges_symmetric", kernel)
     return kernel
 

@@ -1,9 +1,9 @@
 """Search kernels: pure vs compiled parity, oracle checks, backend wiring.
 
-The parity tests run against the compiled modules whether or not they
-are built in place: the `compiled` fixture (conftest.py) builds every
-extension from its shipped C file into a temp dir when they are not
-importable, and skips only when no C compiler is found.
+The parity tests run against the compiled module whether or not it is
+built in place: the `compiled` fixture (conftest.py) builds it from its
+shipped C file into a temp dir when it is not importable, and skips only
+when no C compiler is found.
 """
 
 import gc
@@ -18,7 +18,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from conftest import EXTENSIONS, _c_compiler
+from conftest import _c_compiler
 from testkit import model_graphs
 
 import submine.engine
@@ -32,17 +32,17 @@ KERNELS_DIR = Path(kernels.__file__).parent
 
 @pytest.fixture(scope="module")
 def cliques(compiled):
-    return compiled["_cliques"]
+    return compiled
 
 
 @pytest.fixture(scope="module")
 def pairs(compiled):
-    return compiled["_pairs"]
+    return compiled
 
 
 @pytest.fixture(scope="module")
 def hashes(compiled):
-    return compiled["_hash"]
+    return compiled
 
 
 def _random_rows(rng, n, p):
@@ -75,20 +75,13 @@ def _is_clique(rows, members):
 
 def test_backend_matches_built_extension():
     here = os.listdir(os.path.dirname(kernels.__file__))
-    built = all(any(f.startswith(name) and f.endswith(".so") for f in here)
-                for name in EXTENSIONS)
+    built = any(f.startswith("_compiled") and f.endswith(".so") for f in here)
     names = ("count_closing_pairs", "edges_symmetric", "parse_id_lines",
              "minhash_signature", "mix64", "max_clique", "maximal_cliques")
     bound = [getattr(kernels, name) for name in names]
     if built and os.environ.get("SUBMINE_PURE_KERNELS") != "1":
         assert kernels.BACKEND == "compiled"
-        assert bound == [kernels._pairs.count_closing_pairs,
-                         kernels._pairs.edges_symmetric,
-                         kernels._pairs.parse_id_lines,
-                         kernels._hash.minhash_signature,
-                         kernels._hash.mix64,
-                         kernels._cliques.max_clique,
-                         kernels._cliques.maximal_cliques]
+        assert bound == [getattr(kernels._compiled, name) for name in names]
     else:
         assert kernels.BACKEND == "pure"
         assert bound == [getattr(pure, name) for name in names]
@@ -110,18 +103,18 @@ def test_env_var_forces_pure_backend():
 
 
 def test_hand_written_c_is_warning_clean():
-    # setup.py builds the extensions with optional=True, so a C file that
+    # setup.py builds the extension with optional=True, so a C file that
     # stops compiling would quietly switch every kernel to pure
     cc = _c_compiler()
     include = sysconfig.get_paths()["include"]
     if cc is None or not os.path.exists(os.path.join(include, "Python.h")):
         pytest.skip("no C compiler or Python headers found")
-    for name in EXTENSIONS:
-        out = subprocess.run(
-            [cc, "-Wall", "-Werror", "-fsyntax-only", "-I" + include,
-             str(KERNELS_DIR / (name + ".c"))],
-            capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, name + ".c:\n" + out.stderr
+    assert [p.name for p in KERNELS_DIR.glob("*.c")] == ["_compiled.c"]
+    out = subprocess.run(
+        [cc, "-Wall", "-Werror", "-fsyntax-only", "-I" + include,
+         str(KERNELS_DIR / "_compiled.c")],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, "_compiled.c:\n" + out.stderr
 
 
 # -- count_closing_pairs --------------------------------------------------------

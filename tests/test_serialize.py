@@ -16,6 +16,7 @@ from submine.graph import (
 from submine.minhash import TaskKey
 from submine.serialize import (
     CorruptData,
+    TaskRecord,
     TaskWire,
     decode_file,
     decode_task,
@@ -131,11 +132,12 @@ def test_record_and_file_round_trip():
     records = []
     for i in range(37):
         key = TaskKey(tuple(rng.randrange(2**64) for _ in range(4)), i)
-        records.append((key, bytes([i]) * rng.randint(0, 9)))
+        records.append(TaskRecord(key, bytes([i]) * rng.randint(0, 9)))
     blob = encode_file(16, records)
     cap, ell, back = decode_file(blob)
     assert cap == 16 and ell == 4
     assert back == records
+    assert all(type(r) is TaskRecord for r in back)
 
 
 def test_decode_file_rejects_garbage():

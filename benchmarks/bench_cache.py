@@ -3,7 +3,8 @@
 
 Drives a `VertexCache` the way a worker round does: fill the cache,
 then repeat rounds of reserve (one pull set per task: new ids plus ids
-the previous round used), fill the new slots, touch, unpin.  Every
+the previous round used), fill the new slots in one call, touch, and
+unpin the round's pull sets in one call.  Every
 reserve has to evict.  Prints microseconds per reserve and cache entries
 visited per reserve for each capacity; both should stay flat as the
 capacity grows.
@@ -56,9 +57,8 @@ def _run(cap, seed, count_visits):
     cache = VertexCache(cap)
     ids = range(cap)
     cache.reserve(ids)
-    for vid in ids:
-        cache.insert_pulled(Vertex(vid, None, []))
-    cache.unpin_batch(ids)
+    cache.insert_pulled([Vertex(vid, None, []) for vid in ids])
+    cache.unpin_batch([ids])
     if count_visits:
         cache._entries = _CountingDict(cache._entries)
     next_id = cap
@@ -83,15 +83,14 @@ def _run(cap, seed, count_visits):
                 visited += cache._entries.visited
             reserves += 1
             batch.append(need)
-        for need in batch:
-            for vid in need:
-                cache.insert_pulled(Vertex(vid, None, []))
+        cache.insert_pulled([Vertex(vid, None, []) for need in batch
+                             for vid in need])
         recent = []
         for need in batch:
             for vid in need:
                 cache.get(vid)
-            cache.unpin_batch(need)
             recent.extend(need)
+        cache.unpin_batch(batch)
     cache.assert_quiescent()
     return reserve_s, reserves, visited, cache.evictions - evicted
 

@@ -4,21 +4,29 @@ Each worker owns a partition of the vertex table, a disk-spilling task
 queue, and a bounded cache of remote vertices.  A task that lacks no
 vertex -- every id it pulls is local, or already filled in the cache --
 runs at once and never enters the queue; only a task that still needs a
-remote vertex is keyed, encoded and queued.  One test (`_ready`) decides
-this for a seed, for a child spawned by add_task, and for a task's next
-iteration.
+remote vertex is keyed and queued.  One test (`_ready`) decides this for
+a seed, for a child spawned by add_task, and for a task's next
+iteration.  A queued task stays a Python object; the queue encodes it
+only if it spills to a file, and only a task read back from a file is
+decoded.
 
-Seeding walks the local vertices in id order and computes each ready
-seed task on the spot, together with its ready children (a worklist, not
+Seeding is lazy, as in G-thinker: a cursor walks the local vertices in
+id order, and `seed_all` spawns seeds from it until the queue holds
+`buffer_capacity` (B) tasks or the cursor ends.  Ready seeds compute on
+the spot, together with their ready children (a worklist, not
 recursion); everything else, including what those tasks spawn or
-requeue, is handed to the queue in one bulk load.  Then the worker
-repeats three-step rounds until its queue drains:
+requeue, goes to the queue as one window.  So an `lsh` queue orders
+seeds by MinHash key within each window of B seeds, not across the
+whole seed load.  Then the worker repeats three-step rounds until the
+cursor has ended and its queue drains:
 
-1. task fetching -- pop tasks from the queue into the round batch until
-   the batch buffer is full or the cache cannot reserve a task's pull
-   set.  Reservation is all-or-nothing per task: the task that does not
-   fit waits for the next round (or, if it alone exceeds the whole cache,
-   runs as a singleton batch inside a cache overflow episode).
+1. task fetching -- first, if the queue holds fewer than B tasks and
+   the cursor has not ended, spawn the next window of seeds.  Then pop
+   tasks from the queue into the round batch until the batch buffer is
+   full or the cache cannot reserve a task's pull set.  Reservation is
+   all-or-nothing per task: the task that does not fit waits for the
+   next round (or, if it alone exceeds the whole cache, runs as a
+   singleton batch inside a cache overflow episode).
 2. vertex pulling -- one request per destination worker carrying the
    deduplicated id list of everything the batch needs but does not have;
    responses are decoded into the cache.  Within a round no vertex id is
@@ -31,19 +39,21 @@ repeats three-step rounds until its queue drains:
    the same round, the rest are queued.
 
 A worker whose tasks are all ready (every single-worker job whose apps
-pull only graph vertices) finishes inside seeding and runs no round.
+pull only graph vertices) finishes inside its first seeding window and
+runs no round.
 
 Workers exchange vertices only: a per-worker responder thread answers
 pull requests from the worker's local table (optionally through the
 app's respond hook, which may send a pruned copy), so computation never
 blocks remote requesters.  Aggregation is per-worker with an optional
 periodic sync that publishes local values and a merged global snapshot;
-each worker also publishes once when its seeding ends, and a final merge
-always runs at job end.  There is no global round barrier; a job ends
-when every worker's queue is empty and it carries no task into a next
-round, which the coordinating thread observes by joining the compute
-threads.  A worker checks the job's stop flag between tasks, so a peer's
-failure ends even a long seed phase within a task.
+each worker also publishes once when its seed cursor ends, and a final
+merge always runs at job end.  There is no global round barrier; a job
+ends when every worker's seed cursor has ended, its queue is empty and
+it carries no task into a next round, which the coordinating thread
+observes by joining the compute threads.  A worker checks the job's
+stop flag between tasks, so a peer's failure ends even a long seeding
+window within a task.
 """
 
 import operator
@@ -65,7 +75,7 @@ from .graph import (
 )
 from .minhash import TaskKey, check_ell, derive_seeds, minhash_signature
 from .serialize import TaskWire, decode_task, encode_task, encode_vertex, vertex_from_bytes
-from .store import VertexCache, VertexStore, check_cache_capacity
+from .store import CacheError, VertexCache, VertexStore, check_cache_capacity
 from .taskqueue import TaskQueue, TaskRecord, check_queue_capacities
 from .transport import SHUTDOWN, InProcTransport, PullResponse
 
@@ -177,7 +187,9 @@ class Task:
     subgraph).  pull() requests a vertex for the next iteration (local
     ids resolve without messaging; an id pulled twice arrives once, at
     its first place); add_task() spawns a child task that inherits this
-    task's seed attribution unless given its own.
+    task's seed attribution unless given its own.  A queued task is kept
+    as this object, not copied, until its queue spills it, so a child
+    must not share mutable state that its parent changes later.
     """
 
     __slots__ = (
@@ -263,6 +275,7 @@ class Worker:
             os.path.join(workdir, f"w{wid}", "queue"),
             file_capacity=cfg.file_capacity,
             buffer_capacity=cfg.buffer_capacity,
+            encode=self._encode,
         )
         # The queue takes no kind; the kind is only this key rule
         # (`_key_for`): a stream key carries no signature, just the
@@ -276,6 +289,8 @@ class Worker:
         self.round_no = 0
         self.metrics = {k: 0 for k in _METRIC_KEYS}
         self._seq = 0
+        # The local ids not seeded yet, in id order; None once it ends.
+        self._cursor = iter(sorted(table))
         self._carry = None
         self._last_sync = time.monotonic()
         self.err = None
@@ -316,7 +331,7 @@ class Worker:
 
     def _admit(self, task, ready, enqueue):
         """Normalize a new task; hand it to `ready` if it lacks no
-        vertex, else key and encode it for `enqueue`."""
+        vertex, else key it for `enqueue`."""
         self._normalize(task)
         if self._ready(task):
             self.metrics["tasks_local"] += 1
@@ -325,21 +340,26 @@ class Worker:
             enqueue(self._record(task))
 
     def _record(self, task) -> TaskRecord:
-        """Key the task by its current pull set and encode it for the queue."""
-        wire = TaskWire(
+        """Key the task by its current pull set for the queue, which
+        holds the task object itself until it spills."""
+        return TaskRecord(self._key_for(task), task)
+
+    def _encode(self, task) -> bytes:
+        """The queue's encode hook: a task's spill-file payload."""
+        return encode_task(TaskWire(
             task.seed_id, task.iteration, task.requested,
             self.app.encode_context(task.context), task.subgraph,
-        )
-        return TaskRecord(self._key_for(task), encode_task(wire))
+        ))
 
-    def _decode(self, rec: TaskRecord) -> Task:
-        """Rebuild a queued task; its pending set is derived again from
-        this worker's table, which encoded it."""
-        w = decode_task(rec.payload)
+    def _decode(self, payload: bytes) -> Task:
+        """Rebuild a task read back from a spill file.  Its pulls were
+        deduplicated before it was encoded, so only its pending set is
+        derived again, from this worker's table, which encoded it."""
+        w = decode_task(payload)
         t = Task(w.seed_id, self.app.decode_context(w.context), w.subgraph,
                  pulls=w.requested)
         t.iteration = w.iteration
-        self._normalize(t)
+        t.pending = frozenset(filterfalse(self.table.__contains__, t.requested))
         return t
 
     def _emit(self, seed_id, line):
@@ -359,19 +379,21 @@ class Worker:
     # -- the round loop ----------------------------------------------------
 
     def seed_all(self):
-        """Seed a task set from every local vertex, in id order.  Ready
-        tasks compute at once; the rest, with whatever those tasks spawn
-        or requeue, go to the queue in one bulk load."""
+        """Spawn one window of seeds from the cursor, in id order: until
+        the window holds the room the queue has left below B, or the
+        cursor ends.  Ready tasks compute at once; the rest, with
+        whatever those tasks spawn or requeue, go to the queue in one
+        bulk load.  When the cursor ends, publish and trace the seeding."""
+        room = self.cfg.buffer_capacity - len(self.queue)
         records = []
         enqueue = records.append
 
         def run_now(task):
             self._run_tasks([task], enqueue)
 
-        for vid in sorted(self.table):
-            v = self.table[vid]
+        for vid in self._cursor:
             try:
-                tasks = self.app.seed(v) or ()
+                tasks = self.app.seed(self.table[vid]) or ()
             except Exception as e:
                 raise ComputeError(
                     f"app {self.app.name!r} seed failed on vertex {vid} "
@@ -380,16 +402,23 @@ class Worker:
             for t in tasks:
                 self.metrics["tasks_seeded"] += 1
                 self._admit(t, run_now, enqueue)
+            if len(records) >= room:
+                break
+        else:
+            self._cursor = None
         self.queue.seed_bulk(records)
-        if self.agg is not None:
-            self.agg.publish(self.wid, self.local_value)
-        if self.trace is not None:
-            self.trace.append(("seeded", self.metrics["tasks_seeded"]))
+        if self._cursor is None:
+            if self.agg is not None:
+                self.agg.publish(self.wid, self.local_value)
+            if self.trace is not None:
+                self.trace.append(("seeded", self.metrics["tasks_seeded"]))
 
     def run(self):
         try:
-            self.seed_all()
+            b = self.cfg.buffer_capacity
             while not self.stop.is_set():
+                if self._cursor is not None and len(self.queue) < b:
+                    self.seed_all()
                 if not self.run_round():
                     break
             if self.agg is not None:
@@ -401,6 +430,7 @@ class Worker:
     def run_round(self):
         cache = self.cache
         batch = []
+        pinned = []  # the pull set each batched task pinned, if any
         to_request = set()
         overflow = False
 
@@ -412,7 +442,9 @@ class Worker:
                 rec = self.queue.fetch()
                 if rec is None:
                     break
-                task = self._decode(rec)
+                task = rec.payload
+                if task.__class__ is bytes:  # read back from a spill file
+                    task = self._decode(task)
             need = task.pending
             if need:
                 fresh = cache.reserve(need)
@@ -433,7 +465,8 @@ class Worker:
                     overflow = True
                 # Ids that already had a slot are filled or requested already.
                 to_request.update(fresh)
-            batch.append((task, need))
+                pinned.append(need)
+            batch.append(task)
             if overflow:
                 break
 
@@ -466,19 +499,17 @@ class Worker:
                         f"worker {self.wid} aborted awaiting pull responses"
                     )
                 continue
-            for blob in resp.blobs:
-                cache.insert_pulled(vertex_from_bytes(blob))
+            cache.insert_pulled(list(map(vertex_from_bytes, resp.blobs)))
             outstanding -= 1
             if self.trace is not None:
                 self.trace.append(("response", self.wid, resp.src, len(resp.blobs)))
 
         # Step 3: compute every batched task to completion or requeue.
-        self._run_tasks([task for task, _need in reversed(batch)],
-                        self.queue.enqueue)
+        batch.reverse()
+        self._run_tasks(batch, self.queue.enqueue)
 
-        for _task, need in batch:
-            if need:
-                cache.unpin_batch(need)
+        if pinned:
+            cache.unpin_batch(pinned)
         if overflow:
             cache.exit_overflow()
         self._maybe_sync()
@@ -487,7 +518,7 @@ class Worker:
     def _run_tasks(self, work, enqueue):
         """Run the tasks on the worklist `work`, last first.  Ready
         children join the list as their parents spawn them; what lacks a
-        vertex is keyed, encoded and passed to `enqueue`."""
+        vertex is keyed and passed to `enqueue`."""
         while work:
             if self.stop.is_set():
                 raise JobAborted(f"worker {self.wid} stopped by another failure")
@@ -498,7 +529,13 @@ class Worker:
         lacks a vertex.  Its ready children go on top of `work`, to run
         next in spawn order once it stops."""
         while True:
-            frontier = [self.store.resolve(vid) for vid in task.requested]
+            try:
+                frontier = self.store.resolve(task.requested)
+            except CacheError as e:
+                raise EngineError(
+                    f"worker {self.wid}, seed {task.seed_id}, iteration "
+                    f"{task.iteration}: {e}"
+                ) from e
             task._begin(self)
             try:
                 cont = self.app.compute(task, frontier)

@@ -42,6 +42,9 @@ class AdjItem(NamedTuple):
     attr: Optional[str] = None
 
 
+_new_object = object.__new__
+
+
 class Vertex:
     """A vertex: its id, its label and its adjacency, held as the sorted
     list of neighbor ids plus a parallel list of neighbor attributes.
@@ -66,23 +69,26 @@ class Vertex:
     __slots__ = ("id", "label", "_ids", "_attrs")
 
     def __init__(self, vid, label=None, adj=()):
-        self._set(vid, label, [a.nb for a in adj], [a.attr for a in adj])
+        self.id = vid
+        self.label = label
+        self._ids = [a.nb for a in adj]
+        attrs = [a.attr for a in adj]
+        self._attrs = None if attrs.count(None) == len(attrs) else attrs
 
     @classmethod
     def from_ids(cls, vid, label, ids, attrs=None):
         """A vertex from its sorted neighbor id list and, optionally, the
-        parallel attribute list (dropped when it holds only None)."""
-        v = cls.__new__(cls)
-        v._set(vid, label, ids, attrs)
-        return v
-
-    def _set(self, vid, label, ids, attrs):
-        self.id = vid
-        self.label = label
-        self._ids = ids
+        parallel attribute list (dropped when it holds only None).  It
+        runs for every loaded and every pulled vertex, so it sets the
+        slots itself rather than through a second call."""
+        v = _new_object(cls)
+        v.id = vid
+        v.label = label
+        v._ids = ids
         if attrs is not None and attrs.count(None) == len(attrs):
             attrs = None
-        self._attrs = attrs
+        v._attrs = attrs
+        return v
 
     @property
     def adj(self):

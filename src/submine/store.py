@@ -26,6 +26,9 @@ the victims and at most |ids| protected entries before it stops.
 
 import threading
 from collections import OrderedDict
+from operator import attrgetter
+
+_vertex_id = attrgetter("id")
 
 
 class CacheError(RuntimeError):
@@ -94,17 +97,16 @@ class VertexCache:
 
     # -- core ops ----------------------------------------------------------
 
-    def get(self, vid, count=True):
-        """Cached vertex or None; a filled hit refreshes recency."""
+    def get(self, vid):
+        """Cached vertex or None, counted as a hit or a miss; a filled hit
+        refreshes recency."""
         with self._lock:
             e = self._entries.get(vid)
             if e is None or e.vertex is None:
-                if count:
-                    self.misses += 1
+                self.misses += 1
                 return None
             self._entries.move_to_end(vid)
-            if count:
-                self.hits += 1
+            self.hits += 1
             return e.vertex
 
     def reserve(self, ids):
@@ -117,9 +119,9 @@ class VertexCache:
         in which case nothing was touched.
         """
         ids = set(ids)
-        for vid in ids:
-            if self._is_local(vid):
-                raise CacheError(f"reserve of locally-owned vertex {vid}")
+        if any(map(self._is_local, ids)):
+            vid = next(filter(self._is_local, ids))
+            raise CacheError(f"reserve of locally-owned vertex {vid}")
         with self._lock:
             new = [vid for vid in ids if vid not in self._entries]
             free = self.capacity - len(self._entries)
@@ -150,37 +152,61 @@ class VertexCache:
             self._note_peak()
             return new
 
-    def insert_pulled(self, v):
-        """Fill the reserved slot for v.id with the pulled vertex.
+    def insert_pulled(self, vertices):
+        """Fill the reserved slots of one response's pulled vertices, in
+        order, under one lock.
 
         Double insert of the same id is an idempotent no-op.  Inserting
         without a reservation, or inserting a locally-owned id, is a
         protocol error.
         """
-        if self._is_local(v.id):
+        if any(map(self._is_local, map(_vertex_id, vertices))):
+            v = next(v for v in vertices if self._is_local(v.id))
             raise CacheError(f"insert of locally-owned vertex {v.id}")
         with self._lock:
-            e = self._entries.get(v.id)
-            if e is None:
-                raise CacheError(f"insert of unreserved vertex {v.id}")
-            if e.vertex is not None:
-                return
-            e.vertex = v
-            if e.pins == 0:
-                self._n_evictable += 1
-            self._entries.move_to_end(v.id)
-            if self.trace:
-                self.trace(("cache_fill", v.id))
-
-    def unpin_batch(self, ids):
-        with self._lock:
-            for vid in set(ids):
-                e = self._entries.get(vid)
-                if e is None or e.pins <= 0:
-                    raise CacheError(f"unpin of unpinned vertex {vid}")
-                e.pins -= 1
-                if e.pins == 0 and e.vertex is not None:
+            entries = self._entries
+            for v in vertices:
+                vid = v.id
+                e = entries.get(vid)
+                if e is None:
+                    raise CacheError(f"insert of unreserved vertex {vid}")
+                if e.vertex is not None:
+                    continue
+                e.vertex = v
+                if e.pins == 0:
                     self._n_evictable += 1
+                entries.move_to_end(vid)
+                if self.trace:
+                    self.trace(("cache_fill", vid))
+
+    def unpin_batch(self, id_sets):
+        """Release one pin per id of each set in `id_sets`: each is the
+        set of distinct ids one task reserved."""
+        with self._lock:
+            entries = self._entries
+            for ids in id_sets:
+                for vid in ids:
+                    e = entries.get(vid)
+                    if e is None or e.pins <= 0:
+                        raise CacheError(f"unpin of unpinned vertex {vid}")
+                    e.pins -= 1
+                    if e.pins == 0 and e.vertex is not None:
+                        self._n_evictable += 1
+
+    def fill_frontier(self, ids, frontier):
+        """Replace each None in `frontier` by the cached vertex of the
+        id at the same place of `ids`, refreshing recency in that order;
+        a vertex not filled in the cache is an error."""
+        with self._lock:
+            entries = self._entries
+            for i, v in enumerate(frontier):
+                if v is None:
+                    vid = ids[i]
+                    e = entries.get(vid)
+                    if e is None or e.vertex is None:
+                        raise CacheError(f"frontier vertex {vid} not resident")
+                    entries.move_to_end(vid)
+                    frontier[i] = e.vertex
 
     # -- overflow episodes ---------------------------------------------------
 
@@ -273,13 +299,12 @@ class VertexStore:
         self.local = local_table
         self.cache = cache
 
-    def resolve(self, vid):
-        """Vertex by id, local table first; a miss is a hard error (used
-        for frontiers, whose ids are guaranteed resident by reservation)."""
-        v = self.local.get(vid)
-        if v is not None:
-            return v
-        v = self.cache.get(vid, count=False)
-        if v is None:
-            raise CacheError(f"frontier vertex {vid} not resident")
-        return v
+    def resolve(self, ids):
+        """The frontier of a task that pulled `ids`: each id's vertex,
+        local table first, then the cache, whose ids refresh recency in
+        pull order without counting a hit.  A miss is a hard error:
+        reservation guarantees a frontier's ids are resident."""
+        frontier = list(map(self.local.get, ids))
+        if not all(frontier):  # a Vertex is always true
+            self.cache.fill_frontier(ids, frontier)
+        return frontier

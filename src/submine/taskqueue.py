@@ -16,6 +16,14 @@ Every task carries a TaskKey, and the queue serves low keys first:
   lowest keys off the input heap, so draining n buffered tasks costs
   O(n log n); consumed files are deleted.
 
+A record's payload stays whatever the caller queued -- the engine
+queues the Task object itself -- until the record spills: only
+`_write_chain` encodes a payload, through the `encode` hook the queue
+was built with, and a payload that is bytes already (one read back from
+a file, or one queued as bytes) is written as it is.  A record read back
+from a file keeps its bytes payload; decoding it is the caller's job.
+So a task that never spills costs no encode and no decode.
+
 The queue takes no kind: the engine's key rule (`Worker._key_for`) makes
 the order.  `lsh` keys lead with the MinHash signature of a task's pull
 set, so tasks that pull similar sets are served together.  `stream` keys
@@ -95,11 +103,12 @@ class TaskQueue:
     """Key-ordered task queue with a b-tree-ish chain of spill files."""
 
     def __init__(self, dirpath, file_capacity=100, buffer_capacity=1000,
-                 storage=None):
+                 storage=None, encode=None):
         check_queue_capacities(file_capacity, buffer_capacity)
         self.file_capacity = file_capacity
         self.buffer_capacity = buffer_capacity
         self.storage = storage or QueueStorage(dirpath)
+        self._encode = encode  # payload -> bytes, for payloads not bytes yet
         self.enqueued_total = 0
         self.fetched_total = 0
         self.spill_count = 0
@@ -129,8 +138,9 @@ class TaskQueue:
             self.merge_spill()
 
     def seed_bulk(self, records):
-        """Bulk-load seed tasks: small loads stay in the input buffer and
-        never touch disk; a load larger than B spills in one merge."""
+        """Bulk-load a window of seed tasks: a window that leaves the
+        input buffer within B stays in memory and never touches disk; a
+        larger one spills in one merge."""
         self._in.extend(records)
         self.enqueued_total += len(records)
         if len(self._in) > self.buffer_capacity:
@@ -200,7 +210,8 @@ class TaskQueue:
         return (self.storage.files_read, self.storage.files_written)
 
     def _write_chain(self, records):
-        """Write sorted records as balanced files of at most C tasks.
+        """Write sorted records as balanced files of at most C tasks,
+        encoding each payload that is not bytes yet.
 
         With k = ceil(n / C) files the balanced sizes stay >= ceil(C/2)
         whenever k > 1, so splits never create underfull files; a single
@@ -212,12 +223,15 @@ class TaskQueue:
         metas = []
         base, extra = divmod(n, k)
         off = 0
+        encode = self._encode
         for j in range(k):
             size = base + (1 if j < extra else 0)
             chunk = records[off:off + size]
             self._file_seq += 1
             name = f"f{self._file_seq:08d}.tasks"
-            self.storage.write(name, encode_file(self.file_capacity, chunk))
+            wire = [(key, p if p.__class__ is bytes else encode(p))
+                    for key, p in chunk]
+            self.storage.write(name, encode_file(self.file_capacity, wire))
             metas.append(FileMeta(name, size, chunk[0].key, chunk[-1].key))
             off += size
         return metas

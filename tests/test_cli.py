@@ -218,7 +218,9 @@ def test_run_rejects_non_utf8_input(tmp_path, capsys):
 def test_run_accepts_stream_buffer_below_file_capacity(
         tmp_path, capsys, monkeypatch):
     # a stream queue is the key-ordered queue with sequence-only keys, so
-    # it spills a buffer smaller than a file as the lsh queue does
+    # it spills a buffer smaller than a file as the lsh queue does.
+    # Seeding fills the queue only up to the buffer, so the spills come
+    # from quasiclique's requeued tasks.
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp))
@@ -227,9 +229,10 @@ def test_run_accepts_stream_buffer_below_file_capacity(
     answers = []
     for queue in ("stream", "lsh"):
         out = tmp_path / queue
-        rc = main(["run", "--app", "triangle", "--input", str(data),
+        rc = main(["run", "--app", "quasiclique", "--gamma", "0.6",
+                   "--min-size", "4", "--input", str(data),
                    "--workers", "2", "--queue", queue, "--buffer-capacity",
-                   "10", "--file-capacity", "100", "--outdir", str(out)])
+                   "4", "--file-capacity", "100", "--outdir", str(out)])
         assert rc == 0
         answers.append(capsys.readouterr().out)
         metrics = dict(line.split("\t") for line in

@@ -1,10 +1,12 @@
 """Worker runtime: rounds, pulls, dedup, overflow, children, errors,
 aggregation, termination, determinism."""
 
+import dataclasses
 import gc
 import hashlib
 import os
 import pickle
+import re
 import sys
 import tempfile
 import threading
@@ -20,6 +22,7 @@ from submine.engine import (
     AggregatorSpec,
     AppSpec,
     ComputeError,
+    EngineError,
     ProtocolError,
     RunConfig,
     Task,
@@ -29,6 +32,7 @@ from submine.gen import (
     complete_graph,
     gnp_graph,
     hub_cluster_graph,
+    labeled_gnp_graph,
     path_graph,
     star_graph,
 )
@@ -43,6 +47,7 @@ from submine.graph import (
     write_graph,
 )
 from submine.apps import make_app
+from submine.apps.gmatch import fig4_query
 from submine.kernels import pure
 from submine.serialize import decode_file
 from submine.store import VertexCache
@@ -335,8 +340,9 @@ def test_tiny_cache_still_exact():
 
 def test_eviction_sequence_is_unchanged():
     # Which entries the cache evicts decides its hits, misses and
-    # evictions; these are the counts of the reference LRU order.  A change
-    # that picks other victims fails here.
+    # evictions; these are the counts of the reference LRU order with
+    # seeds spawned in windows of B.  A change that picks other victims
+    # fails here.
     g = gnp_graph(120, 0.1, seed=1)
     cfg = RunConfig(workers=2, cache_capacity=20, buffer_capacity=4,
                     file_capacity=4, queue_kind="lsh")
@@ -344,7 +350,7 @@ def test_eviction_sequence_is_unchanged():
     assert res.aggregate == 289
     m = res.metrics
     assert (m["cache_hits"], m["cache_misses"], m["cache_evictions"]) == (
-        136, 158, 118)
+        132, 162, 122)
 
 
 def test_each_cache_is_used_only_by_its_workers_compute_thread(monkeypatch):
@@ -414,7 +420,8 @@ def test_only_the_lsh_queue_computes_signatures(monkeypatch, queue_kind, ell):
 
 def _lsh_job_fingerprint(monkeypatch, tmp_path):
     """Counters, aggregate and a sha256 over every spill file a 2-worker
-    lsh job writes, sorted by worker and file name."""
+    lsh quasiclique job writes, sorted by worker and file name.  Its
+    requeued tasks spill, so the files hold keys of their own pull sets."""
     written = []
     real_write = Q.QueueStorage.write
 
@@ -426,7 +433,8 @@ def _lsh_job_fingerprint(monkeypatch, tmp_path):
     monkeypatch.setattr(Q.QueueStorage, "write", recording_write)
     cfg = RunConfig(workers=2, buffer_capacity=8, file_capacity=4,
                     cache_capacity=30, queue_kind="lsh", workdir=str(tmp_path))
-    res = run_job(cfg, make_app("triangle"), graph=gnp_graph(200, 0.06, seed=3))
+    res = run_job(cfg, make_app("quasiclique", gamma="0.6", min_size=4),
+                  graph=gnp_graph(200, 0.06, seed=3))
     digest = hashlib.sha256()
     for wdir, name, data in sorted(written):
         digest.update(f"{wdir}/{name}\0".encode() + data)
@@ -483,15 +491,40 @@ def test_only_seeds_with_a_remote_pull_are_queued(monkeypatch):
         sig_calls += 1
         return real_sig(*args)
 
+    # Seeds spawn lazily, so a seed whose remote pulls an earlier window
+    # already filled in the cache is ready too.  Decide each seed when it
+    # is spawned, from its worker's cache at that moment.
+    workers = {}
+    real_init = E.Worker.__init__
+
+    def recording_init(self, wid, *args):
+        real_init(self, wid, *args)
+        workers[wid] = self
+
+    waiting = []
+    triangle = make_app("triangle")
+
+    def judging_seed(v):
+        cache = workers[partition_owner(v.id, 2)].cache
+        tasks = triangle.seed(v)
+        for t in tasks:
+            waiting.append(any(partition_owner(p, 2) != partition_owner(v.id, 2)
+                               and not cache.has_data(p) for p in t.requested))
+        return tasks
+
     monkeypatch.setattr(E, "minhash_signature", counting_sig)
+    monkeypatch.setattr(E.Worker, "__init__", recording_init)
+    app = dataclasses.replace(triangle, seed=judging_seed)
     res = run_job(RunConfig(workers=2, buffer_capacity=4, file_capacity=2),
-                  make_app("triangle"), graph=g)
+                  app, graph=g)
     m = res.metrics
-    assert m["tasks_seeded"] == remote + local
-    assert m["queue_enqueued"] == remote
-    assert m["tasks_local"] == local
-    assert sum(w["tasks_local"] for w in res.per_worker) == local
-    assert sig_calls == remote
+    queued = sum(waiting)
+    assert len(waiting) == m["tasks_seeded"] == remote + local
+    assert 0 < queued < remote  # later windows find earlier pulls cached
+    assert m["queue_enqueued"] == queued
+    assert m["tasks_local"] == local + remote - queued
+    assert sum(w["tasks_local"] for w in res.per_worker) == m["tasks_local"]
+    assert sig_calls == queued
     assert res.aggregate == run_job(RunConfig(workers=1), make_app("triangle"),
                                     graph=g).aggregate
 
@@ -634,6 +667,140 @@ def test_seed_phase_publishes_the_aggregate_before_the_first_round():
     assert seen == [7]
 
 
+# -- lazy seeding: windows of B seeds, task objects until a spill -----------------
+
+
+def _windowed_triangle_job(monkeypatch, buffer_capacity, file_capacity):
+    """A 2-worker triangle job whose seed load is far larger than B.
+    Returns the job, the size of each seed window, and the number of
+    queued tasks held in memory after each seed_bulk and enqueue."""
+    windows = []
+    held = []
+    real_bulk = Q.TaskQueue.seed_bulk
+    real_enqueue = Q.TaskQueue.enqueue
+
+    def bulk(self, records):
+        windows.append(len(records))
+        # a triangle seed spawns one task and no child, so a window
+        # fills exactly the room the queue has left below B
+        assert len(self) + len(records) <= buffer_capacity
+        real_bulk(self, records)
+        held.append(len(self._in) + len(self._out))
+
+    def enqueue(self, rec):
+        real_enqueue(self, rec)
+        held.append(len(self._in) + len(self._out))
+
+    monkeypatch.setattr(Q.TaskQueue, "seed_bulk", bulk)
+    monkeypatch.setattr(Q.TaskQueue, "enqueue", enqueue)
+    cfg = RunConfig(workers=2, buffer_capacity=buffer_capacity,
+                    file_capacity=file_capacity)
+    res = run_job(cfg, make_app("triangle"), graph=gnp_graph(300, 0.05, seed=6))
+    return res, windows, held
+
+
+def test_lazy_seeding_holds_at_most_b_plus_c_tasks_in_memory(monkeypatch):
+    b, c = 16, 4
+    res, windows, held = _windowed_triangle_job(monkeypatch, b, c)
+    assert res.metrics["queue_enqueued"] > 4 * b  # the seed load is far above B
+    assert len(windows) > 4 and max(windows) == b
+    assert max(held) <= b + c
+
+
+def test_lazy_seeding_writes_no_spill_file(monkeypatch):
+    res, _windows, _held = _windowed_triangle_job(monkeypatch, 16, 4)
+    m = res.metrics
+    assert m["queue_enqueued"] > 64
+    assert m["queue_file_writes"] == m["queue_file_reads"] == 0
+    assert res.aggregate == run_job(RunConfig(workers=1), make_app("triangle"),
+                                    graph=gnp_graph(300, 0.05, seed=6)).aggregate
+
+
+def test_a_queued_task_is_encoded_once_per_spill_and_decoded_only_from_a_file(
+        monkeypatch):
+    encodes = decodes = from_files = 0
+    written = set()  # (queue directory, key) of every record written
+    real_encode, real_decode = E.encode_task, E.decode_task
+    real_write, real_fetch = Q.QueueStorage.write, Q.TaskQueue.fetch
+
+    def counting_encode(wire):
+        nonlocal encodes
+        encodes += 1
+        return real_encode(wire)
+
+    def counting_decode(data):
+        nonlocal decodes
+        decodes += 1
+        return real_decode(data)
+
+    def recording_write(self, name, data):
+        _cap, _ell, recs = decode_file(data)
+        written.update((self.dir, rec.key) for rec in recs)
+        return real_write(self, name, data)
+
+    def counting_fetch(self):
+        nonlocal from_files
+        rec = real_fetch(self)
+        if rec is not None and isinstance(rec.payload, bytes):
+            from_files += 1
+        return rec
+
+    monkeypatch.setattr(E, "encode_task", counting_encode)
+    monkeypatch.setattr(E, "decode_task", counting_decode)
+    monkeypatch.setattr(Q.QueueStorage, "write", recording_write)
+    monkeypatch.setattr(Q.TaskQueue, "fetch", counting_fetch)
+    cfg = RunConfig(workers=2, buffer_capacity=4, file_capacity=2)
+    res = run_job(cfg, make_app("quasiclique", gamma="0.6", min_size=4),
+                  graph=gnp_graph(50, 0.15, seed=4))
+    assert res.metrics["queue_file_writes"] > 0
+    # a merge that rewrites records read back from a file does not
+    # encode them again (tests/test_taskqueue.py shows merges doing so)
+    assert encodes == len(written)
+    assert decodes == from_files > 0
+
+
+def test_spilled_tasks_give_the_lines_of_tasks_kept_as_objects(monkeypatch):
+    # criterion 13's workloads, plus a larger quasiclique job and gmatch,
+    # whose tasks iterate with a subgraph payload.  At B = 1 every task
+    # that enqueue takes spills at once (a seed window of one stays in
+    # memory); at B = 1000 no task spills.
+    spilled = []
+    real_enqueue = Q.TaskQueue.enqueue
+
+    def enqueue(self, rec):
+        spills = self.spill_count
+        real_enqueue(self, rec)
+        spilled.append((self.buffer_capacity, self.spill_count > spills))
+
+    monkeypatch.setattr(Q.TaskQueue, "enqueue", enqueue)
+    workloads = [
+        (make_app("triangle", emit_triangles=True), gnp_graph(60, 0.12, seed=2500)),
+        (make_app("maximalcliques"), gnp_graph(40, 0.25, seed=2501)),
+        (make_app("maxclique"), gnp_graph(50, 0.3, seed=2502)),
+        (make_app("quasiclique", gamma="0.6", min_size=4),
+         gnp_graph(18, 0.4, seed=2503)),
+        (make_app("quasiclique", gamma="0.6", min_size=4),
+         gnp_graph(80, 0.15, seed=3)),
+        (make_app("gmatch", query=fig4_query()),
+         labeled_gnp_graph(60, 0.2, seed=2200, alphabet="abcd")),
+    ]
+    files_read = 0
+    for app, graph in workloads:
+        out = []
+        for b in (1, 1000):
+            res = run_job(RunConfig(workers=2, buffer_capacity=b,
+                                    file_capacity=2), app, graph=graph)
+            out.append((res.aggregate, sorted(res.result_lines())))
+            if b == 1:
+                files_read += res.metrics["queue_file_reads"]
+            else:
+                assert res.metrics["queue_file_writes"] == 0, app.name
+        assert out[0] == out[1], app.name
+    assert all(did for b, did in spilled if b == 1)
+    assert sum(1 for b, _did in spilled if b == 1) > 10
+    assert files_read > 10
+
+
 # -- attribute-free graphs stay neighbor-id lists ------------------------------------
 
 
@@ -689,6 +856,32 @@ def test_seed_error_carries_provenance():
     with pytest.raises(ComputeError, match="cannot seed"):
         run_job(RunConfig(workers=2), _spec("badseed", seed, lambda t, f: False),
                 graph=g)
+
+
+def test_missing_frontier_vertex_names_the_task(monkeypatch):
+    # a cache that drops one pulled vertex instead of filling its slot
+    dropped = []
+    real_insert = VertexCache.insert_pulled
+
+    def dropping_insert(self, vertices):
+        if not dropped and vertices:
+            dropped.append(vertices[0].id)
+            vertices = vertices[1:]
+        real_insert(self, vertices)
+
+    monkeypatch.setattr(VertexCache, "insert_pulled", dropping_insert)
+    g = gnp_graph(40, 0.2, seed=3)
+    with pytest.raises(EngineError) as info:
+        run_job(RunConfig(workers=2), make_app("triangle"), graph=g)
+    msg = str(info.value)
+    m = re.fullmatch(r"worker (\d+), seed (\d+), iteration 0: "
+                     r"frontier vertex (\d+) not resident", msg)
+    assert m, msg
+    wid, seed, vid = map(int, m.groups())
+    assert vid == dropped[0]
+    assert partition_owner(seed, 2) == wid != partition_owner(vid, 2)
+    assert vid in larger_neighbor_ids(g[seed])
+    assert _job_threads() == []
 
 
 def test_dangling_pull_is_protocol_error():

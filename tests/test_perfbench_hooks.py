@@ -62,15 +62,17 @@ def test_install_spans_resolves_records_and_restores(job, queue_kind):
         patched = _changed(owners, before)
         cfg = RunConfig(workers=2, cache_capacity=8, buffer_capacity=8,
                         file_capacity=4, queue_kind=queue_kind)
-        # triangle and the clique apps reach the kernels; quasiclique
-        # requeues tasks
+        # triangle and the clique apps reach the kernels
         for app in (submine.apps.make_app("triangle"),
                     submine.apps.make_app("maxclique"),
-                    submine.apps.make_app("maximalcliques"),
-                    submine.apps.make_app("quasiclique", gamma="0.6", min_size=4)):
-            res = run_job(cfg, tracer.wrap_app(app), graph=gnp_graph(30, 0.2, seed=4))
-            assert res.metrics["queue_file_writes"] > 0
-        # requeued tasks carry a subgraph payload through the queue
+                    submine.apps.make_app("maximalcliques")):
+            run_job(cfg, tracer.wrap_app(app), graph=gnp_graph(30, 0.2, seed=4))
+        # seeding fills the queue only up to its buffer, so the spill
+        # files, and with them the task codec, come from quasiclique's
+        # requeued tasks, which carry a subgraph payload
+        app = submine.apps.make_app("quasiclique", gamma="0.6", min_size=4)
+        res = run_job(cfg, tracer.wrap_app(app), graph=gnp_graph(50, 0.15, seed=4))
+        assert res.metrics["queue_file_writes"] > 0
         assert res.metrics["tasks_requeued"] > 0
     finally:
         tracer.unpatch_all()

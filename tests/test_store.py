@@ -12,7 +12,7 @@ from collections import OrderedDict
 import pytest
 
 from submine.graph import Vertex
-from submine.store import CacheError, VertexCache
+from submine.store import CacheError, VertexCache, VertexStore
 
 
 def _v(vid):
@@ -21,9 +21,8 @@ def _v(vid):
 
 def _fill(cache, ids):
     assert sorted(cache.reserve(ids)) == sorted(ids)
-    for vid in ids:
-        cache.insert_pulled(_v(vid))
-    cache.unpin_batch(ids)
+    cache.insert_pulled([_v(vid) for vid in ids])
+    cache.unpin_batch([ids])
 
 
 # -- reserve -----------------------------------------------------------------
@@ -126,12 +125,10 @@ def test_full_cache_reserve_visits_only_ids_and_victims():
             assert sorted(c.reserve(ids)) == list(new)
             assert entries.visited <= (c.evictions - evicted) + len(ids)
             batch.append(ids)
-        for ids in batch:
-            for vid in ids:
-                c.insert_pulled(_v(vid))
+        c.insert_pulled([_v(vid) for ids in batch for vid in ids])
         for ids in batch:
             c.get(rng.choice(sorted(ids)))
-            c.unpin_batch(ids)
+        c.unpin_batch(batch)
     assert c.resident == cap
     c.assert_quiescent()
 
@@ -148,44 +145,68 @@ def test_reserve_local_id_is_protocol_error():
 def test_insert_requires_reservation():
     c = VertexCache(4)
     with pytest.raises(CacheError, match="unreserved"):
-        c.insert_pulled(_v(1))
+        c.insert_pulled([_v(1)])
 
 
 def test_insert_is_idempotent():
     c = VertexCache(4)
     c.reserve({1})
-    c.insert_pulled(_v(1))
-    c.insert_pulled(_v(1))  # no-op
+    c.insert_pulled([_v(1)])
+    c.insert_pulled([_v(1)])  # no-op
     assert c.resident == 1
-    assert c.get(1, count=False).id == 1
+    assert c.get(1).id == 1
 
 
 def test_insert_local_id_is_protocol_error():
     c = VertexCache(4, is_local=lambda vid: vid == 3)
-    with pytest.raises(CacheError, match="locally-owned"):
-        c.insert_pulled(_v(3))
+    c.reserve({1})
+    with pytest.raises(CacheError, match="locally-owned vertex 3"):
+        c.insert_pulled([_v(1), _v(3)])
+    assert not c.has_data(1)  # the check comes before any fill
+
+
+def test_insert_fills_one_response_in_order():
+    events = []
+    c = VertexCache(4, trace=events.append)
+    c.reserve([1, 2, 3])
+    events.clear()
+    c.insert_pulled([_v(3), _v(1), _v(2)])
+    assert events == [("cache_fill", 3), ("cache_fill", 1), ("cache_fill", 2)]
+    assert list(c._entries) == [3, 1, 2]
 
 
 def test_unpin_unpinned_is_protocol_error():
     c = VertexCache(4)
     with pytest.raises(CacheError, match="unpin"):
-        c.unpin_batch({5})
+        c.unpin_batch([{5}])
     _fill(c, [5])
     with pytest.raises(CacheError, match="unpin"):
-        c.unpin_batch({5})  # already back to zero
+        c.unpin_batch([{5}])  # already back to zero
 
 
 def test_shared_pin_counts():
     c = VertexCache(1)
     c.reserve({9})
-    c.insert_pulled(_v(9))
+    c.insert_pulled([_v(9)])
     c.reserve({9})  # second task pins the same entry
     assert c.pins_of(9) == 2
-    c.unpin_batch({9})
+    c.unpin_batch([{9}])
     # still pinned by the other task: reserve of a new id must reject
     assert c.reserve({10}) is None
-    c.unpin_batch({9})
+    c.unpin_batch([{9}])
     assert c.reserve({10}) == [10]
+
+
+def test_unpin_batch_releases_one_pin_per_task():
+    # one call per round: each task's pull set releases its own pin
+    c = VertexCache(4)
+    c.reserve({1, 2})
+    c.reserve({2, 3})
+    c.insert_pulled([_v(1), _v(2), _v(3)])
+    assert c.pins_of(2) == 2
+    c.unpin_batch([{1, 2}, {2, 3}])
+    assert c.total_pins() == 0
+    c.assert_quiescent()
 
 
 def test_get_refreshes_and_counts():
@@ -195,9 +216,34 @@ def test_get_refreshes_and_counts():
     assert c.get(1).id == 1
     assert c.get(99) is None
     assert (c.hits, c.misses) == (h0 + 1, m0 + 1)
-    # count=False probes silently
-    c.get(2, count=False)
-    assert (c.hits, c.misses) == (h0 + 1, m0 + 1)
+
+
+# -- frontiers ----------------------------------------------------------------
+
+
+def test_resolve_reads_local_first_and_refreshes_cached_in_pull_order():
+    local = {5: _v(5), 6: _v(6)}
+    c = VertexCache(4, is_local=local.__contains__)
+    store = VertexStore(local, c)
+    _fill(c, [1, 2, 3])  # recency order 1 2 3
+    h0, m0 = c.hits, c.misses
+    frontier = store.resolve((2, 5, 1, 6))
+    assert [v.id for v in frontier] == [2, 5, 1, 6]
+    assert list(c._entries) == [3, 2, 1]  # refreshed in pull order
+    assert frontier[1] is local[5] and frontier[0] is c._entries[2].vertex
+    assert (c.hits, c.misses) == (h0, m0)  # a frontier counts nothing
+    assert [v.id for v in store.resolve([6, 5])] == [6, 5]
+    assert store.resolve(()) == []
+
+
+def test_resolve_of_a_vertex_not_filled_is_an_error():
+    c = VertexCache(4)
+    store = VertexStore({}, c)
+    c.reserve({7})  # reserved, never filled
+    with pytest.raises(CacheError, match="frontier vertex 7 not resident"):
+        store.resolve([7])
+    with pytest.raises(CacheError, match="frontier vertex 8 not resident"):
+        store.resolve([8])
 
 
 # -- overflow -----------------------------------------------------------------
@@ -210,10 +256,9 @@ def test_overflow_episode_roundtrip():
     c.enter_overflow(len(need))
     assert c.in_overflow
     assert sorted(c.reserve(need)) == need
-    for vid in need:
-        c.insert_pulled(_v(vid))
+    c.insert_pulled([_v(vid) for vid in need])
     assert c.resident >= 12
-    c.unpin_batch(need)
+    c.unpin_batch([need])
     c.exit_overflow()
     assert not c.in_overflow
     assert c.resident <= 5
@@ -245,8 +290,7 @@ def test_overflow_exit_with_pinned_residue_fails():
     c = VertexCache(2)
     c.enter_overflow(3)
     c.reserve({1, 2, 3, 4})
-    for vid in (1, 2, 3, 4):
-        c.insert_pulled(_v(vid))
+    c.insert_pulled([_v(vid) for vid in (1, 2, 3, 4)])
     with pytest.raises(CacheError, match="pinned residue"):
         c.exit_overflow()
 
@@ -259,10 +303,10 @@ def test_assert_quiescent_failures():
     c.reserve({1})
     with pytest.raises(CacheError, match="leftover pin"):
         c.assert_quiescent()
-    c.unpin_batch({1})  # unpinned but never filled
+    c.unpin_batch([{1}])  # unpinned but never filled
     with pytest.raises(CacheError, match="unfilled"):
         c.assert_quiescent()
-    c.insert_pulled(_v(1))
+    c.insert_pulled([_v(1)])
     c.assert_quiescent()
     c.enter_overflow(2)
     with pytest.raises(CacheError, match="inside an overflow"):
@@ -363,7 +407,7 @@ def test_randomized_against_model():
                         unfilled |= {vid for vid in ids if not model[vid][1]}
             elif op < 0.5 and unfilled:
                 for vid in rng.sample(sorted(unfilled), rng.randint(1, len(unfilled))):
-                    c.insert_pulled(_v(vid))
+                    c.insert_pulled([_v(vid)])
                     model[vid][1] = True
                     model.move_to_end(vid)
                     unfilled.discard(vid)
@@ -374,7 +418,7 @@ def test_randomized_against_model():
                     model.move_to_end(vid)
             elif op < 0.8 and pinned_sets:
                 batch = pinned_sets.pop(rng.randrange(len(pinned_sets)))
-                c.unpin_batch(batch)
+                c.unpin_batch([batch])
                 for vid in batch:
                     model[vid][0] -= 1
             elif op < 0.9 and not in_overflow and not pinned_sets:
@@ -397,9 +441,9 @@ def test_randomized_against_model():
             assert c.resident <= limit, (trial, c.resident, limit)
             assert c.total_pins() == sum(len(s) for s in pinned_sets)
         for vid in unfilled:
-            c.insert_pulled(_v(vid))
+            c.insert_pulled([_v(vid)])
         for batch in pinned_sets:
-            c.unpin_batch(batch)
+            c.unpin_batch([batch])
         if in_overflow:
             c.exit_overflow()
         c.assert_quiescent()

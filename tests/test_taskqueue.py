@@ -10,7 +10,7 @@ import pytest
 
 from submine.minhash import TaskKey, derive_seeds
 from submine.taskqueue import QueueInvariantError, TaskQueue, TaskRecord
-from submine.serialize import CorruptData
+from submine.serialize import CorruptData, decode_file
 
 from testkit import (
     CountingStorage,
@@ -111,6 +111,58 @@ def test_interleaved_workload_conserves(tmp_path, shape):
     if shape == "stream":
         assert fetched == enqueued
     q.check_invariants(deep=True)
+
+
+class _Payload:
+    """A queued object that is not bytes, as the engine queues a Task."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = n
+
+
+class _RecordCountingStorage(CountingStorage):
+    def __init__(self, dirpath):
+        super().__init__(dirpath)
+        self.records_written = 0
+
+    def write(self, name, data):
+        self.records_written += len(decode_file(data)[2])
+        return super().write(name, data)
+
+
+def test_object_payloads_are_encoded_once_when_they_first_spill(tmp_path):
+    # a payload stays the queued object until it spills; a record read
+    # back from a file keeps its bytes, so a merge rewrites it as it is
+    encoded = Counter()
+
+    def encode(p):
+        encoded[p.n] += 1
+        return b"t%d" % p.n
+
+    keys = [r.key for r in _records(13, 4000)]
+    recs = [TaskRecord(k, _Payload(i)) for i, k in enumerate(keys)]
+    ops = gen_queue_ops(99, 4000)
+    storage = _RecordCountingStorage(str(tmp_path / "q"))
+    q = TaskQueue(None, file_capacity=16, buffer_capacity=50, storage=storage,
+                  encode=encode)
+    fetched = []
+    it = iter(recs)
+    for op in ops:
+        if op[0] == "enqueue":
+            q.enqueue(next(it))
+        elif (rec := q.fetch()) is not None:
+            fetched.append(rec)
+    q.check_invariants(deep=True)
+    fetched.extend(_drain(q))
+    enqueued = sum(1 for o in ops if o[0] == "enqueue")
+    as_bytes = [int(r.payload[1:]) for r in fetched if isinstance(r.payload, bytes)]
+    as_objects = [r.payload.n for r in fetched if isinstance(r.payload, _Payload)]
+    assert sorted(as_bytes + as_objects) == list(range(enqueued))
+    assert as_bytes and as_objects
+    assert set(encoded) == set(as_bytes) and set(encoded.values()) == {1}
+    assert storage.records_written > len(encoded)  # merges rewrote records
 
 
 # -- FIFO keys ---------------------------------------------------------------

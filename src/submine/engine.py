@@ -42,18 +42,26 @@ A worker whose tasks are all ready (every single-worker job whose apps
 pull only graph vertices) finishes inside its first seeding window and
 runs no round.
 
-Workers exchange vertices only: a per-worker responder thread answers
-pull requests from the worker's local table (optionally through the
-app's respond hook, which may send a pruned copy), so computation never
-blocks remote requesters.  Aggregation is per-worker with an optional
-periodic sync that publishes local values and a merged global snapshot;
-each worker also publishes once when its seed cursor ends, and a final
-merge always runs at job end.  There is no global round barrier; a job
-ends when every worker's seed cursor has ended, its queue is empty and
-it carries no task into a next round, which the coordinating thread
-observes by joining the compute threads.  A worker checks the job's
-stop flag between tasks, so a peer's failure ends even a long seeding
-window within a task.
+Workers exchange vertices only.  Each `Worker` runs two threads: the
+compute loop (`run`) and a responder (`serve`) that answers pull
+requests from the worker's own table, optionally through the app's
+respond hook (which may send a pruned copy), so computation never blocks
+remote requesters.  Aggregation is per-worker with an optional periodic
+sync that publishes local values and a merged global snapshot; each
+worker also publishes once when its seed cursor ends, and a final merge
+always runs at job end.  There is no global round barrier; a job ends
+when every worker's seed cursor has ended, its queue is empty and it
+carries no task into a next round, which the coordinating thread
+observes by joining the compute threads.
+
+One failure rule covers both threads of every worker: the first error
+any thread raises stops the job, and `run_job` raises the first error,
+in the order the errors happened, that is not a `JobAborted` echo of
+another.  An app hook's exception becomes a `ComputeError` naming the
+app, the hook, the worker and the seed (or the vertex and the requesting
+worker); an `EngineError` raised inside a hook passes through as it is.
+A worker checks the job's stop flag between tasks, so a peer's failure
+ends even a long seeding window within a task.
 """
 
 import operator
@@ -89,7 +97,10 @@ class ProtocolError(EngineError):
 
 
 class ComputeError(EngineError):
-    """An app hook raised; message carries worker/seed/iteration provenance."""
+    """An app hook raised: seed, compute, respond, encode_context or
+    decode_context.  The message names the app, the hook and the worker,
+    then the seed (and the task's iteration) or, for respond, the vertex
+    and the worker that requested it."""
 
 
 class JobAborted(EngineError):
@@ -118,6 +129,11 @@ class RunConfig:
         check_ell(self.ell)
         check_queue_capacities(self.file_capacity, self.buffer_capacity)
         check_cache_capacity(self.cache_capacity)
+        # None turns either sync period off, and so do 0 rounds;
+        # `not >= 0` rejects NaN too.
+        for name in ("sync_every_rounds", "sync_every_ms"):
+            if not (getattr(self, name) or 0) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -243,18 +259,12 @@ _METRIC_KEYS = (
 )
 
 
-class _RespStats:
-    __slots__ = ("served", "vertices")
-
-    def __init__(self):
-        self.served = 0
-        self.vertices = 0
-
-
 class Worker:
-    """One worker: a partition's table, cache and task queue, and the
-    compute loop over them (`run`).  Each emitted line is held once, in
-    `lines`, with its task's seed id at the same index of `line_seeds`."""
+    """One worker: a partition's table, cache and task queue, the compute
+    loop over them (`run`) and the responder that serves the table to
+    the other workers (`serve`), each on its own thread.  Each emitted
+    line is held once, in `lines`, with its task's seed id at the same
+    index of `line_seeds`."""
 
     def __init__(self, wid, cfg, app, table, transport, agg, stop, seeds,
                  workdir):
@@ -285,7 +295,6 @@ class Worker:
         self.local_value = app.aggregator.zero() if app.aggregator else None
         self.lines = []
         self.line_seeds = []
-        self.resp_stats = _RespStats()
         self.round_no = 0
         self.metrics = {k: 0 for k in _METRIC_KEYS}
         self._seq = 0
@@ -293,7 +302,17 @@ class Worker:
         self._cursor = iter(sorted(table))
         self._carry = None
         self._last_sync = time.monotonic()
-        self.err = None
+
+    def _hook_error(self, hook, e, where):
+        """The error an app hook's exception `e` becomes: an EngineError
+        (say a ProtocolError) as it is, anything else a ComputeError
+        naming the app, the hook, this worker and `where`."""
+        if isinstance(e, EngineError):
+            return e
+        err = ComputeError(f"app {self.app.name!r} {hook} failed: "
+                           f"worker {self.wid}, {where}: {e}")
+        err.__cause__ = e
+        return err
 
     # -- task plumbing -----------------------------------------------------
 
@@ -346,9 +365,13 @@ class Worker:
 
     def _encode(self, task) -> bytes:
         """The queue's encode hook: a task's spill-file payload."""
+        try:
+            context = self.app.encode_context(task.context)
+        except Exception as e:
+            raise self._hook_error("encode_context", e, f"seed {task.seed_id}, "
+                                   f"iteration {task.iteration}")
         return encode_task(TaskWire(
-            task.seed_id, task.iteration, task.requested,
-            self.app.encode_context(task.context), task.subgraph,
+            task.seed_id, task.iteration, task.requested, context, task.subgraph,
         ))
 
     def _decode(self, payload: bytes) -> Task:
@@ -356,8 +379,12 @@ class Worker:
         deduplicated before it was encoded, so only its pending set is
         derived again, from this worker's table, which encoded it."""
         w = decode_task(payload)
-        t = Task(w.seed_id, self.app.decode_context(w.context), w.subgraph,
-                 pulls=w.requested)
+        try:
+            context = self.app.decode_context(w.context)
+        except Exception as e:
+            raise self._hook_error("decode_context", e, f"seed {w.seed_id}, "
+                                   f"iteration {w.iteration}")
+        t = Task(w.seed_id, context, w.subgraph, pulls=w.requested)
         t.iteration = w.iteration
         t.pending = frozenset(filterfalse(self.table.__contains__, t.requested))
         return t
@@ -395,10 +422,7 @@ class Worker:
             try:
                 tasks = self.app.seed(self.table[vid]) or ()
             except Exception as e:
-                raise ComputeError(
-                    f"app {self.app.name!r} seed failed on vertex {vid} "
-                    f"(worker {self.wid}): {e}"
-                ) from e
+                raise self._hook_error("seed", e, f"seed {vid}")
             for t in tasks:
                 self.metrics["tasks_seeded"] += 1
                 self._admit(t, run_now, enqueue)
@@ -414,18 +438,47 @@ class Worker:
                 self.trace.append(("seeded", self.metrics["tasks_seeded"]))
 
     def run(self):
-        try:
-            b = self.cfg.buffer_capacity
-            while not self.stop.is_set():
-                if self._cursor is not None and len(self.queue) < b:
-                    self.seed_all()
-                if not self.run_round():
-                    break
-            if self.agg is not None:
-                self.agg.publish(self.wid, self.local_value)
-        except BaseException as e:
-            self.err = e
-            self.stop.set()
+        """The compute loop: seed windows and rounds until the cursor has
+        ended and the queue drains, or the job stops."""
+        b = self.cfg.buffer_capacity
+        while not self.stop.is_set():
+            if self._cursor is not None and len(self.queue) < b:
+                self.seed_all()
+            if not self.run_round():
+                break
+        if self.agg is not None:
+            self.agg.publish(self.wid, self.local_value)
+
+    def serve(self):
+        """The responder: answer pull requests from this worker's table
+        until SHUTDOWN, which _run_workers always sends.  It touches only
+        the read-only table, the app's respond hook and its own two
+        metrics, which the compute loop never writes."""
+        table, respond, metrics = self.table, self.app.respond, self.metrics
+        while True:
+            req = self.transport.next_request(self.wid)
+            if req is SHUTDOWN:
+                return
+            blobs = []
+            for vid in req.ids:
+                v = table.get(vid)
+                if v is None:
+                    raise ProtocolError(
+                        f"worker {req.src} requested vertex {vid}, "
+                        f"which worker {self.wid} does not own"
+                    )
+                if respond is not None:
+                    try:
+                        pruned = respond(v)
+                    except Exception as e:
+                        raise self._hook_error("respond", e, f"vertex {vid} "
+                                               f"requested by worker {req.src}")
+                    if pruned is not None:
+                        v = pruned
+                blobs.append(encode_vertex(v))
+            self.transport.send_response(req.src, PullResponse(self.wid, blobs))
+            metrics["responses_served"] += 1
+            metrics["vertices_served"] += len(blobs)
 
     def run_round(self):
         cache = self.cache
@@ -539,15 +592,10 @@ class Worker:
             task._begin(self)
             try:
                 cont = self.app.compute(task, frontier)
-            except EngineError:
-                task._end()
-                raise
             except Exception as e:
                 task._end()
-                raise ComputeError(
-                    f"app {self.app.name!r} compute failed: worker {self.wid}, "
-                    f"seed {task.seed_id}, iteration {task.iteration}: {e}"
-                ) from e
+                raise self._hook_error("compute", e, f"seed {task.seed_id}, "
+                                       f"iteration {task.iteration}")
             children = task._children
             task._children = []
             task._end()
@@ -603,44 +651,9 @@ class Worker:
 
     def collect_metrics(self):
         m = dict(self.metrics)
-        m["responses_served"] = self.resp_stats.served
-        m["vertices_served"] = self.resp_stats.vertices
         m.update(self.cache.metrics())
         m.update(self.queue.metrics())
         return m
-
-
-def _responder_loop(wid, table, app, transport, fail, stats):
-    """Serve pull requests from this worker's local table until shutdown.
-
-    Runs on its own thread so remote workers are never starved by a long
-    local compute.  Touches only the read-only table and the app respond
-    hook.  Only SHUTDOWN, which _run_workers always sends, ends it.
-    """
-    while True:
-        req = transport.next_request(wid)
-        if req is SHUTDOWN:
-            return
-        try:
-            blobs = []
-            for vid in req.ids:
-                v = table.get(vid)
-                if v is None:
-                    raise ProtocolError(
-                        f"worker {req.src} requested vertex {vid}, "
-                        f"which worker {wid} does not own"
-                    )
-                if app.respond is not None:
-                    pruned = app.respond(v)
-                    if pruned is not None:
-                        v = pruned
-                blobs.append(encode_vertex(v))
-            transport.send_response(req.src, PullResponse(wid, blobs))
-            stats.served += 1
-            stats.vertices += len(blobs)
-        except Exception as e:
-            fail(e)
-            return
 
 
 @dataclass
@@ -672,35 +685,31 @@ class JobResult:
 
 
 def _run_workers(cfg, app, tables, seeds, agg, workdir):
-    """Build the workers, run them and their responders to the end, and
-    return the workers; raises the first error any of them hit."""
+    """Build the workers, run each one's compute loop and responder to
+    the end, and return the workers; raises the first error any thread
+    hit."""
     transport = InProcTransport(cfg.workers)
     stop = threading.Event()
-    errors = []
-    elock = threading.Lock()
+    errors = []  # in the order they happened
 
     def fail(e):
-        with elock:
-            errors.append(e)
+        errors.append(e)
         stop.set()
+
+    def thread(body, name):
+        def target():
+            try:
+                body()
+            except BaseException as e:
+                fail(e)
+        return threading.Thread(target=target, name=name, daemon=True)
 
     workers = [
         Worker(i, cfg, app, tables[i], transport, agg, stop, seeds, workdir)
         for i in range(cfg.workers)
     ]
-    responders = [
-        threading.Thread(
-            target=_responder_loop,
-            args=(i, tables[i], app, transport, fail, workers[i].resp_stats),
-            name=f"responder-{i}",
-            daemon=True,
-        )
-        for i in range(cfg.workers)
-    ]
-    computes = [
-        threading.Thread(target=w.run, name=f"worker-{w.wid}", daemon=True)
-        for w in workers
-    ]
+    responders = [thread(w.serve, f"responder-{w.wid}") for w in workers]
+    computes = [thread(w.run, f"worker-{w.wid}") for w in workers]
     try:
         for t in responders:
             t.start()
@@ -708,9 +717,6 @@ def _run_workers(cfg, app, tables, seeds, agg, workdir):
             t.start()
         for t in computes:
             t.join()
-        for w in workers:
-            if w.err is not None:
-                fail(w.err)
     finally:
         transport.shutdown_responders()
         for t in responders:
@@ -727,9 +733,10 @@ def _run_workers(cfg, app, tables, seeds, agg, workdir):
 def run_job(cfg: RunConfig, app: AppSpec, graph: Graph) -> JobResult:
     """Run one mining job on `graph` to completion and return its results.
 
-    Raises the first worker/responder error (with task provenance for
-    app failures) after stopping the job.  A temporary workdir is
-    removed however the job ends.
+    Raises the first error a compute loop or responder hit, in the order
+    the errors happened (with provenance for app hook failures), after
+    stopping the job.  A temporary workdir is removed however the job
+    ends.
     """
     t0 = time.perf_counter()
     check_undirected(graph)

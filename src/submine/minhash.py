@@ -25,9 +25,12 @@ GOLDEN64 = 0x9E3779B97F4A7C15
 
 
 def check_ell(ell):
-    """A key needs at least one signature."""
+    """A key needs at least one signature, and a spill file stores the
+    signature count as a u16."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    if ell > 0xFFFF:
+        raise ValueError("ell must be <= 65535")
 
 
 def derive_seeds(run_seed: int, ell: int):

@@ -92,9 +92,12 @@ def _rkey(rec):
 
 
 def check_queue_capacities(file_capacity, buffer_capacity):
-    """A spill file holds at least two tasks; the buffer at least one."""
+    """A spill file holds at least two tasks, and its header stores the
+    capacity as a u32; the buffer holds at least one task."""
     if file_capacity < 2:
         raise ValueError("file_capacity must be >= 2")
+    if file_capacity > 0xFFFFFFFF:
+        raise ValueError("file_capacity must be <= 4294967295")
     if buffer_capacity < 1:
         raise ValueError("buffer_capacity must be >= 1")
 

@@ -264,6 +264,10 @@ def test_bad_stream_capacities_fail_before_the_input_is_read(
     ("--file-capacity", "1", "file_capacity must be >= 2"),
     ("--buffer-capacity", "0", "buffer_capacity must be >= 1"),
     ("--cache-capacity", "0", "cache capacity must be >= 1"),
+    ("--ell", "65536", "ell must be <= 65535"),
+    ("--file-capacity", "4294967296", "file_capacity must be <= 4294967295"),
+    ("--sync-rounds", "-1", "sync_every_rounds must be >= 0"),
+    ("--sync-ms", "-5", "sync_every_ms must be >= 0"),
 ])
 def test_bad_config_fails_before_the_input_is_read(
         tmp_path, capsys, flag, value, message):

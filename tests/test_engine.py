@@ -946,6 +946,76 @@ def test_failed_job_leaves_no_temp_workdir(tmp_path, monkeypatch):
     assert _job_threads() == []
 
 
+def _failing_late(hook, calls=2):
+    """`hook` as it is for its first `calls` calls, then raising "boom"."""
+    count = iter(range(calls))
+
+    def failing(*args):
+        if next(count, None) is None:
+            raise ValueError("boom")
+        return hook(*args)
+    return failing
+
+
+_TRIANGLE_JOB = ("triangle", {}, dict(n=60, p=0.2, seed=1))
+# B = 4 and C = 2 make this quasiclique job spill and read tasks back
+_SPILLING_JOB = ("quasiclique", {"gamma": "0.6", "min_size": 4},
+                 dict(n=50, p=0.15, seed=4))
+
+
+# hook -> the job it fails in, and what its message names after the worker
+_HOOK_FAILURES = {
+    "seed": (_TRIANGLE_JOB, r"seed (\d+)"),
+    "compute": (_TRIANGLE_JOB, r"seed (\d+), iteration 0"),
+    "respond": (_TRIANGLE_JOB, r"vertex (\d+) requested by worker (\d+)"),
+    "encode_context": (_SPILLING_JOB, r"seed (\d+), iteration \d+"),
+    "decode_context": (_SPILLING_JOB, r"seed (\d+), iteration \d+"),
+}
+
+
+@pytest.mark.parametrize("hook", list(_HOOK_FAILURES))
+def test_a_failing_app_hook_names_app_hook_worker_and_seed(
+        tmp_path, monkeypatch, hook):
+    # the same failure in a temp workdir and in a kept one: the job
+    # stops with the hook's provenance and leaves no thread, no temp
+    # workdir and no spill file behind
+    (name, params, graph_args), where = _HOOK_FAILURES[hook]
+    graph = gnp_graph(**graph_args)
+    tmp, kept = tmp_path / "tmp", tmp_path / "kept"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    for workdir in (None, str(kept)):
+        # late, so that the kept workdir held spill files when it failed
+        app = make_app(name, **params)
+        app = dataclasses.replace(app, **{hook: _failing_late(getattr(app, hook))})
+        with pytest.raises(ComputeError) as info:
+            run_job(RunConfig(workers=2, buffer_capacity=4, file_capacity=2,
+                              workdir=workdir), app, graph=graph)
+        msg = str(info.value)
+        m = re.fullmatch(rf"app '{name}' {hook} failed: worker (\d+), {where}: boom",
+                         msg)
+        assert m, msg
+        wid, vid = int(m[1]), int(m[2])
+        assert partition_owner(vid, 2) == wid  # the seed's, or the vertex's owner
+        if hook == "respond":
+            assert int(m[3]) == 1 - wid
+        assert isinstance(info.value.__cause__, ValueError)
+        assert _job_threads() == []
+    assert os.listdir(tmp) == []
+    assert list(kept.rglob("*.tasks")) == []
+    assert os.listdir(kept / "w0" / "queue") == []  # the kept workdir stays
+
+
+def test_an_engine_error_raised_in_a_hook_passes_through():
+    def respond(v):
+        raise ProtocolError(f"refused {v.id}")
+
+    app = dataclasses.replace(make_app("triangle"), respond=respond)
+    with pytest.raises(ProtocolError, match=r"^refused \d+$"):
+        run_job(RunConfig(workers=2), app, graph=gnp_graph(60, 0.2, seed=1))
+    assert _job_threads() == []
+
+
 def test_validation_catches_asymmetry_first():
     g = Graph()
     g.add(Vertex(0, None, [AdjItem(1)]))
@@ -985,6 +1055,30 @@ def test_run_config_checks_what_the_job_would_reject(field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             RunConfig(queue_kind=queue_kind, **{field: value})
     RunConfig(**{field: value + 1})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ell", 2**16, "ell must be <= 65535"),
+    ("file_capacity", 2**32, "file_capacity must be <= 4294967295"),
+])
+def test_run_config_rejects_what_a_spill_file_cannot_hold(field, value, message):
+    # a spill file stores ell as a u16 and its capacity as a u32; a wider
+    # value must fail here, not as a struct error at the first spill
+    for queue_kind in ("lsh", "stream"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(queue_kind=queue_kind, **{field: value})
+    RunConfig(**{field: value - 1})
+
+
+def test_run_config_rejects_negative_sync_periods():
+    for field, value in (("sync_every_rounds", -1), ("sync_every_ms", -0.5),
+                         ("sync_every_ms", float("nan"))):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+            RunConfig(**{field: value})
+    for rounds in (0, None, 3):
+        RunConfig(sync_every_rounds=rounds)
+    for ms in (0, None, 2.5):
+        RunConfig(sync_every_ms=ms)
 
 
 # -- aggregation ----------------------------------------------------------------------

@@ -66,6 +66,20 @@ def test_queue_rejects_bad_capacities(tmp_path):
     TaskQueue(tmp_path / "f", file_capacity=2, buffer_capacity=1)
 
 
+def test_queue_takes_the_widest_values_a_spill_file_holds(tmp_path):
+    # a spill file stores its capacity as a u32 and each key's signature
+    # count as a u16: one more is rejected up front, and the widest
+    # values spill and read back in key order
+    with pytest.raises(ValueError, match="^file_capacity must be <= 4294967295$"):
+        TaskQueue(tmp_path / "d", file_capacity=2**32)
+    q = TaskQueue(tmp_path / "e", file_capacity=2**32 - 1, buffer_capacity=1)
+    recs = [TaskRecord(TaskKey((i,) * 0xFFFF, i), b"t%d" % i) for i in (2, 0, 1)]
+    for rec in recs:
+        q.enqueue(rec)
+    assert _drain(q) == sorted(recs, key=lambda r: r.key)
+    assert q.metrics()["queue_file_writes"] > 0
+
+
 @KEY_SHAPES
 def test_single_task_round_trip(tmp_path, shape):
     q = TaskQueue(tmp_path / shape)

@@ -4,8 +4,8 @@ Each worker owns a partition of the vertex table, a disk-spilling task
 queue, and a bounded cache of remote vertices.  A task that lacks no
 vertex -- every id it pulls is local, or already filled in the cache --
 runs at once and never enters the queue; only a task that still needs a
-remote vertex is keyed and queued.  One test (`_ready`) decides this for
-a seed, for a child spawned by add_task, and for a task's next
+remote vertex is keyed and queued.  One method (`Worker._place`) decides
+this for a seed, for a child spawned by add_task, and for a task's next
 iteration.  A queued task stays a Python object; the queue encodes it
 only if it spills to a file, and only a task read back from a file is
 decoded.
@@ -217,7 +217,7 @@ class Task:
         self.seed_id = seed_id
         self.context = context
         self.subgraph = subgraph if subgraph is not None else Subgraph()
-        self.requested = tuple(pulls)  # Worker._normalize sets `pending`
+        self.requested = tuple(pulls)  # Worker._place sets `pending` if queued
         self.iteration = 0
         self._worker = None
         self._pull_order = None
@@ -287,8 +287,8 @@ class Worker:
             buffer_capacity=cfg.buffer_capacity,
             encode=self._encode,
         )
-        # The queue takes no kind; the kind is only this key rule
-        # (`_key_for`): a stream key carries no signature, just the
+        # The queue takes no kind; the kind is only the key rule in
+        # `_place`: a stream key carries no signature, just the
         # sequence number, so the queue serves it in enqueue order (and
         # its spill files say ell 0).
         self.minhash_seeds = seeds if cfg.queue_kind == "lsh" else None
@@ -316,52 +316,27 @@ class Worker:
 
     # -- task plumbing -----------------------------------------------------
 
-    def _normalize(self, task):
-        """Drop repeated pulls, keeping first-pull order, and derive the
-        pulled ids that are not local."""
+    def _place(self, task, enqueue) -> bool:
+        """Decide whether `task` runs now or is queued, after dropping its
+        repeated pulls (first-pull order kept).  True when it lacks no
+        vertex -- every id it pulls is local or filled in the cache -- so
+        it can compute now; its cached pulls count as hits and refresh
+        recency.  Otherwise its pending set is the ids it pulls that are
+        not local; the task is keyed by that set and its record passed
+        to `enqueue`."""
         task.requested = requested = tuple(dict.fromkeys(task.requested))
-        task.pending = frozenset(filterfalse(self.table.__contains__, requested))
-
-    def _ready(self, task):
-        """True when the task lacks no vertex: every id it pulls is local
-        or filled in the cache, so it can compute now, without the queue.
-        A ready task's cached pulls count as hits and refresh recency,
-        and its pending set empties."""
-        pending = task.pending
-        if not pending:
-            return True
+        pending = frozenset(filterfalse(self.table.__contains__, requested))
         cache = self.cache
-        for vid in pending:
-            if not cache.has_data(vid):
-                return False
-        for vid in pending:
-            cache.get(vid)  # recency + hit accounting
-        task.pending = frozenset()
-        return True
-
-    def _key_for(self, task) -> TaskKey:
-        if self.minhash_seeds is None:
-            sigs = ()
-        else:
-            sigs = minhash_signature(task.pending, self.minhash_seeds)
-        key = TaskKey(sigs, self._seq)
+        if all(map(cache.has_data, pending)):
+            for vid in pending:
+                cache.get(vid)  # recency + hit accounting
+            return True
+        task.pending = pending
+        seeds = self.minhash_seeds
+        sigs = () if seeds is None else minhash_signature(pending, seeds)
+        enqueue(TaskRecord(TaskKey(sigs, self._seq), task))
         self._seq += 1
-        return key
-
-    def _admit(self, task, ready, enqueue):
-        """Normalize a new task; hand it to `ready` if it lacks no
-        vertex, else key it for `enqueue`."""
-        self._normalize(task)
-        if self._ready(task):
-            self.metrics["tasks_local"] += 1
-            ready(task)
-        else:
-            enqueue(self._record(task))
-
-    def _record(self, task) -> TaskRecord:
-        """Key the task by its current pull set for the queue, which
-        holds the task object itself until it spills."""
-        return TaskRecord(self._key_for(task), task)
+        return False
 
     def _encode(self, task) -> bytes:
         """The queue's encode hook: a task's spill-file payload."""
@@ -414,18 +389,18 @@ class Worker:
         room = self.cfg.buffer_capacity - len(self.queue)
         records = []
         enqueue = records.append
-
-        def run_now(task):
-            self._run_tasks([task], enqueue)
-
         for vid in self._cursor:
+            # Listed inside the try, so a generator seed's error is the
+            # hook's too; placing and running the tasks is not.
             try:
-                tasks = self.app.seed(self.table[vid]) or ()
+                tasks = list(self.app.seed(self.table[vid]) or ())
             except Exception as e:
                 raise self._hook_error("seed", e, f"seed {vid}")
             for t in tasks:
                 self.metrics["tasks_seeded"] += 1
-                self._admit(t, run_now, enqueue)
+                if self._place(t, enqueue):
+                    self.metrics["tasks_local"] += 1
+                    self._run_tasks([t], enqueue)
             if len(records) >= room:
                 break
         else:
@@ -604,7 +579,9 @@ class Worker:
             ready = []
             for child in children:
                 self.metrics["tasks_spawned"] += 1
-                self._admit(child, ready.append, enqueue)
+                if self._place(child, enqueue):
+                    self.metrics["tasks_local"] += 1
+                    ready.append(child)
             work.extend(reversed(ready))
             if not cont:
                 self.metrics["tasks_completed"] += 1
@@ -612,15 +589,13 @@ class Worker:
                     self.trace.append(("complete", task.seed_id, task.iteration))
                 return
             task.requested = task._pull_order
-            self._normalize(task)
-            if not self._ready(task):
-                # Re-key by the new pull set and hand back to the queue.
+            if not self._place(task, enqueue):
+                # Re-keyed by the new pull set and handed back to the queue.
                 self.metrics["tasks_requeued"] += 1
                 if self.trace is not None:
                     self.trace.append(
                         ("requeue", task.seed_id, task.iteration, len(task.pending))
                     )
-                enqueue(self._record(task))
                 return
             # Every pull is resident: iterate again at once.
 

@@ -52,10 +52,13 @@ class Vertex:
     attribute, so each vertex has exactly one representation and
     equality is a plain compare.
 
+    `Vertex.from_ids` takes the two lists as they are; the text loader,
+    the codec and `submine.gen` build every vertex through it.
     `Vertex(vid, label, adj)` splits a sorted list of `AdjItem`s into
-    the two lists; `Vertex.from_ids` takes them as they are.  `adj` is
-    a view built on each read, for callers that want (id, attribute)
-    pairs.
+    the two lists, and `adj` is a view built on each read, for callers
+    that want (id, attribute) pairs.  Both stay for graphs built in
+    code: the benchmark's generator and oracle, `bench_codec.py` and the
+    tests build and read vertices that way.
 
     Treated as immutable once a graph is loaded; workers may share Vertex
     objects freely between tasks.  The id lists the compiled loader
@@ -181,7 +184,7 @@ def parse_vertex_line(line: str, lineno=None) -> Vertex:
     if vid > MASK64:
         fail(f"vertex id {vid} does not fit in 64 bits")
     label = parts[1] or None
-    adj = []
+    pairs = []  # (neighbor id, its attribute or None)
     seen = set()
     for tok in parts[2].split():
         nb_s, _, attr = tok.partition(":")
@@ -196,11 +199,12 @@ def parse_vertex_line(line: str, lineno=None) -> Vertex:
         if nb in seen:
             fail(f"duplicate neighbor {nb} of vertex {vid}")
         seen.add(nb)
-        adj.append(AdjItem(nb, attr or None))
-    adj.sort()
-    if adj and adj[-1].nb > MASK64:
-        fail(f"neighbor id {adj[-1].nb} does not fit in 64 bits")
-    return Vertex(vid, label, adj)
+        pairs.append((nb, attr or None))
+    pairs.sort()  # ids are distinct, so no attribute is compared
+    if pairs and pairs[-1][0] > MASK64:
+        fail(f"neighbor id {pairs[-1][0]} does not fit in 64 bits")
+    return Vertex.from_ids(vid, label, [nb for nb, _ in pairs],
+                           [attr for _, attr in pairs])
 
 
 def format_vertex_line(v: Vertex) -> str:

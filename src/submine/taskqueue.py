@@ -24,11 +24,12 @@ a file, or one queued as bytes) is written as it is.  A record read back
 from a file keeps its bytes payload; decoding it is the caller's job.
 So a task that never spills costs no encode and no decode.
 
-The queue takes no kind: the engine's key rule (`Worker._key_for`) makes
-the order.  `lsh` keys lead with the MinHash signature of a task's pull
-set, so tasks that pull similar sets are served together.  `stream` keys
-hold only the enqueue sequence number, so key order is enqueue order:
-the queue is FIFO, and a spill of at least ceil(C/2) tasks is an append.
+The queue takes no kind: the engine's key rule (in `Worker._place`)
+makes the order.  `lsh` keys lead with the MinHash signature of a task's
+pull set, so tasks that pull similar sets are served together.
+`stream` keys hold only the enqueue sequence number, so key order is
+enqueue order: the queue is FIFO, and a spill of at least ceil(C/2)
+tasks is an append.
 
 io counters track file-granularity reads and writes and always match
 what an external filesystem observer sees.

@@ -28,7 +28,6 @@ SHUTDOWN = object()
 
 class InProcTransport:
     def __init__(self, num_workers):
-        self.num_workers = num_workers
         self._requests = [_queue.SimpleQueue() for _ in range(num_workers)]
         self._responses = [_queue.SimpleQueue() for _ in range(num_workers)]
 

@@ -220,6 +220,36 @@ def test_multi_iteration_local_pulls_finish_in_one_round():
     assert res.metrics["compute_calls"] == 2
 
 
+def test_next_iteration_whose_remote_pulls_are_cached_runs_at_once():
+    # the task is requeued once for the remote set R; its next iteration
+    # pulls R again while R is still cached, so it runs in the same round
+    g = complete_graph(10, start_id=0)
+    home = partition_owner(0, 2)
+    remote = [vid for vid in range(1, 10) if partition_owner(vid, 2) != home]
+    assert len(remote) >= 2
+    frontiers = []
+
+    def seed(v):
+        return [Task(0)] if v.id == 0 else []
+
+    def compute(task, frontier):
+        frontiers.append([u.id for u in frontier])
+        if task.iteration < 2:
+            for vid in remote:
+                task.pull(vid)
+            return True
+        return False
+
+    res = run_job(RunConfig(workers=2), _spec("again", seed, compute), graph=g)
+    m = res.metrics
+    assert frontiers == [[], remote, remote]
+    assert m["tasks_requeued"] == 1
+    assert m["cache_hits"] == len(remote)
+    assert m["vertices_requested"] == len(remote)
+    assert m["compute_calls"] == 3
+    assert m["rounds"] == 1
+
+
 def test_remote_pull_requeues_with_fresh_key():
     # two workers: the task's second iteration needs a vertex that is
     # remote and uncached, forcing a requeue
@@ -806,9 +836,13 @@ def test_spilled_tasks_give_the_lines_of_tasks_kept_as_objects(monkeypatch):
 
 def test_text_graph_jobs_never_build_adjacency_items(tmp_path, monkeypatch):
     # a graph read from text without attributes is plain id lists; no
-    # seed, compute, respond or codec step may ask for AdjItems
+    # seed, compute, respond or codec step may ask for AdjItems, and the
+    # loader builds none for an attributed graph either
     path = tmp_path / "g.txt"
     write_graph(gnp_graph(70, 0.15, seed=4), path)
+    labelled = labeled_gnp_graph(60, 0.2, seed=2200, alphabet="abcd")
+    labelled_path = tmp_path / "labelled.txt"
+    write_graph(labelled, labelled_path)
     sent = []
     encode = E.encode_vertex
 
@@ -819,14 +853,25 @@ def test_text_graph_jobs_never_build_adjacency_items(tmp_path, monkeypatch):
     def no_adj(v):
         raise AssertionError(f"vertex {v.id}: adj read during a job")
 
+    def no_adj_item(*args):
+        raise AssertionError(f"AdjItem{args} built")
+
+    gmatch = make_app("gmatch", query=fig4_query())
+    expected = run_job(RunConfig(workers=2), gmatch, graph=labelled)
     monkeypatch.setattr(E, "encode_vertex", recording_encode)
     monkeypatch.setattr(Vertex, "adj", property(no_adj))
+    monkeypatch.setattr(G, "AdjItem", no_adj_item)
     quasi = make_app("quasiclique", gamma="0.6", min_size=4)
     for app, workers in ((make_app("triangle"), 1), (make_app("triangle"), 2),
                          (quasi, 2)):
         res = run_job(RunConfig(workers=workers), app, graph=read_graph(path))
         assert res.metrics["tasks_seeded"] > 0
     assert sent, "the 2-worker jobs pulled nothing"
+    # an attributed line goes through parse_vertex_line, not the id kernel
+    loaded = read_graph(labelled_path)
+    assert loaded.vertices == labelled.vertices
+    res = run_job(RunConfig(workers=2), gmatch, graph=loaded)
+    assert res.result_lines() and res.result_lines() == expected.result_lines()
 
 
 # -- errors -------------------------------------------------------------------------
@@ -957,15 +1002,28 @@ def _failing_late(hook, calls=2):
     return failing
 
 
+def _failing_late_generator(hook, calls=2):
+    """`hook` as a generator of what it returns, raising "boom" on the
+    first step of its call number `calls` + 1."""
+    failing = _failing_late(hook, calls)
+
+    def generator(*args):
+        yield from failing(*args)
+    return generator
+
+
 _TRIANGLE_JOB = ("triangle", {}, dict(n=60, p=0.2, seed=1))
 # B = 4 and C = 2 make this quasiclique job spill and read tasks back
 _SPILLING_JOB = ("quasiclique", {"gamma": "0.6", "min_size": 4},
                  dict(n=50, p=0.15, seed=4))
 
 
-# hook -> the job it fails in, and what its message names after the worker
+# case -> the job it fails in, and what its message names after the
+# worker.  A case is its hook's name, or "seed-generator": a seed hook
+# written as a generator, which raises while its tasks are drawn.
 _HOOK_FAILURES = {
     "seed": (_TRIANGLE_JOB, r"seed (\d+)"),
+    "seed-generator": (_TRIANGLE_JOB, r"seed (\d+)"),
     "compute": (_TRIANGLE_JOB, r"seed (\d+), iteration 0"),
     "respond": (_TRIANGLE_JOB, r"vertex (\d+) requested by worker (\d+)"),
     "encode_context": (_SPILLING_JOB, r"seed (\d+), iteration \d+"),
@@ -973,13 +1031,15 @@ _HOOK_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("hook", list(_HOOK_FAILURES))
+@pytest.mark.parametrize("case", list(_HOOK_FAILURES))
 def test_a_failing_app_hook_names_app_hook_worker_and_seed(
-        tmp_path, monkeypatch, hook):
+        tmp_path, monkeypatch, case):
     # the same failure in a temp workdir and in a kept one: the job
     # stops with the hook's provenance and leaves no thread, no temp
     # workdir and no spill file behind
-    (name, params, graph_args), where = _HOOK_FAILURES[hook]
+    (name, params, graph_args), where = _HOOK_FAILURES[case]
+    hook, _, form = case.partition("-")
+    failing = _failing_late_generator if form == "generator" else _failing_late
     graph = gnp_graph(**graph_args)
     tmp, kept = tmp_path / "tmp", tmp_path / "kept"
     tmp.mkdir()
@@ -987,7 +1047,7 @@ def test_a_failing_app_hook_names_app_hook_worker_and_seed(
     for workdir in (None, str(kept)):
         # late, so that the kept workdir held spill files when it failed
         app = make_app(name, **params)
-        app = dataclasses.replace(app, **{hook: _failing_late(getattr(app, hook))})
+        app = dataclasses.replace(app, **{hook: failing(getattr(app, hook))})
         with pytest.raises(ComputeError) as info:
             run_job(RunConfig(workers=2, buffer_capacity=4, file_capacity=2,
                               workdir=workdir), app, graph=graph)
@@ -1004,6 +1064,15 @@ def test_a_failing_app_hook_names_app_hook_worker_and_seed(
     assert os.listdir(tmp) == []
     assert list(kept.rglob("*.tasks")) == []
     assert os.listdir(kept / "w0" / "queue") == []  # the kept workdir stays
+
+
+def test_a_seed_that_returns_no_iterable_names_its_seed():
+    app = _spec("five", lambda v: 5, lambda task, frontier: False)
+    with pytest.raises(ComputeError, match=r"^app 'five' seed failed: worker \d+, "
+                       r"seed \d+: 'int' object is not iterable$") as info:
+        run_job(RunConfig(workers=2), app, graph=complete_graph(6, start_id=0))
+    assert isinstance(info.value.__cause__, TypeError)
+    assert _job_threads() == []
 
 
 def test_an_engine_error_raised_in_a_hook_passes_through():

@@ -34,7 +34,7 @@ def _fifo_records(count, start=0, step=1):
             for i in range(start, start + count * step, step)]
 
 
-# The two key shapes the engine makes (`Worker._key_for`), named by the
+# The two key shapes the engine makes (`Worker._place`), named by the
 # queue kind that makes them: `stream` keys hold only the sequence number,
 # so key order is enqueue order; `lsh` keys lead with a MinHash signature.
 KEY_SHAPES = pytest.mark.parametrize("shape", ["stream", "lsh"])

@@ -25,8 +25,10 @@ cursor has ended and its queue drains:
    tasks from the queue into the round batch until the batch buffer is
    full or the cache cannot reserve a task's pull set.  Reservation is
    all-or-nothing per task: the task that does not fit waits for the
-   next round (or, if it alone exceeds the whole cache, runs as a
-   singleton batch inside a cache overflow episode).
+   next round.  A task that alone exceeds the whole cache is reserved
+   over capacity as a round's first task and runs as a singleton batch
+   (an overflow episode); the round's unpin trims the cache back to
+   capacity.
 2. vertex pulling -- one request per destination worker carrying the
    deduplicated id list of everything the batch needs but does not have;
    responses are decoded into the cache.  Within a round no vertex id is
@@ -109,6 +111,40 @@ class JobAborted(EngineError):
 
 @dataclass
 class RunConfig:
+    """How `run_job` runs one job; fields are checked on construction.
+
+    workers: number of workers (threads), each owning the partition of
+        vertices whose id hashes to it; at least 1.
+    buffer_capacity: B, the tasks a worker's queue holds in memory
+        before it spills to files.  It is also the batch size: a round
+        fetches at most B tasks, and a seeding window stops once the
+        queue holds B tasks.
+    file_capacity: C, the most tasks one spill file holds; files hold
+        between ceil(C/2) and C, and a fetch refills up to C at a time.
+        At least 2.
+    cache_capacity: how many remote vertices a worker's cache holds,
+        counted in vertices, not bytes; at least 1.  Only a task whose
+        pull set alone exceeds it goes over it, for its own round.
+    queue_kind: "lsh" serves tasks by the MinHash key of their pull
+        sets, so tasks that pull similar vertices run together;
+        "stream" serves them in enqueue order.
+    ell: signatures per MinHash key (1..65535); "stream" ignores it.
+    run_seed: derives the MinHash seeds, so it can change the order in
+        which "lsh" tasks run, never the results.
+    sync_every_rounds: publish the worker's aggregator value and
+        refresh the global snapshot every this many rounds; None or 0
+        turns this period off.
+    sync_every_ms: also publish when at least this many milliseconds
+        have passed since the last sync; None turns it off.  It is
+        checked only at a round's end, so a worker that runs no round
+        publishes only when its seeding ends and at job end.
+    workdir: directory for the workers' spill files; it is kept after
+        the job.  None means a temporary directory that is removed
+        however the job ends.
+    collect_trace: record each worker's event list in
+        `JobResult.traces`.
+    """
+
     workers: int = 8
     buffer_capacity: int = 1000
     file_capacity: int = 100
@@ -460,7 +496,6 @@ class Worker:
         batch = []
         pinned = []  # the pull set each batched task pinned, if any
         to_request = set()
-        overflow = False
 
         # Step 1: fetch tasks while the batch buffer and the cache have room.
         while len(batch) < self.cfg.buffer_capacity:
@@ -475,27 +510,19 @@ class Worker:
                     task = self._decode(task)
             need = task.pending
             if need:
-                fresh = cache.reserve(need)
+                # A pull set bigger than the whole cache is reserved over
+                # capacity, but only as the first task of a batch.
+                fresh = cache.reserve(need, overflow=not batch)
                 if fresh is None:
-                    if batch:
-                        self._carry = task
-                        break
-                    # A pull set bigger than the whole cache: run this one
-                    # task alone inside an overflow episode.
-                    cache.enter_overflow(len(need))
-                    self.metrics["overflow_episodes"] += 1
-                    fresh = cache.reserve(need)
-                    if fresh is None:
-                        raise EngineError(
-                            f"reservation failed inside overflow episode "
-                            f"(worker {self.wid}, seed {task.seed_id})"
-                        )
-                    overflow = True
+                    self._carry = task
+                    break
                 # Ids that already had a slot are filled or requested already.
                 to_request.update(fresh)
                 pinned.append(need)
             batch.append(task)
-            if overflow:
+            if cache.resident > cache.capacity:
+                # That task runs alone; unpin_batch trims the cache back.
+                self.metrics["overflow_episodes"] += 1
                 break
 
         if not batch:
@@ -538,8 +565,6 @@ class Worker:
 
         if pinned:
             cache.unpin_batch(pinned)
-        if overflow:
-            cache.exit_overflow()
         self._maybe_sync()
         return True
 

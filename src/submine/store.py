@@ -1,16 +1,18 @@
 """Per-worker vertex storage: the read-only local table plus a bounded
 LRU cache of vertices pulled from other workers.
 
-The cache is the memory guarantee of the whole engine: outside explicit
-overflow episodes its residency (filled entries plus reserved slots)
-never exceeds capacity.  Entries a running batch depends on are pinned
-and cannot be evicted; reservation is all-or-nothing per task so a task
-either gets every remote vertex it needs held down for the round or
-touches nothing.
+The cache is the memory guarantee of the whole engine: its capacity is
+fixed, and its residency (filled entries plus reserved slots) exceeds
+it only while an oversized task's round runs.  Entries a running batch
+depends on are pinned and cannot be evicted; reservation is
+all-or-nothing per task so a task either gets every remote vertex it
+needs held down for the round or touches nothing.
 
-A single oversized task (pull set larger than the whole cache) is handled
-by an overflow episode: capacity is raised just for that task and the
-cache is shrunk back by LRU eviction immediately after.
+A single oversized task (pull set larger than the whole cache) is
+reserved in overflow mode: it gets its slots without evicting anything,
+over capacity, and `unpin_batch` -- the one place residency returns
+under the bound -- trims the cache back by LRU eviction when the round
+releases its pins.
 
 Cost: in the engine's rounds, a reserve of `ids` that evicts `k` entries
 visits O(|ids| + k) entries, whatever the capacity.  The cache keeps a
@@ -32,7 +34,8 @@ _vertex_id = attrgetter("id")
 
 
 class CacheError(RuntimeError):
-    """Protocol misuse: bad insert, unpin without pin, nested overflow."""
+    """Protocol misuse (bad insert, unpin without pin), or pinned entries
+    that keep the cache above capacity."""
 
 
 class _Entry:
@@ -62,11 +65,9 @@ class VertexCache:
     def __init__(self, capacity, is_local=None, trace=None):
         check_cache_capacity(capacity)
         self.capacity = capacity
-        self._base_capacity = capacity
         self._is_local = is_local or (lambda vid: False)
         self._entries = OrderedDict()
         self._lock = threading.Lock()
-        self._overflow = False
         self._n_evictable = 0  # entries that are filled and unpinned
         self.trace = trace
         self.hits = 0
@@ -79,10 +80,6 @@ class VertexCache:
     @property
     def resident(self):
         return len(self._entries)
-
-    @property
-    def in_overflow(self):
-        return self._overflow
 
     def has_data(self, vid):
         e = self._entries.get(vid)
@@ -109,14 +106,17 @@ class VertexCache:
             self.hits += 1
             return e.vertex
 
-    def reserve(self, ids):
+    def reserve(self, ids, overflow=False):
         """All-or-nothing reservation of every id in `ids`.
 
         Cached ids are pinned where they sit; missing ids get a pinned
         placeholder slot each, evicting unpinned entries (LRU first) to
         make room.  Returns the list of ids given a new slot (the ids to
         pull; empty when every id was resident), or None on rejection,
-        in which case nothing was touched.
+        in which case nothing was touched.  With `overflow`, a set that
+        cannot fit even after eviction is not rejected: its missing ids
+        get their slots over capacity, evicting nothing, until
+        `unpin_batch` trims the cache back.
         """
         ids = set(ids)
         if any(map(self._is_local, ids)):
@@ -133,9 +133,12 @@ class VertexCache:
                     e = self._entries.get(vid)
                     if e is not None and e.pins == 0 and e.vertex is not None:
                         evictable -= 1
-                if len(new) > free + evictable:
+                if len(new) <= free + evictable:
+                    self._evict_locked(len(new) - free, protect=ids)
+                elif not overflow:
                     return None
-                self._evict_locked(len(new) - free, protect=ids)
+                elif self.trace:
+                    self.trace(("overflow_enter", len(ids)))
             for vid in ids:
                 e = self._entries.get(vid)
                 if e is not None:
@@ -181,7 +184,9 @@ class VertexCache:
 
     def unpin_batch(self, id_sets):
         """Release one pin per id of each set in `id_sets`: each is the
-        set of distinct ids one task reserved."""
+        set of distinct ids one task reserved.  Then, if an overflow
+        reservation left the cache above capacity, evict unpinned
+        entries (LRU first) back down to it."""
         with self._lock:
             entries = self._entries
             for ids in id_sets:
@@ -192,6 +197,17 @@ class VertexCache:
                     e.pins -= 1
                     if e.pins == 0 and e.vertex is not None:
                         self._n_evictable += 1
+            over = len(entries) - self.capacity
+            if over > 0:
+                try:
+                    self._evict_locked(over)
+                except CacheError:
+                    raise CacheError(
+                        "cannot restore capacity: pinned residue "
+                        f"{len(entries)} > {self.capacity}"
+                    ) from None
+                if self.trace:
+                    self.trace(("overflow_exit",))
 
     def fill_frontier(self, ids, frontier):
         """Replace each None in `frontier` by the cached vertex of the
@@ -207,39 +223,6 @@ class VertexCache:
                         raise CacheError(f"frontier vertex {vid} not resident")
                     entries.move_to_end(vid)
                     frontier[i] = e.vertex
-
-    # -- overflow episodes ---------------------------------------------------
-
-    def enter_overflow(self, extra):
-        """Temporarily raise capacity by `extra` for one oversized task."""
-        if extra < 0:
-            raise ValueError("extra must be >= 0")
-        with self._lock:
-            if self._overflow:
-                raise CacheError("nested overflow episode")
-            self._overflow = True
-            self.capacity = self._base_capacity + extra
-            if self.trace:
-                self.trace(("overflow_enter", extra))
-
-    def exit_overflow(self):
-        """Restore capacity, evicting unpinned LRU entries to fit."""
-        with self._lock:
-            if not self._overflow:
-                raise CacheError("exit_overflow outside an episode")
-            self.capacity = self._base_capacity
-            over = len(self._entries) - self.capacity
-            if over > 0:
-                try:
-                    self._evict_locked(over)
-                except CacheError:
-                    raise CacheError(
-                        "cannot restore capacity: pinned residue "
-                        f"{len(self._entries)} > {self.capacity}"
-                    ) from None
-            self._overflow = False
-            if self.trace:
-                self.trace(("overflow_exit",))
 
     # -- internals -----------------------------------------------------------
 
@@ -278,8 +261,6 @@ class VertexCache:
                     f"evictable count {self._n_evictable} != "
                     f"{len(self._entries)} unpinned filled entries"
                 )
-            if self._overflow:
-                raise CacheError("job ended inside an overflow episode")
             if len(self._entries) > self.capacity:
                 raise CacheError("residency above capacity at job end")
 

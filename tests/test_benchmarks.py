@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(submine.__file__).resolve().parent.parent)
 
 
-@pytest.mark.parametrize("script,args", [
+CASES = [
     ("bench_codec.py", ["--repeat", "1", "--loops", "20"]),
     ("bench_quasi.py", ["--repeat", "1"]),
     ("bench_cache.py", ["--repeat", "1"]),
@@ -24,7 +24,17 @@ SRC = str(Path(submine.__file__).resolve().parent.parent)
     ("bench_queue.py", ["--repeat", "1"]),
     ("bench_load.py", ["--sizes", "50000:250000", "--repeat", "1"]),
     ("bench_results.py", ["--sizes", "5000:25000", "--repeat", "1"]),
-])
+]
+
+
+def test_every_bench_script_has_a_case():
+    # CI runs the scripts only through this module, so a new script
+    # without a case would never run.
+    scripts = sorted(p.name for p in (ROOT / "benchmarks").glob("*.py"))
+    assert scripts == sorted(script for script, _ in CASES)
+
+
+@pytest.mark.parametrize("script,args", CASES)
 def test_bench_script_runs(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -383,6 +383,19 @@ def test_eviction_sequence_is_unchanged():
         132, 162, 122)
 
 
+def test_overflow_episode_counters_are_unchanged():
+    # A cache of 5 vertices is smaller than many triangle pull sets, so
+    # this job runs oversized tasks alone, over capacity, and trims the
+    # cache back after their rounds; the counts pin which entries those
+    # trims evict.
+    res = run_job(RunConfig(workers=3, cache_capacity=5),
+                  make_app("triangle"), graph=gnp_graph(120, 0.1, seed=1))
+    assert res.aggregate == 289
+    m = res.metrics
+    assert (m["overflow_episodes"], m["cache_hits"], m["cache_misses"],
+            m["cache_evictions"]) == (27, 64, 355, 340)
+
+
 def test_each_cache_is_used_only_by_its_workers_compute_thread(monkeypatch):
     # store.py's VertexCache takes its lock for map mutations but relies
     # on one thread, its worker's compute thread, for everything else:
@@ -401,7 +414,7 @@ def test_each_cache_is_used_only_by_its_workers_compute_thread(monkeypatch):
         monkeypatch.setattr(VertexCache, name, wrapper)
 
     for name in ("reserve", "insert_pulled", "unpin_batch", "get",
-                 "has_data", "enter_overflow", "exit_overflow"):
+                 "has_data", "fill_frontier"):
         watch(name)
     res = run_job(RunConfig(workers=3, cache_capacity=5),
                   make_app("triangle"), graph=gnp_graph(120, 0.1, seed=1))

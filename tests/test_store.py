@@ -1,9 +1,9 @@
-"""VertexCache: reservation, pinning, LRU eviction, overflow episodes.
+"""VertexCache: reservation, pinning, LRU eviction, overflow reservations.
 
 The randomized section replays every operation against a reference LRU
 model and checks, after each step, the residency bound (the property the
-whole engine leans on), the recency order, each eviction victim and the
-cache's running count of evictable entries.
+whole engine leans on), the fixed capacity, the recency order, each
+eviction victim and the cache's running count of evictable entries.
 """
 
 import random
@@ -250,49 +250,55 @@ def test_resolve_of_a_vertex_not_filled_is_an_error():
 
 
 def test_overflow_episode_roundtrip():
-    c = VertexCache(5)
+    events = []
+    c = VertexCache(5, trace=events.append)
     _fill(c, [1, 2, 3])
     need = list(range(100, 112))  # 12 vertices, way over capacity
-    c.enter_overflow(len(need))
-    assert c.in_overflow
-    assert sorted(c.reserve(need)) == need
+    assert c.reserve(need) is None
+    events.clear()
+    assert sorted(c.reserve(need, overflow=True)) == need
+    assert events[0] == ("overflow_enter", 12)
+    assert not any(e[0] == "cache_evict" for e in events)  # evicts nothing
     c.insert_pulled([_v(vid) for vid in need])
-    assert c.resident >= 12
+    assert c.resident == 15
+    events.clear()
     c.unpin_batch([need])
-    c.exit_overflow()
-    assert not c.in_overflow
-    assert c.resident <= 5
+    victims = [1, 2, 3, *range(100, 107)]  # LRU first, down to 5
+    assert events == [("cache_evict", vid) for vid in victims] + [("overflow_exit",)]
+    assert c.resident == 5
     assert c.capacity == 5
+    c.assert_quiescent()
 
 
 def test_overflow_exit_without_excess_keeps_entries():
-    c = VertexCache(5)
+    # An overflow reservation that fits is an ordinary one, and an unpin
+    # that leaves the cache within capacity evicts nothing.
+    events = []
+    c = VertexCache(5, trace=events.append)
     _fill(c, [1, 2, 3])
-    c.enter_overflow(10)
-    c.exit_overflow()
-    assert c.resident == 3
-    assert c.has_data(1) and c.has_data(2) and c.has_data(3)
-
-
-def test_overflow_misuse():
-    c = VertexCache(2)
-    c.enter_overflow(3)
-    with pytest.raises(CacheError, match="nested"):
-        c.enter_overflow(1)
-    c.exit_overflow()
-    with pytest.raises(CacheError, match="outside"):
-        c.exit_overflow()
-    with pytest.raises(ValueError):
-        c.enter_overflow(-1)
+    events.clear()
+    assert c.reserve({4}, overflow=True) == [4]
+    c.insert_pulled([_v(4)])
+    c.unpin_batch([{4}])
+    assert c.resident == 4
+    assert all(c.has_data(vid) for vid in (1, 2, 3, 4))
+    assert [e[0] for e in events] == ["cache_slot", "cache_fill"]
 
 
 def test_overflow_exit_with_pinned_residue_fails():
     c = VertexCache(2)
-    c.enter_overflow(3)
-    c.reserve({1, 2, 3, 4})
+    c.reserve({1, 2, 3, 4}, overflow=True)
     c.insert_pulled([_v(vid) for vid in (1, 2, 3, 4)])
-    with pytest.raises(CacheError, match="pinned residue"):
-        c.exit_overflow()
+    # a normal reservation cannot join a cache above capacity; a second
+    # overflow one can, and then holds every entry
+    assert c.reserve({1, 2, 3, 4}) is None
+    assert c.reserve({1, 2, 3, 4}, overflow=True) == []
+    with pytest.raises(CacheError, match="pinned residue 4 > 2"):
+        c.unpin_batch([{1, 2, 3, 4}])
+    assert c.resident == 4  # nothing evicted
+    c.unpin_batch([{1, 2, 3, 4}])
+    assert c.resident == 2
+    c.assert_quiescent()
 
 
 # -- quiescence and metrics ---------------------------------------------------
@@ -308,10 +314,11 @@ def test_assert_quiescent_failures():
         c.assert_quiescent()
     c.insert_pulled([_v(1)])
     c.assert_quiescent()
-    c.enter_overflow(2)
-    with pytest.raises(CacheError, match="inside an overflow"):
+    c.reserve(range(10, 15), overflow=True)
+    with pytest.raises(CacheError, match="leftover pin"):
         c.assert_quiescent()
-    c.exit_overflow()
+    c.insert_pulled([_v(vid) for vid in range(10, 15)])
+    c.unpin_batch([range(10, 15)])
     c.assert_quiescent()
 
 
@@ -353,31 +360,52 @@ def _model_evict(model, count, protect=()):
     return victims
 
 
-def _model_reserve(model, ids, limit):
-    """Reference reserve: the victims and the ids given a new slot, or
-    None on rejection."""
+def _model_reserve(model, ids, cap, overflow=False):
+    """Reference reserve: the victims, the ids given a new slot and
+    whether the set went over capacity, or None on rejection."""
     new = [vid for vid in ids if vid not in model]
-    free = limit - len(model)
+    free = cap - len(model)
     victims = []
+    over = False
     if len(new) > free:
         evictable = sum(1 for vid, (pins, filled) in model.items()
                         if pins == 0 and filled and vid not in ids)
-        if len(new) > free + evictable:
+        if len(new) <= free + evictable:
+            victims = _model_evict(model, len(new) - free, protect=ids)
+        elif overflow:
+            over = True
+        else:
             return None
-        victims = _model_evict(model, len(new) - free, protect=ids)
     for vid in ids:
         if vid in model:
             model[vid][0] += 1
             model.move_to_end(vid)
         else:
             model[vid] = [1, False]
-    return victims, new
+    return victims, new, over
+
+
+def _model_unpin(model, id_sets, cap):
+    """Reference unpin: the victims that trim the model back to `cap`
+    (empty when it is within), or None when pinned or unfilled entries
+    keep it above."""
+    for ids in id_sets:
+        for vid in ids:
+            model[vid][0] -= 1
+    over = len(model) - cap
+    if over <= 0:
+        return []
+    evictable = sum(1 for pins, filled in model.values() if pins == 0 and filled)
+    if evictable < over:
+        return None
+    return _model_evict(model, over)
 
 
 def test_randomized_against_model():
-    """Random reserve/fill/get/unpin/overflow traffic, checked step by step
-    against a reference LRU model."""
+    """Random reserve/overflow reserve/fill/get/unpin traffic, checked
+    step by step against a reference LRU model."""
     rng = random.Random(1234)
+    seen = set()
     for trial in range(30):
         cap = rng.randint(1, 8)
         events = []
@@ -385,65 +413,80 @@ def test_randomized_against_model():
         model = OrderedDict()  # vid -> [pins, filled], LRU first
         pinned_sets = []  # reserved batches not yet released
         unfilled = set()  # reserved ids whose vertex has not arrived
-        in_overflow = False
-        limit = cap
+        above = False  # an overflow reservation is not trimmed yet
         for _ in range(300):
             events.clear()
-            want_victims = []
+            want_events = []
             op = rng.random()
-            if op < 0.4:
-                size = rng.randint(1, min(6, max(1, limit)))
+            if op < 0.5:
+                overflow = op >= 0.4
+                size = rng.randint(1, 12 if overflow else min(6, cap))
                 ids = set(rng.sample(range(40), size))
-                if in_overflow or not pinned_sets or rng.random() < 0.8:
-                    # the cache iterates its own set(ids); so does the model
-                    want = _model_reserve(model, set(ids), limit)
-                    got = c.reserve(ids)
-                    if want is None:
-                        assert got is None
-                    else:
-                        want_victims, want_new = want
-                        assert sorted(got) == sorted(want_new)
-                        pinned_sets.append(ids)
-                        unfilled |= {vid for vid in ids if not model[vid][1]}
-            elif op < 0.5 and unfilled:
+                # the cache iterates its own set(ids); so does the model
+                want = _model_reserve(model, set(ids), cap, overflow)
+                got = c.reserve(ids, overflow=overflow)
+                if want is None:
+                    assert got is None
+                else:
+                    victims, want_new, over = want
+                    assert sorted(got) == sorted(want_new)
+                    pinned_sets.append(ids)
+                    unfilled |= {vid for vid in ids if not model[vid][1]}
+                    want_events = [("cache_evict", vid) for vid in victims]
+                    above = over
+                    if over:
+                        want_events.append(("overflow_enter", len(ids)))
+                        seen.add("overflow_enter")
+            elif op < 0.6 and unfilled:
                 for vid in rng.sample(sorted(unfilled), rng.randint(1, len(unfilled))):
                     c.insert_pulled([_v(vid)])
                     model[vid][1] = True
                     model.move_to_end(vid)
                     unfilled.discard(vid)
-            elif op < 0.6:
+            elif op < 0.7:
                 vid = rng.randrange(40)
                 c.get(vid)
                 if vid in model and model[vid][1]:
                     model.move_to_end(vid)
-            elif op < 0.8 and pinned_sets:
+            elif pinned_sets:
                 batch = pinned_sets.pop(rng.randrange(len(pinned_sets)))
-                c.unpin_batch([batch])
-                for vid in batch:
-                    model[vid][0] -= 1
-            elif op < 0.9 and not in_overflow and not pinned_sets:
-                extra = rng.randint(1, 12)
-                c.enter_overflow(extra)
-                in_overflow = True
-                limit = cap + extra
-            elif in_overflow and not pinned_sets and not unfilled:
-                c.exit_overflow()
-                want_victims = _model_evict(model, max(0, len(model) - cap))
-                in_overflow = False
-                limit = cap
-            victims = [e[1] for e in events if e[0] == "cache_evict"]
-            assert victims == want_victims, trial
+                victims = _model_unpin(model, [batch], cap)
+                if victims is None:
+                    with pytest.raises(CacheError, match="pinned residue"):
+                        c.unpin_batch([batch])
+                    seen.add("pinned residue")
+                else:
+                    c.unpin_batch([batch])
+                    above = False
+                    want_events = [("cache_evict", vid) for vid in victims]
+                    if len(victims) > 0:
+                        want_events.append(("overflow_exit",))
+                        seen.add("overflow_exit")
+            got_events = [e for e in events
+                          if e[0] in ("cache_evict", "overflow_enter", "overflow_exit")]
+            assert got_events == want_events, trial
             assert list(c._entries) == list(model), trial
             assert c._n_evictable == sum(
                 1 for e in c._entries.values()
                 if e.pins == 0 and e.vertex is not None
             ), trial
-            assert c.resident <= limit, (trial, c.resident, limit)
+            assert c.capacity == cap
+            # only an overflow reservation goes above, and only until the
+            # next reservation or unpin that succeeds
+            assert c.resident <= cap or above, trial
             assert c.total_pins() == sum(len(s) for s in pinned_sets)
         for vid in unfilled:
             c.insert_pulled([_v(vid)])
-        for batch in pinned_sets:
-            c.unpin_batch([batch])
-        if in_overflow:
-            c.exit_overflow()
-        c.assert_quiescent()
+            model[vid][1] = True
+        if pinned_sets:
+            c.unpin_batch(pinned_sets)
+            assert _model_unpin(model, pinned_sets, cap) is not None
+        if len(model) > cap:
+            # an unpin that failed left unpinned entries above capacity,
+            # and no later unpin trimmed them
+            with pytest.raises(CacheError, match="above capacity"):
+                c.assert_quiescent()
+            seen.add("above capacity")
+        else:
+            c.assert_quiescent()
+    assert {"overflow_enter", "overflow_exit", "pinned residue"} <= seen, seen
